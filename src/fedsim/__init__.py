@@ -58,7 +58,6 @@ from .hessian import (
     hvp,
     landscape_slice,
     top_eigenpairs,
-    top_eigenvalues,
 )
 from .orchestrator import (
     CheckpointError,

@@ -135,7 +135,8 @@ def _cmd_diagnose(args) -> int:
         json.dump({"round": state.round_idx, "samples": int(len(gy)),
                    **report.to_dict()}, f, indent=1)
     print(f"global: lambda_max={report.top_eigenvalues[0]:.6g} "
-          f"trace={report.trace_estimate:.6g} (+/- {report.trace_stderr:.2g})")
+          f"trace={report.trace_estimate:.6g} (+/- {report.trace_stderr:.2g}) "
+          f"converged={report.eigen_converged}")
 
     diagonals = []
     for cid in ids:
@@ -150,7 +151,7 @@ def _cmd_diagnose(args) -> int:
                        "samples": int(len(cy)), **rep.to_dict()}, f, indent=1)
         diagonals.append(rep.diagonal)
         print(f"client {cid}: lambda_max={rep.top_eigenvalues[0]:.6g} "
-              f"trace={rep.trace_estimate:.6g}")
+              f"trace={rep.trace_estimate:.6g} converged={rep.eigen_converged}")
 
     if len(ids) >= 2:
         cross = cross_client_metrics(diagonals, client_ids=ids)
@@ -161,9 +162,11 @@ def _cmd_diagnose(args) -> int:
     else:
         print("cross-client metrics skipped (need at least two clients)")
 
-    alphas, betas, losses = landscape_slice(model, ce_loss_fn, (gx, gy),
-                                            grid=args.grid, radius=args.radius,
-                                            seed=gseed)
+    # the global report's top-2 eigenvectors: the directions landscape_slice
+    # would solve for itself on this model, batch and seed
+    d1, d2 = report.eigenvectors
+    alphas, betas, losses = landscape_slice(model, ce_loss_fn, (gx, gy), d1, d2,
+                                            grid=args.grid, radius=args.radius)
     with open(os.path.join(out, "landscape.csv"), "w") as f:
         f.write("alpha,beta,loss\n")
         for i, a in enumerate(alphas):

@@ -4,39 +4,59 @@ Hessian-vector products come from central finite differences of the gradient
 (two gradient evaluations per product, step h = 1e-4 along the normalized
 direction, so the truncation error is O(h^2) and float64 round-off stays
 around 1e-8 for desk-scale losses). On top of that: power iteration with
-deflation for leading eigenvalues, Hutchinson probes for the trace and the
-diagonal, pairwise cross-client curvature comparisons, and a 2-d loss
-landscape slice. All routines restore the model's parameters exactly.
+deflation for leading eigenvalues, one pass of Rademacher (Hutchinson)
+probes that gives both the diagonal, E[v * Hv], and the trace, E[v^T H v],
+from the same products (so the trace equals the diagonal's sum), pairwise
+cross-client curvature comparisons, and a 2-d loss landscape slice, which
+takes a report's eigenvectors as its directions. All routines restore the
+model's parameters exactly.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tensor import (Tensor, gradients, params_to_vector, load_vector,
-                     softmax_cross_entropy, zero_gradients)
+from .tensor import Tensor, gradients, softmax_cross_entropy, zero_gradients
 
 DEFAULT_FD_STEP = 1e-4
 
 
+def _slots(model) -> list[tuple[str, Tensor, int, tuple[int, ...]]]:
+    """(name, tensor, offset, shape) per parameter in flat-vector order.
+
+    Same order and offsets as tensor.params_to_vector (sorted names); worked
+    out once per routine so repeated reads and writes skip the layout pass.
+    """
+    slots, offset = [], 0
+    for name in sorted(model.params):
+        p = model.params[name]
+        slots.append((name, p, offset, p.data.shape))
+        offset += p.data.size
+    return slots
+
+
+def _read(slots) -> np.ndarray:
+    return np.concatenate([p.data.reshape(-1) for _, p, _, _ in slots])
+
+
+def _write(slots, vec: np.ndarray) -> None:
+    # fresh copies, as tensor.load_vector makes: no parameter aliases vec
+    for _, p, offset, shape in slots:
+        p.data = vec[offset:offset + math.prod(shape)].reshape(shape).copy()
+
+
 def _get_vector(model) -> np.ndarray:
-    return params_to_vector(model.params).data.copy()
+    return _read(_slots(model))
 
 
-def _set_vector(model, vec: np.ndarray) -> None:
-    pv = params_to_vector(model.params)
-    load_vector(model.params, type(pv)(data=np.asarray(vec, dtype=np.float64),
-                                       layout=pv.layout))
-
-
-def _grad_at(model, loss_fn, batch, vec: np.ndarray) -> np.ndarray:
-    _set_vector(model, vec)
+def _grad_at(model, slots, loss_fn, batch, vec: np.ndarray) -> np.ndarray:
+    _write(slots, vec)
     zero_gradients(model.params)
     loss = loss_fn(model, batch[0], batch[1])
     gmap = gradients(loss, model.params)
-    return np.concatenate([gmap[name].reshape(-1)
-                           for name, _, _ in params_to_vector(model.params).layout])
+    return np.concatenate([gmap[name].reshape(-1) for name, _, _, _ in slots])
 
 
 def hvp(model, loss_fn, batch, v: np.ndarray,
@@ -46,7 +66,8 @@ def hvp(model, loss_fn, batch, v: np.ndarray,
     Uses the normalized direction internally and rescales, so the step size
     is meaningful regardless of |v|. A zero direction returns zeros.
     """
-    theta = _get_vector(model)
+    slots = _slots(model)
+    theta = _read(slots)
     v = np.asarray(v, dtype=np.float64)
     if v.shape != theta.shape:
         raise ValueError("direction length does not match parameter count")
@@ -55,11 +76,11 @@ def hvp(model, loss_fn, batch, v: np.ndarray,
         return np.zeros_like(theta)
     try:
         unit = v / norm
-        g_plus = _grad_at(model, loss_fn, batch, theta + h * unit)
-        g_minus = _grad_at(model, loss_fn, batch, theta - h * unit)
+        g_plus = _grad_at(model, slots, loss_fn, batch, theta + h * unit)
+        g_minus = _grad_at(model, slots, loss_fn, batch, theta - h * unit)
         return (g_plus - g_minus) * (norm / (2.0 * h))
     finally:
-        _set_vector(model, theta)
+        _write(slots, theta)
 
 
 def top_eigenpairs(model, loss_fn, batch, k: int = 1, iters: int = 100,
@@ -105,33 +126,13 @@ def top_eigenpairs(model, loss_fn, batch, k: int = 1, iters: int = 100,
     return values, vectors, converged
 
 
-def top_eigenvalues(model, loss_fn, batch, k: int = 1, iters: int = 100,
-                    tol: float = 1e-4, seed: int = 0,
-                    h: float = DEFAULT_FD_STEP) -> tuple[list[float], list[bool]]:
-    values, _, converged = top_eigenpairs(model, loss_fn, batch, k=k,
-                                          iters=iters, tol=tol, seed=seed, h=h)
-    return values, converged
-
-
-def hutchinson_trace(model, loss_fn, batch, num_probes: int = 100,
-                     seed: int = 0, h: float = DEFAULT_FD_STEP) -> tuple[float, float]:
-    """Trace estimate E[v^T H v] over Rademacher probes, with its std error."""
-    if num_probes < 1:
-        raise ValueError("need at least one probe")
-    rng = np.random.default_rng([seed, 0x7ACE])
-    n = _get_vector(model).size
-    samples = np.empty(num_probes)
-    for i in range(num_probes):
-        v = rng.integers(0, 2, size=n) * 2.0 - 1.0
-        samples[i] = float(v @ hvp(model, loss_fn, batch, v, h=h))
-    stderr = float(samples.std(ddof=1) / np.sqrt(num_probes)) if num_probes > 1 else 0.0
-    return float(samples.mean()), stderr
-
-
-def hessian_diagonal(model, loss_fn, batch, num_probes: int = 100,
-                     seed: int = 0, h: float = DEFAULT_FD_STEP) -> tuple[np.ndarray, np.ndarray]:
+def hessian_diagonal(model, loss_fn, batch, num_probes: int = 100, seed: int = 0,
+                     h: float = DEFAULT_FD_STEP
+                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Diagonal estimate E[v * Hv] over Rademacher probes, with std errors.
 
+    Also returns each probe's total v^T H v, the sum of its v * Hv, which
+    hutchinson_trace reduces to the trace; one float per probe is kept.
     Exact in expectation; for a diagonal Hessian each probe is already exact
     because v * (diag * v) = diag when v has unit-magnitude entries.
     """
@@ -141,9 +142,11 @@ def hessian_diagonal(model, loss_fn, batch, num_probes: int = 100,
     n = _get_vector(model).size
     mean = np.zeros(n)
     m2 = np.zeros(n)
+    totals = np.empty(num_probes)
     for i in range(num_probes):
         v = rng.integers(0, 2, size=n) * 2.0 - 1.0
         sample = v * hvp(model, loss_fn, batch, v, h=h)
+        totals[i] = sample.sum()
         delta = sample - mean
         mean += delta / (i + 1)
         m2 += delta * (sample - mean)
@@ -151,7 +154,16 @@ def hessian_diagonal(model, loss_fn, batch, num_probes: int = 100,
         stderr = np.sqrt(m2 / (num_probes - 1)) / np.sqrt(num_probes)
     else:
         stderr = np.zeros(n)
-    return mean, stderr
+    return mean, stderr, totals
+
+
+def hutchinson_trace(totals: np.ndarray) -> tuple[float, float]:
+    """Trace estimate E[v^T H v] from per-probe totals, with its std error."""
+    totals = np.asarray(totals, dtype=np.float64)
+    if totals.size < 1:
+        raise ValueError("need at least one probe")
+    stderr = float(totals.std(ddof=1) / np.sqrt(totals.size)) if totals.size > 1 else 0.0
+    return float(totals.mean()), stderr
 
 
 @dataclass
@@ -166,6 +178,8 @@ class HessianReport:
     diagonal_stderr: np.ndarray
     num_probes: int
     seed: int
+    # one unit vector per top_eigenvalues entry, for landscape_slice; not in to_dict
+    eigenvectors: list[np.ndarray] = field(default_factory=list, repr=False)
 
     def to_dict(self) -> dict:
         return {
@@ -183,14 +197,13 @@ class HessianReport:
 def hessian_report(model, loss_fn, batch, k: int = 2, num_probes: int = 100,
                    iters: int = 100, tol: float = 1e-4,
                    seed: int = 0) -> HessianReport:
-    values, converged = top_eigenvalues(model, loss_fn, batch, k=k, iters=iters,
-                                        tol=tol, seed=seed)
-    trace, trace_se = hutchinson_trace(model, loss_fn, batch,
-                                       num_probes=num_probes, seed=seed)
-    diag, diag_se = hessian_diagonal(model, loss_fn, batch,
-                                     num_probes=num_probes, seed=seed)
+    values, vectors, converged = top_eigenpairs(model, loss_fn, batch, k=k,
+                                                iters=iters, tol=tol, seed=seed)
+    diag, diag_se, totals = hessian_diagonal(model, loss_fn, batch,
+                                             num_probes=num_probes, seed=seed)
+    trace, trace_se = hutchinson_trace(totals)
     return HessianReport(values, converged, trace, trace_se, diag, diag_se,
-                         num_probes, seed)
+                         num_probes, seed, vectors)
 
 
 @dataclass
@@ -256,16 +269,19 @@ def landscape_slice(model, loss_fn, batch, dir1: np.ndarray | None = None,
                     radius: float = 1.0, seed: int = 0):
     """Loss surface on a 2-d slice through the current parameters.
 
-    Directions default to the top-2 Hessian eigenvectors; dir2 is
-    orthonormalized against dir1 either way. Returns (alphas, betas, losses)
-    with losses[i, j] evaluated at theta + alphas[i]*d1 + betas[j]*d2. The
-    center entry is the unperturbed loss.
+    Directions default to the top-2 Hessian eigenvectors, solved here with
+    top_eigenpairs' defaults and seed; passing a HessianReport's eigenvectors
+    skips that solve. dir2 is orthonormalized against dir1 either way.
+    Returns (alphas, betas, losses) with losses[i, j] evaluated at
+    theta + alphas[i]*d1 + betas[j]*d2. The center entry is the unperturbed
+    loss.
     """
     if grid < 2 or grid % 2 == 0:
         raise ValueError("grid must be odd and at least 3")
     if radius <= 0:
         raise ValueError("radius must be positive")
-    theta = _get_vector(model)
+    slots = _slots(model)
+    theta = _read(slots)
     if dir1 is None or dir2 is None:
         _, vecs, _ = top_eigenpairs(model, loss_fn, batch, k=2, seed=seed)
         dir1 = vecs[0] if dir1 is None else dir1
@@ -287,10 +303,10 @@ def landscape_slice(model, loss_fn, batch, dir1: np.ndarray | None = None,
     try:
         for i, a in enumerate(alphas):
             for j, b in enumerate(betas):
-                _set_vector(model, theta + a * d1 + b * d2)
+                _write(slots, theta + a * d1 + b * d2)
                 losses[i, j] = float(loss_fn(model, batch[0], batch[1]).item())
     finally:
-        _set_vector(model, theta)
+        _write(slots, theta)
     return alphas, betas, losses
 
 

@@ -12,7 +12,7 @@ import numpy as np
 
 from fedsim.data import dirichlet_partition
 from fedsim.hessian import (ce_loss_fn, cross_client_metrics, hessian_diagonal,
-                            hutchinson_trace, top_eigenpairs, top_eigenvalues)
+                            hutchinson_trace, top_eigenpairs)
 from fedsim.methods import METHODS, MethodConfig, loss_ce, loss_fedprox, spectral_norm
 from fedsim.models import BlockNet, BlockNetSpec, count_cost
 from fedsim.orchestrator import (DatasetConfig, ExperimentConfig, ModelConfig,
@@ -101,16 +101,17 @@ def test_criterion_03_hessian_suite(capsys):
     evals = np.linalg.eigvalsh(h_dense)
     lam_dense = float(evals[np.argmax(np.abs(evals))])
 
-    vals, conv = top_eigenvalues(model, ce_loss_fn, (x, y), k=1, iters=500,
-                                 tol=1e-8)
+    vals, _, conv = top_eigenpairs(model, ce_loss_fn, (x, y), k=1, iters=500,
+                                   tol=1e-8)
     eig_rel = abs(vals[0] - lam_dense) / abs(lam_dense)
     eig_ok = eig_rel <= 0.01 and conv[0]
 
-    tr, tr_se = hutchinson_trace(model, ce_loss_fn, (x, y), num_probes=1000)
+    # one probe pass: the trace is the mean of the diagonal probes' totals
+    dg, dg_se, totals = hessian_diagonal(model, ce_loss_fn, (x, y), num_probes=1000)
+    tr, tr_se = hutchinson_trace(totals)
     tr_exact = float(np.trace(h_dense))
     tr_ok = abs(tr - tr_exact) <= 3.0 * tr_se
 
-    dg, dg_se = hessian_diagonal(model, ce_loss_fn, (x, y), num_probes=1000)
     # 1e-6 absolute floor absorbs the finite-difference noise of the oracle
     diag_ok = bool(np.all(np.abs(dg - np.diag(h_dense)) <= 3.0 * dg_se + 1e-6))
 

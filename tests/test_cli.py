@@ -1,14 +1,16 @@
 """End-to-end command-line behavior and exit codes."""
 import json
+import math
 import os
 
 import numpy as np
 import pytest
 
-from fedsim.cli import main
+from fedsim import hessian
+from fedsim.cli import _DIAG_GLOBAL, _derive_seed, _probe_batch, main
 from fedsim.data import Partition
 from fedsim.models import count_cost
-from fedsim.orchestrator import ExperimentConfig, read_metrics
+from fedsim.orchestrator import ExperimentConfig, load_checkpoint, read_metrics
 
 BASE = {
     "rounds": 1, "num_clients": 3, "local_epochs": 1, "batch_size": 8,
@@ -124,6 +126,13 @@ def test_diagnose_all_clients(finished_run, tmp_path, capsys):
     for name in ("global.json", "client_0.json", "client_1.json",
                  "client_2.json", "cross_client.json"):
         assert os.path.exists(os.path.join(diag, name)), name
+    # each report line ends with the eigen solve's convergence flags
+    for prefix, name in (("global", "global.json"), ("client 0", "client_0.json"),
+                         ("client 1", "client_1.json"), ("client 2", "client_2.json")):
+        flags = json.load(open(os.path.join(diag, name)))["eigen_converged"]
+        line = [ln for ln in printed.splitlines() if ln.startswith(prefix + ":")]
+        assert len(line) == 1, prefix
+        assert line[0].endswith(f" converged={flags}")
     g = json.load(open(os.path.join(diag, "global.json")))
     assert len(g["top_eigenvalues"]) == 2
     assert g["num_probes"] == 8
@@ -137,6 +146,67 @@ def test_diagnose_all_clients(finished_run, tmp_path, capsys):
     assert np.all(np.isfinite(cells))
     center = cells[(cells[:, 0] == 0.0) & (cells[:, 1] == 0.0)]
     assert len(center) == 1
+
+
+def test_diagnose_does_each_curvature_solve_once(finished_run, tmp_path,
+                                                monkeypatch, capsys):
+    cfg, ckpt, _ = finished_run
+    counts = {"solves": 0, "hvps": 0, "hvps_in_solves": 0}
+    real_hvp, real_solve = hessian.hvp, hessian.top_eigenpairs
+    solving = []
+
+    def counting_hvp(*args, **kwargs):
+        counts["hvps"] += 1
+        counts["hvps_in_solves"] += bool(solving)
+        return real_hvp(*args, **kwargs)
+
+    def counting_solve(*args, **kwargs):
+        counts["solves"] += 1
+        solving.append(True)
+        try:
+            return real_solve(*args, **kwargs)
+        finally:
+            solving.pop()
+
+    monkeypatch.setattr(hessian, "hvp", counting_hvp)
+    monkeypatch.setattr(hessian, "top_eigenpairs", counting_solve)
+    assert main(["diagnose", "--checkpoint", ckpt, "--config", cfg,
+                 "--out", str(tmp_path / "counted"), "--probes", "8",
+                 "--grid", "3"]) == 0
+    capsys.readouterr()
+    reports = 1 + BASE["num_clients"]  # global plus every client
+    # one eigen solve per probe batch: the landscape reuses the global one
+    assert counts["solves"] == reports
+    # one probe pass per report gives both the diagonal and the trace
+    assert counts["hvps"] - counts["hvps_in_solves"] == reports * 8
+
+
+def test_diagnose_outputs_agree_with_direct_calls(finished_run, tmp_path, capsys):
+    cfg, ckpt, _ = finished_run
+    out = str(tmp_path / "agree")
+    assert main(["diagnose", "--checkpoint", ckpt, "--config", cfg, "--out", out,
+                 "--probes", "8", "--grid", "3", "--radius", "0.5"]) == 0
+    capsys.readouterr()
+    diag = os.path.join(out, "diagnostics")
+    names = ["global.json"] + [f"client_{i}.json" for i in range(BASE["num_clients"])]
+    for name in names:
+        rep = json.load(open(os.path.join(diag, name)))
+        total = math.fsum(rep["diagonal"])
+        assert abs(rep["trace_estimate"] - total) <= 1e-9 * abs(total), name
+
+    # a slice left to solve its own eigenpairs on the same model, batch and seed
+    config = ExperimentConfig.from_json_file(cfg)
+    state = load_checkpoint(ckpt, config)
+    batch = _probe_batch(state.test.inputs, state.test.labels,
+                         (config.seed, _DIAG_GLOBAL))
+    alphas, betas, losses = hessian.landscape_slice(
+        state.model, hessian.ce_loss_fn, batch, grid=3, radius=0.5,
+        seed=_derive_seed((config.seed, _DIAG_GLOBAL)))
+    want = "alpha,beta,loss\n" + "".join(
+        f"{float(a)!r},{float(b)!r},{float(losses[i, j])!r}\n"
+        for i, a in enumerate(alphas) for j, b in enumerate(betas))
+    with open(os.path.join(out, "landscape.csv"), "rb") as f:
+        assert f.read() == want.encode()
 
 
 def test_diagnose_client_subset(finished_run, tmp_path, capsys):

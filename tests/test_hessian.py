@@ -2,10 +2,11 @@
 import numpy as np
 import pytest
 
-from fedsim.hessian import (ce_loss_fn, cross_client_metrics, hessian_diagonal,
-                            hessian_report, hutchinson_trace, hvp,
-                            landscape_slice, top_eigenpairs, top_eigenvalues)
-from fedsim.tensor import params_to_vector
+from fedsim.hessian import (DEFAULT_FD_STEP, ce_loss_fn, cross_client_metrics,
+                            hessian_diagonal, hessian_report, hutchinson_trace,
+                            hvp, landscape_slice, top_eigenpairs)
+from fedsim.tensor import (ParamVector, gradients, load_vector, params_to_vector,
+                           zero_gradients)
 from fedsim.models import BlockNet, BlockNetSpec
 
 from helpers import QuadraticModel, TanhMLP, numeric_hessian, random_orthogonal
@@ -60,6 +61,39 @@ def test_hvp_matches_double_fd_hessian_on_mlp():
     assert np.max(np.abs(got - h_dense @ v)) / denom < 1e-4
 
 
+def _reference_hvp(model, loss_fn, batch, v, h=DEFAULT_FD_STEP):
+    """The same central difference through the public flat-vector helpers."""
+    pv = params_to_vector(model.params)
+    theta = pv.data.copy()
+    norm = float(np.linalg.norm(v))
+
+    def grad_at(vec):
+        load_vector(model.params, ParamVector(data=vec, layout=pv.layout))
+        zero_gradients(model.params)
+        gmap = gradients(loss_fn(model, batch[0], batch[1]), model.params)
+        return np.concatenate([gmap[name].reshape(-1) for name, _, _ in pv.layout])
+
+    g_plus = grad_at(theta + h * (v / norm))
+    g_minus = grad_at(theta - h * (v / norm))
+    load_vector(model.params, ParamVector(data=theta, layout=pv.layout))
+    return (g_plus - g_minus) * (norm / (2.0 * h))
+
+
+def test_hvp_bitwise_matches_flat_vector_reference_on_blocknet():
+    spec = BlockNetSpec(input_shape=(6,), num_classes=4, widths=(5, 5))
+    net = BlockNet(spec, rng=np.random.default_rng(12))
+    rng = np.random.default_rng(13)
+    x = rng.normal(size=(9, 6))
+    y = rng.integers(0, 4, size=9)
+    before = {name: p.data.copy() for name, p in net.params.items()}
+    for _ in range(3):
+        v = rng.normal(size=params_to_vector(net.params).data.size)
+        got = hvp(net, ce_loss_fn, (x, y), v)
+        for name, p in net.params.items():
+            assert p.data.tobytes() == before[name].tobytes(), name
+        assert got.tobytes() == _reference_hvp(net, ce_loss_fn, (x, y), v).tobytes()
+
+
 # -- leading eigenvalues --------------------------------------------------------------
 
 
@@ -76,8 +110,8 @@ def test_top_eigenpairs_diagonal_oracle():
 
 def test_top_eigenvalue_keeps_sign():
     model, loss_fn, batch = _quad(np.diag([-5.0, 1.0, 2.0, 0.1]))
-    values, converged = top_eigenvalues(model, loss_fn, batch, k=1,
-                                        iters=500, tol=1e-10)
+    values, _, converged = top_eigenpairs(model, loss_fn, batch, k=1,
+                                          iters=500, tol=1e-10)
     assert converged[0]
     assert abs(values[0] - (-5.0)) < 1e-6
 
@@ -111,7 +145,8 @@ def test_top_eigenpairs_validation_and_determinism():
 def test_hutchinson_exact_for_diagonal_hessian():
     d = np.array([3.0, -1.0, 2.0, 0.5, 4.0])
     model, loss_fn, batch = _quad(np.diag(d))
-    trace, stderr = hutchinson_trace(model, loss_fn, batch, num_probes=10)
+    trace, stderr = hutchinson_trace(
+        hessian_diagonal(model, loss_fn, batch, num_probes=10)[2])
     # v * diag * v sums the diagonal exactly for +-1 probes
     assert abs(trace - d.sum()) < 1e-7
     assert stderr < 1e-7
@@ -120,15 +155,15 @@ def test_hutchinson_exact_for_diagonal_hessian():
 def test_hutchinson_covers_dense_hessian():
     a = _random_symmetric(8, seed=4, scale=2.0)
     model, loss_fn, batch = _quad(a)
-    trace, stderr = hutchinson_trace(model, loss_fn, batch, num_probes=500,
-                                     seed=5)
+    trace, stderr = hutchinson_trace(
+        hessian_diagonal(model, loss_fn, batch, num_probes=500, seed=5)[2])
     assert abs(trace - np.trace(a)) <= 3.0 * stderr + 1e-7
 
 
 def test_hessian_diagonal_exact_for_diagonal_hessian():
     d = np.array([3.0, -1.0, 2.0, 0.5])
     model, loss_fn, batch = _quad(np.diag(d))
-    diag, stderr = hessian_diagonal(model, loss_fn, batch, num_probes=8)
+    diag, stderr, _ = hessian_diagonal(model, loss_fn, batch, num_probes=8)
     assert np.max(np.abs(diag - d)) < 1e-7
     assert np.max(stderr) < 1e-7
 
@@ -136,15 +171,15 @@ def test_hessian_diagonal_exact_for_diagonal_hessian():
 def test_hessian_diagonal_covers_dense_hessian():
     a = _random_symmetric(6, seed=6)
     model, loss_fn, batch = _quad(a)
-    diag, stderr = hessian_diagonal(model, loss_fn, batch, num_probes=800,
-                                    seed=7)
+    diag, stderr, _ = hessian_diagonal(model, loss_fn, batch, num_probes=800,
+                                       seed=7)
     assert np.all(np.abs(diag - np.diag(a)) <= 3.0 * stderr + 1e-7)
 
 
 def test_probe_count_validation():
     model, loss_fn, batch = _quad(np.eye(2))
     with pytest.raises(ValueError):
-        hutchinson_trace(model, loss_fn, batch, num_probes=0)
+        hutchinson_trace(np.zeros(0))
     with pytest.raises(ValueError):
         hessian_diagonal(model, loss_fn, batch, num_probes=0)
 
@@ -155,8 +190,8 @@ def test_trace_on_mlp_matches_double_fd():
     x = rng.normal(size=(6, 3))
     y = rng.integers(0, 2, size=6)
     h_dense = numeric_hessian(lambda: ce_loss_fn(model, x, y), model.params)
-    trace, stderr = hutchinson_trace(model, ce_loss_fn, (x, y),
-                                     num_probes=300, seed=9)
+    trace, stderr = hutchinson_trace(
+        hessian_diagonal(model, ce_loss_fn, (x, y), num_probes=300, seed=9)[2])
     assert abs(trace - np.trace(h_dense)) <= 3.0 * stderr + 1e-3
 
 
