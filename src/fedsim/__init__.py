@@ -15,13 +15,11 @@ from .tensor import (
     params_to_vector,
     sgd_step,
     softmax_cross_entropy,
-    vector_to_params,
     zero_gradients,
 )
 from .models import (
     BlockNet,
     BlockNetSpec,
-    count_cost,
     keep_probability,
     slim_width,
 )
@@ -38,7 +36,9 @@ from .methods import (
     ClientContext,
     MethodConfig,
     METHODS,
+    METHOD_TABLE,
     client_update,
+    count_cost,
     loss_ce,
     loss_fedalign,
     loss_fedprox,

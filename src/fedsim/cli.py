@@ -14,11 +14,12 @@ import numpy as np
 
 from .data import dirichlet_partition
 from .hessian import ce_loss_fn, cross_client_metrics, hessian_report, landscape_slice
-from .models import count_cost
+from .methods import count_cost
 from .orchestrator import (
     CheckpointError,
     ConfigError,
     ExperimentConfig,
+    _derive_seed,
     comm_cost,
     load_checkpoint,
     run_experiment,
@@ -41,43 +42,8 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(f"{self.prog}: {message}")
 
 
-def _derive_seed(parts) -> int:
-    return int(np.random.SeedSequence(list(parts)).generate_state(1)[0])
-
-
-def _apply_override(d: dict, spec: str) -> None:
-    if "=" not in spec:
-        raise ConfigError(f"override {spec!r} is not of the form key=value")
-    key, _, raw = spec.partition("=")
-    try:
-        value = json.loads(raw)
-    except json.JSONDecodeError:
-        value = raw  # bare strings stay strings
-    parts = key.split(".")
-    cur = d
-    for p in parts[:-1]:
-        nxt = cur.setdefault(p, {})
-        if not isinstance(nxt, dict):
-            raise ConfigError(f"override {key!r} descends into a non-object")
-        cur = nxt
-    cur[parts[-1]] = value
-
-
-def _load_config(path: str, overrides) -> ExperimentConfig:
-    with open(path) as f:
-        try:
-            d = json.load(f)
-        except json.JSONDecodeError as e:
-            raise ConfigError(f"config is not valid JSON: {e}") from e
-    if not isinstance(d, dict):
-        raise ConfigError("config must be a JSON object")
-    for ov in overrides or []:
-        _apply_override(d, ov)
-    return ExperimentConfig.from_dict(d)
-
-
 def _cmd_run(args) -> int:
-    config = _load_config(args.config, args.override)
+    config = ExperimentConfig.from_json_file(args.config, args.override)
     state, metrics = run_experiment(config, resume_from=args.resume)
     print(f"completed {state.round_idx}/{config.rounds} rounds")
     evaluated = [m for m in metrics if m.test_acc is not None]
@@ -116,7 +82,13 @@ def _parse_clients(spec: str, num_clients: int) -> list[int]:
 
 
 def _cmd_diagnose(args) -> int:
-    config = _load_config(args.config, None)
+    if args.probes < 1:
+        raise ConfigError("--probes must be at least 1")
+    if args.grid < 3 or args.grid % 2 == 0:
+        raise ConfigError("--grid must be odd and at least 3")
+    if not args.radius > 0:
+        raise ConfigError("--radius must be positive")
+    config = ExperimentConfig.from_json_file(args.config)
     state = load_checkpoint(args.checkpoint, config)
     ids = _parse_clients(args.clients, config.num_clients)
     out = args.out or config.output_dir or os.path.dirname(
@@ -223,7 +195,7 @@ def _cmd_partition(args) -> int:
 
 
 def _cmd_cost(args) -> int:
-    config = _load_config(args.config, None)
+    config = ExperimentConfig.from_json_file(args.config)
     if args.rounds < 0:
         raise ConfigError("rounds must be non-negative")
     spec = config.model_spec()

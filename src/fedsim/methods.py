@@ -7,29 +7,108 @@ self-distillation from the full network into sampled-width subnetworks
 (gradaug), and spectral alignment of the final block's transmitting matrices
 (fedalign). Every mu-weighted extra term short-circuits at mu = 0 so the
 gradient path is then identical to plain cross-entropy.
+
+A method is one record in METHOD_TABLE: its default mu, the step function
+that builds one batch's loss, its per-sample cost, and whether it trains
+against the received and previous-round models through a projection head.
+The update loop, the round loop and the cost model read the record and
+nothing else, so adding a method is adding one entry.
+
+Also here: the field-derived (de)serialization that every config class
+shares, and the ConfigError it raises.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+import dataclasses
+import typing
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .data import DOWNSAMPLE_SCALES, downsample_transform, mixup_batch
-from .models import BlockNet
+from .models import (BlockNet, BlockNetSpec, _forward_cost, _head_cost,
+                     _projection_cost, keep_probability)
 from .tensor import (OptimizerState, Tensor, adaptive_avg_pool2d, clip_grad_norm,
                      exp, gradients, log, log_softmax, matmul, mse,
                      softmax_cross_entropy, sgd_step, sqrt, zero_gradients)
 
-METHODS = ("fedavg", "fedprox", "moon", "mixup", "stochdepth", "gradaug", "fedalign")
 
-# distillation weight by subnetwork count, applied when mu is left unset
-_GRADAUG_MU = {1: 1.5, 2: 1.75, 3: 2.0, 4: 2.25}
-_DEFAULT_MU = {"fedavg": 0.0, "fedprox": 1e-4, "moon": 1.0, "mixup": 0.0,
-               "stochdepth": 0.0, "gradaug": 1.75, "fedalign": 0.45}
+# -- configs ------------------------------------------------------------------
+
+
+class ConfigError(ValueError):
+    """Malformed or inconsistent experiment configuration."""
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+# what a JSON value must be for a field of each scalar annotation
+_ACCEPTS = {
+    int: _is_int,
+    float: lambda v: _is_int(v) or isinstance(v, float),
+    str: lambda v: isinstance(v, str),
+}
+
+
+def _decode(hint, value, key: str):
+    """A JSON value as a field of annotation `hint`, or ConfigError."""
+    if isinstance(hint, type) and issubclass(hint, ConfigFields):
+        if not isinstance(value, dict):
+            raise ConfigError(f"{key} must be an object")
+        return hint.from_dict(value)
+    args = typing.get_args(hint)
+    if type(None) in args:
+        if value is None:
+            return None
+        (hint,) = (a for a in args if a is not type(None))
+    if typing.get_origin(hint) is tuple:  # tuple[int, ...]; a bare int is a 1-tuple
+        items = [value] if _is_int(value) else value
+        if not isinstance(items, (list, tuple)) or not all(map(_is_int, items)):
+            raise ConfigError(f"{key} must be a list of integers, got {value!r}")
+        return tuple(items)
+    if not _ACCEPTS[hint](value):
+        raise ConfigError(f"{key} must be of type {hint.__name__}, got {value!r}")
+    return value
+
+
+class ConfigFields:
+    """to_dict/from_dict for a frozen config dataclass, derived from its fields.
+
+    to_dict writes tuples as lists and nested configs as dicts. from_dict
+    rejects unknown keys and values that do not fit a field's annotation: an
+    int field takes no float or bool, a float field also takes an int, a
+    tuple field takes a list of ints. Every failure, the class's own
+    validation included, raises ConfigError.
+    """
+
+    def to_dict(self) -> dict:
+        out = {}
+        for f in dataclasses.fields(self):
+            v = getattr(self, f.name)
+            if isinstance(v, ConfigFields):
+                v = v.to_dict()
+            elif isinstance(v, tuple):
+                v = list(v)
+            out[f.name] = v
+        return out
+
+    @classmethod
+    def from_dict(cls, d: dict):
+        hints = typing.get_type_hints(cls)
+        unknown = set(d) - {f.name for f in dataclasses.fields(cls)}
+        if unknown:
+            raise ConfigError(f"unknown {cls.__name__} keys: {sorted(unknown)}")
+        kwargs = {k: _decode(hints[k], v, k) for k, v in d.items()}
+        try:
+            return cls(**kwargs)
+        except ValueError as e:
+            raise ConfigError(str(e)) from e
 
 
 @dataclass(frozen=True)
-class MethodConfig:
+class MethodConfig(ConfigFields):
     """Hyperparameters for one local-training method.
 
     mu defaults to the method's standard operating point when left as None.
@@ -47,13 +126,11 @@ class MethodConfig:
     lip_epsilon: float = 1e-8   # guard below which the alignment term is skipped
 
     def __post_init__(self):
-        if self.method not in METHODS:
+        if self.method not in METHOD_TABLE:
             raise ValueError(f"unknown method {self.method!r}")
         if self.mu is None:
-            mu = _DEFAULT_MU[self.method]
-            if self.method == "gradaug":
-                mu = _GRADAUG_MU.get(self.n_subnets, _DEFAULT_MU["gradaug"])
-            object.__setattr__(self, "mu", mu)
+            rec = self.record
+            object.__setattr__(self, "mu", rec.mu_by_subnets.get(self.n_subnets, rec.mu))
         if self.mu < 0:
             raise ValueError("mu must be non-negative")
         if not 0.0 < self.gamma_L <= 1.0:
@@ -69,23 +146,13 @@ class MethodConfig:
         if self.power_iters < 1:
             raise ValueError("power_iters must be positive")
 
-    def to_dict(self) -> dict:
-        return {k: getattr(self, k) for k in (
-            "method", "mu", "gamma", "gamma_L", "omega_b", "n_subnets",
-            "omega_S", "tau", "power_iters", "lip_epsilon")}
-
-    @staticmethod
-    def from_dict(d: dict) -> "MethodConfig":
-        known = {"method", "mu", "gamma", "gamma_L", "omega_b", "n_subnets",
-                 "omega_S", "tau", "power_iters", "lip_epsilon"}
-        unknown = set(d) - known
-        if unknown:
-            raise ValueError(f"unknown method config keys: {sorted(unknown)}")
-        return MethodConfig(**d)
+    @property
+    def record(self) -> Method:
+        return METHOD_TABLE[self.method]
 
     @property
     def needs_projection(self) -> bool:
-        return self.method == "moon"
+        return self.record.contrastive
 
 
 @dataclass
@@ -162,9 +229,16 @@ def _np_softmax(z: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def _gradaug_impl(net: BlockNet, x: np.ndarray, y: np.ndarray,
-                  config: MethodConfig,
-                  rng: np.random.Generator) -> tuple[Tensor, Tensor]:
+def loss_gradaug(net: BlockNet, x: np.ndarray, y: np.ndarray,
+                 config: MethodConfig,
+                 rng: np.random.Generator) -> tuple[Tensor, Tensor]:
+    """Cross-entropy plus distillation into sampled-width subnetworks.
+
+    Each subnetwork sees an independently transformed input at a width drawn
+    from U(omega_b, 1) and is pulled toward the full network's detached
+    output distribution. mu = 0 skips the subnetworks entirely. Returns
+    (loss, full-width logits).
+    """
     logits = net.forward(x)
     base = loss_ce(logits, y)
     if config.mu == 0.0 or config.n_subnets == 0:
@@ -179,17 +253,6 @@ def _gradaug_impl(net: BlockNet, x: np.ndarray, y: np.ndarray,
         term = _kd_divergence(sub_logits, teacher)
         kd = term if kd is None else kd + term
     return base + config.mu * kd, logits
-
-
-def loss_gradaug(net: BlockNet, x: np.ndarray, y: np.ndarray,
-                 config: MethodConfig, rng: np.random.Generator) -> Tensor:
-    """Cross-entropy plus distillation into sampled-width subnetworks.
-
-    Each subnetwork sees an independently transformed input at a width drawn
-    from U(omega_b, 1) and is pulled toward the full network's detached
-    output distribution. mu = 0 skips the subnetworks entirely.
-    """
-    return _gradaug_impl(net, x, y, config, rng)[0]
 
 
 def transmitting_matrices(f_prev: Tensor, f_last: Tensor,
@@ -253,9 +316,18 @@ def spectral_norm(x: Tensor, power_iters: int = 20,
     return (x * Tensor(outer)).sum()
 
 
-def _fedalign_impl(net: BlockNet, x: np.ndarray, y: np.ndarray,
-                   config: MethodConfig,
-                   rng: np.random.Generator) -> tuple[Tensor, Tensor]:
+def loss_fedalign(net: BlockNet, x: np.ndarray, y: np.ndarray,
+                  config: MethodConfig,
+                  rng: np.random.Generator) -> tuple[Tensor, Tensor]:
+    """Cross-entropy plus alignment of full- and sub-width block gains.
+
+    The final block is re-run at width omega_S on its full-width input; the
+    squared difference of the two transmitting-matrix spectral norms is added
+    after being rescaled so its contribution equals mu * value(cross-entropy)
+    at the current point. A sub-epsilon alignment term is skipped outright,
+    which also covers omega_S = 1 where both matrices coincide. Returns
+    (loss, logits).
+    """
     f_prev, f_last, logits = net.forward_with_features(x)
     base = loss_ce(logits, y)
     if config.mu == 0.0:
@@ -272,17 +344,175 @@ def _fedalign_impl(net: BlockNet, x: np.ndarray, y: np.ndarray,
     return base + scale * lip, logits
 
 
-def loss_fedalign(net: BlockNet, x: np.ndarray, y: np.ndarray,
-                  config: MethodConfig, rng: np.random.Generator) -> Tensor:
-    """Cross-entropy plus alignment of full- and sub-width block gains.
+# -- one batch's loss per method ---------------------------------------------
+# (ctx, config, xb, yb, aux) -> (loss, batch accuracy); aux holds the frozen
+# global and previous-round models of a contrastive method, else None
 
-    The final block is re-run at width omega_S on its full-width input; the
-    squared difference of the two transmitting-matrix spectral norms is added
-    after being rescaled so its contribution equals mu * value(cross-entropy)
-    at the current point. A sub-epsilon alignment term is skipped outright,
-    which also covers omega_S = 1 where both matrices coincide.
+
+def _accuracy(logits: np.ndarray, labels: np.ndarray) -> float:
+    return float((logits.argmax(axis=1) == labels).mean())
+
+
+def _step_fedavg(ctx, config, xb, yb, aux):
+    logits = ctx.model.forward(xb)
+    return loss_ce(logits, yb), _accuracy(logits.data, yb)
+
+
+def _step_fedprox(ctx, config, xb, yb, aux):
+    if ctx.global_weights is None:
+        raise ValueError("fedprox needs the received global weights")
+    net = ctx.model
+    logits = net.forward(xb)
+    base = loss_ce(logits, yb)
+    return (loss_fedprox(base, net.params, ctx.global_weights, config.mu),
+            _accuracy(logits.data, yb))
+
+
+def _shadow_projection(shadow: BlockNet, x: np.ndarray) -> Tensor:
+    _, f_last, _ = shadow.forward_with_features(x)
+    return shadow.project(f_last)
+
+
+def _step_moon(ctx, config, xb, yb, aux):
+    net = ctx.model
+    f_prev, f_last, logits = net.forward_with_features(xb)
+    base = loss_ce(logits, yb)
+    if config.mu == 0.0:
+        return base, _accuracy(logits.data, yb)
+    global_net, prev_net = aux
+    z_local = net.project(f_last)
+    z_global = _shadow_projection(global_net, xb)
+    z_prev = _shadow_projection(prev_net, xb)
+    return (loss_moon(base, z_local, z_global, z_prev, config.tau, config.mu),
+            _accuracy(logits.data, yb))
+
+
+def _step_mixup(ctx, config, xb, yb, aux):
+    perm = ctx.method_rng.permutation(len(xb))
+    xm, ya, yb2, beta = mixup_batch(xb, yb, xb[perm], yb[perm],
+                                    config.gamma, ctx.method_rng)
+    logits = ctx.model.forward(xm)
+    loss = beta * loss_ce(logits, ya) + (1.0 - beta) * loss_ce(logits, yb2)
+    acc = beta * _accuracy(logits.data, ya) + (1 - beta) * _accuracy(logits.data, yb2)
+    return loss, acc
+
+
+def _step_stochdepth(ctx, config, xb, yb, aux):
+    logits, _ = ctx.model.stochdepth_forward(xb, config.gamma_L, ctx.method_rng,
+                                             training=True)
+    return loss_ce(logits, yb), _accuracy(logits.data, yb)
+
+
+def _step_gradaug(ctx, config, xb, yb, aux):
+    loss, logits = loss_gradaug(ctx.model, xb, yb, config, ctx.method_rng)
+    return loss, _accuracy(logits.data, yb)
+
+
+def _step_fedalign(ctx, config, xb, yb, aux):
+    loss, logits = loss_fedalign(ctx.model, xb, yb, config, ctx.method_rng)
+    return loss, _accuracy(logits.data, yb)
+
+
+# -- analytic cost per method ------------------------------------------------
+# (spec, config) -> (flops per sample forward, stored parameter count)
+
+
+def _cost_plain(spec: BlockNetSpec, config=None) -> tuple[float, int]:
+    f, p = _forward_cost(spec)
+    head_f, head_p = _head_cost(spec)
+    return f + head_f, p + head_p
+
+
+def _cost_fedprox(spec, config):
+    f, p = _cost_plain(spec)
+    return f, 2 * p  # plus the received anchor weights
+
+
+def _cost_moon(spec, config):
+    base_f, base_p = _cost_plain(spec)
+    head_f, _ = _head_cost(spec)
+    proj_f, proj_p = _projection_cost(spec)
+    # three block-stack+projection passes, one classifier pass
+    return 3.0 * (base_f - head_f + proj_f) + head_f, 3 * (base_p + proj_p)
+
+
+def _cost_stochdepth(spec, config):
+    L = spec.num_blocks
+    weights = [keep_probability(i, L, config.gamma_L) for i in range(L)]
+    f, _ = _forward_cost(spec, block_weights=weights)
+    hf, _ = _head_cost(spec)
+    return f + hf, _cost_plain(spec)[1]
+
+
+def _cost_gradaug(spec, config):
+    # expected subnetwork cost under omega ~ U(omega_b, 1), averaged on a grid
+    base_f, base_p = _cost_plain(spec)
+    grid = np.linspace(config.omega_b, 1.0, 51)
+    sub = 0.0
+    for om in grid:
+        f, _ = _forward_cost(spec, omega=float(om))
+        hf, _ = _head_cost(spec, omega=float(om))
+        sub += f + hf
+    sub /= len(grid)
+    return base_f + config.n_subnets * sub, base_p
+
+
+def _cost_fedalign(spec, config):
+    base_f, base_p = _cost_plain(spec)
+    i = spec.num_blocks - 1
+    f, _ = _forward_cost(spec, omega=config.omega_S, first_in_full=True,
+                         block_range=(i, i + 1))
+    return base_f + f, base_p
+
+
+def count_cost(spec: BlockNetSpec, config=None) -> tuple[float, int]:
+    """(flops per sample forward, stored parameter count) for a method.
+
+    config is a MethodConfig-like object (or None for the bare model). Flops
+    reflect what the local step actually executes per sample: contrastive
+    training runs three model+projection forwards, distillation adds the
+    expected cost of its sampled-width subnetworks, the Lipschitz method adds
+    one reduced-width pass of the final block, stochastic depth drops blocks
+    at their keep probabilities. Parameter counts include extra stored copies
+    (anchor weights, previous/global models).
     """
-    return _fedalign_impl(net, x, y, config, rng)[0]
+    method = getattr(config, "method", None)
+    if method is None:
+        return _cost_plain(spec)
+    if method not in METHOD_TABLE:
+        raise ValueError(f"unknown method {method!r}")
+    return METHOD_TABLE[method].cost(spec, config)
+
+
+# -- the method table ----------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Method:
+    """Everything the loop, the server and the cost model know of a method."""
+
+    mu: float                  # default weight of the extra loss term
+    step: typing.Callable      # builds one batch's loss, see the step functions
+    cost: typing.Callable      # per-sample flops and stored parameters
+    # trains against the received and the client's previous-round model
+    # through a projection head, so the server keeps each client's last model
+    contrastive: bool = False
+    # default mu by subnetwork count, where it depends on it
+    mu_by_subnets: dict[int, float] = field(default_factory=dict)
+
+
+METHOD_TABLE: dict[str, Method] = {
+    "fedavg": Method(mu=0.0, step=_step_fedavg, cost=_cost_plain),
+    "fedprox": Method(mu=1e-4, step=_step_fedprox, cost=_cost_fedprox),
+    "moon": Method(mu=1.0, step=_step_moon, cost=_cost_moon, contrastive=True),
+    "mixup": Method(mu=0.0, step=_step_mixup, cost=_cost_plain),
+    "stochdepth": Method(mu=0.0, step=_step_stochdepth, cost=_cost_stochdepth),
+    "gradaug": Method(mu=1.75, step=_step_gradaug, cost=_cost_gradaug,
+                      mu_by_subnets={1: 1.5, 2: 1.75, 3: 2.0, 4: 2.25}),
+    "fedalign": Method(mu=0.45, step=_step_fedalign, cost=_cost_fedalign),
+}
+
+METHODS = tuple(METHOD_TABLE)
 
 
 # -- the client update loop ---------------------------------------------------
@@ -292,10 +522,6 @@ def _batched_indices(n: int, batch_size: int,
                      rng: np.random.Generator) -> list[np.ndarray]:
     order = rng.permutation(n)
     return [order[i:i + batch_size] for i in range(0, n, batch_size)]
-
-
-def _accuracy(logits: np.ndarray, labels: np.ndarray) -> float:
-    return float((logits.argmax(axis=1) == labels).mean())
 
 
 def _moon_shadows(ctx: ClientContext) -> tuple[BlockNet, BlockNet]:
@@ -311,58 +537,6 @@ def _moon_shadows(ctx: ClientContext) -> tuple[BlockNet, BlockNet]:
     return shadows[0], shadows[1]
 
 
-def _shadow_projection(shadow: BlockNet, x: np.ndarray) -> Tensor:
-    _, f_last, _ = shadow.forward_with_features(x)
-    return shadow.project(f_last)
-
-
-def _step_loss(ctx: ClientContext, config: MethodConfig, xb: np.ndarray,
-               yb: np.ndarray, aux) -> tuple[Tensor, float]:
-    """Build one batch's loss graph; also report that batch's accuracy."""
-    net = ctx.model
-    m = config.method
-    if m == "fedavg":
-        logits = net.forward(xb)
-        return loss_ce(logits, yb), _accuracy(logits.data, yb)
-    if m == "fedprox":
-        if ctx.global_weights is None:
-            raise ValueError("fedprox needs the received global weights")
-        logits = net.forward(xb)
-        base = loss_ce(logits, yb)
-        return (loss_fedprox(base, net.params, ctx.global_weights, config.mu),
-                _accuracy(logits.data, yb))
-    if m == "moon":
-        f_prev, f_last, logits = net.forward_with_features(xb)
-        base = loss_ce(logits, yb)
-        if config.mu == 0.0:
-            return base, _accuracy(logits.data, yb)
-        global_net, prev_net = aux
-        z_local = net.project(f_last)
-        z_global = _shadow_projection(global_net, xb)
-        z_prev = _shadow_projection(prev_net, xb)
-        return (loss_moon(base, z_local, z_global, z_prev, config.tau, config.mu),
-                _accuracy(logits.data, yb))
-    if m == "mixup":
-        perm = ctx.method_rng.permutation(len(xb))
-        xm, ya, yb2, beta = mixup_batch(xb, yb, xb[perm], yb[perm],
-                                        config.gamma, ctx.method_rng)
-        logits = net.forward(xm)
-        loss = beta * loss_ce(logits, ya) + (1.0 - beta) * loss_ce(logits, yb2)
-        acc = beta * _accuracy(logits.data, ya) + (1 - beta) * _accuracy(logits.data, yb2)
-        return loss, acc
-    if m == "stochdepth":
-        logits, _ = net.stochdepth_forward(xb, config.gamma_L, ctx.method_rng,
-                                           training=True)
-        return loss_ce(logits, yb), _accuracy(logits.data, yb)
-    if m == "gradaug":
-        loss, logits = _gradaug_impl(net, xb, yb, config, ctx.method_rng)
-        return loss, _accuracy(logits.data, yb)
-    if m == "fedalign":
-        loss, logits = _fedalign_impl(net, xb, yb, config, ctx.method_rng)
-        return loss, _accuracy(logits.data, yb)
-    raise ValueError(f"unknown method {m!r}")
-
-
 def client_update(ctx: ClientContext, config: MethodConfig, epochs: int,
                   batch_size: int, opt: OptimizerState) -> tuple[dict[str, Tensor], list[dict]]:
     """Run local epochs of clipped momentum SGD under the configured method.
@@ -376,15 +550,16 @@ def client_update(ctx: ClientContext, config: MethodConfig, epochs: int,
         raise ValueError("batch_size must be positive")
     if len(ctx.inputs) == 0:
         raise ValueError("client has no samples")
+    method = config.record
     aux = None
-    if config.method == "moon" and config.mu != 0.0:
+    if method.contrastive and config.mu != 0.0:
         aux = _moon_shadows(ctx)
     stats = []
     for _ in range(epochs):
         losses, accs, weights = [], [], []
         for idx in _batched_indices(len(ctx.inputs), batch_size, ctx.data_rng):
             xb, yb = ctx.inputs[idx], ctx.labels[idx]
-            loss, acc = _step_loss(ctx, config, xb, yb, aux)
+            loss, acc = method.step(ctx, config, xb, yb, aux)
             zero_gradients(ctx.model.params)
             grads = gradients(loss, ctx.model.params)
             grads, _ = clip_grad_norm(grads, opt.clip_norm)

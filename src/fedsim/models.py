@@ -10,7 +10,8 @@ whole model free of running state.
 
 Also here: stochastic-depth forwarding with linearly decaying keep
 probabilities, an optional two-layer projection head for contrastive
-training, and analytic FLOP / parameter counting.
+training, and the analytic FLOP / parameter counts of forward passes that
+the per-method cost model in methods.py is built from.
 """
 from __future__ import annotations
 
@@ -51,6 +52,8 @@ class BlockNetSpec:
             raise ValueError("input_shape must be (dims,) or (C, H, W)")
         if len(self.widths) < 2:
             raise ValueError("need at least two blocks")
+        if min(self.widths) < 1:
+            raise ValueError("widths must be positive")
         if self.num_classes < 2:
             raise ValueError("need at least two classes")
         if self.slim_granularity < 1:
@@ -94,27 +97,6 @@ class BlockNetSpec:
             w = (w + 2 - 3) // s + 1
             out.append((h, w))
         return tuple(out)
-
-    def to_dict(self) -> dict:
-        return {
-            "input_shape": list(self.input_shape),
-            "num_classes": self.num_classes,
-            "widths": list(self.widths),
-            "strides": None if self.strides is None else list(self.strides),
-            "slim_granularity": self.slim_granularity,
-            "projection_dim": self.projection_dim,
-        }
-
-    @staticmethod
-    def from_dict(d: dict) -> "BlockNetSpec":
-        return BlockNetSpec(
-            input_shape=tuple(d["input_shape"]),
-            num_classes=int(d["num_classes"]),
-            widths=tuple(d["widths"]),
-            strides=None if d.get("strides") is None else tuple(d["strides"]),
-            slim_granularity=int(d.get("slim_granularity", 1)),
-            projection_dim=int(d.get("projection_dim", 64)),
-        )
 
 
 def slim_width(width: int, omega: float) -> int:
@@ -431,51 +413,3 @@ def _projection_cost(spec: BlockNetSpec) -> tuple[float, int]:
     f1, p1 = dense_layer_cost(spec.widths[-1], spec.projection_dim, bias=True)
     f2, p2 = dense_layer_cost(spec.projection_dim, spec.projection_dim, bias=True)
     return f1 + f2, p1 + p2
-
-
-def count_cost(spec: BlockNetSpec, config=None) -> tuple[float, int]:
-    """(flops per sample forward, stored parameter count) for a method.
-
-    config is a MethodConfig-like object (or None for the bare model). Flops
-    reflect what the local step actually executes per sample: contrastive
-    training runs three model+projection forwards, distillation adds the
-    expected cost of its sampled-width subnetworks, the Lipschitz method adds
-    one reduced-width pass of the final block, stochastic depth drops blocks
-    at their keep probabilities. Parameter counts include extra stored copies
-    (anchor weights, previous/global models).
-    """
-    base_f, base_p = _forward_cost(spec)
-    head_f, head_p = _head_cost(spec)
-    base_f += head_f
-    base_p += head_p
-    method = getattr(config, "method", None)
-    if method in (None, "fedavg", "mixup"):
-        return base_f, base_p
-    if method == "fedprox":
-        return base_f, 2 * base_p
-    if method == "moon":
-        proj_f, proj_p = _projection_cost(spec)
-        # three block-stack+projection passes, one classifier pass
-        return 3.0 * (base_f - head_f + proj_f) + head_f, 3 * (base_p + proj_p)
-    if method == "stochdepth":
-        L = spec.num_blocks
-        weights = [keep_probability(i, L, config.gamma_L) for i in range(L)]
-        f, _ = _forward_cost(spec, block_weights=weights)
-        hf, _ = _head_cost(spec)
-        return f + hf, base_p
-    if method == "gradaug":
-        # expected subnetwork cost under omega ~ U(omega_b, 1), averaged on a grid
-        grid = np.linspace(config.omega_b, 1.0, 51)
-        sub = 0.0
-        for om in grid:
-            f, _ = _forward_cost(spec, omega=float(om))
-            hf, _ = _head_cost(spec, omega=float(om))
-            sub += f + hf
-        sub /= len(grid)
-        return base_f + config.n_subnets * sub, base_p
-    if method == "fedalign":
-        i = spec.num_blocks - 1
-        f, _ = _forward_cost(spec, omega=config.omega_S, first_in_full=True,
-                             block_range=(i, i + 1))
-        return base_f + f, base_p
-    raise ValueError(f"unknown method {method!r}")

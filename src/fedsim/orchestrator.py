@@ -19,8 +19,9 @@ import numpy as np
 
 from .data import LabeledDataset, Partition, dirichlet_partition, \
     make_synthetic_mixture, train_test_split
-from .methods import ClientContext, MethodConfig, client_update
-from .models import BlockNet, BlockNetSpec, count_cost
+from .methods import (ClientContext, ConfigError, ConfigFields, MethodConfig,
+                      client_update, count_cost)
+from .models import BlockNet, BlockNetSpec
 from .tensor import OptimizerState, ParamVector, softmax_cross_entropy
 
 CHECKPOINT_VERSION = 1
@@ -29,67 +30,28 @@ CHECKPOINT_VERSION = 1
 _DATA, _SPLIT, _PARTITION, _INIT, _SAMPLE, _CLIENT_DATA, _CLIENT_METHOD = range(7)
 
 
-class ConfigError(ValueError):
-    """Malformed or inconsistent experiment configuration."""
-
-
 class CheckpointError(IOError):
     """Unreadable, truncated, or incompatible checkpoint file."""
 
 
 @dataclass(frozen=True)
-class DatasetConfig:
+class DatasetConfig(ConfigFields):
     num_classes: int = 8
     dims: tuple[int, ...] = (16,)
     samples_per_class: int = 50
     separation: float = 3.0
     test_fraction: float = 0.5
 
-    def to_dict(self) -> dict:
-        return {"num_classes": self.num_classes, "dims": list(self.dims),
-                "samples_per_class": self.samples_per_class,
-                "separation": self.separation,
-                "test_fraction": self.test_fraction}
-
-    @staticmethod
-    def from_dict(d: dict) -> "DatasetConfig":
-        known = {"num_classes", "dims", "samples_per_class", "separation",
-                 "test_fraction"}
-        unknown = set(d) - known
-        if unknown:
-            raise ConfigError(f"unknown dataset keys: {sorted(unknown)}")
-        out = dict(d)
-        if "dims" in out:
-            dims = out["dims"]
-            out["dims"] = (dims,) if isinstance(dims, int) else tuple(dims)
-        return DatasetConfig(**out)
-
 
 @dataclass(frozen=True)
-class ModelConfig:
+class ModelConfig(ConfigFields):
     widths: tuple[int, ...] = (16, 16, 32)
     slim_granularity: int = 1
     projection_dim: int = 64
 
-    def to_dict(self) -> dict:
-        return {"widths": list(self.widths),
-                "slim_granularity": self.slim_granularity,
-                "projection_dim": self.projection_dim}
-
-    @staticmethod
-    def from_dict(d: dict) -> "ModelConfig":
-        known = {"widths", "slim_granularity", "projection_dim"}
-        unknown = set(d) - known
-        if unknown:
-            raise ConfigError(f"unknown model keys: {sorted(unknown)}")
-        out = dict(d)
-        if "widths" in out:
-            out["widths"] = tuple(out["widths"])
-        return ModelConfig(**out)
-
 
 @dataclass(frozen=True)
-class ExperimentConfig:
+class ExperimentConfig(ConfigFields):
     rounds: int = 20
     num_clients: int = 8
     sample_fraction: float = 1.0
@@ -126,47 +88,20 @@ class ExperimentConfig:
             raise ConfigError("clip_norm must be positive")
         if self.alpha <= 0:
             raise ConfigError("alpha must be positive")
+        if self.seed < 0:
+            raise ConfigError("seed must be non-negative")
         if self.eval_every < 1:
             raise ConfigError("eval_every must be positive")
         if self.workers < 1:
             raise ConfigError("workers must be positive")
-
-    def to_dict(self) -> dict:
-        return {
-            "rounds": self.rounds, "num_clients": self.num_clients,
-            "sample_fraction": self.sample_fraction,
-            "local_epochs": self.local_epochs, "batch_size": self.batch_size,
-            "learning_rate": self.learning_rate, "momentum": self.momentum,
-            "clip_norm": self.clip_norm, "alpha": self.alpha,
-            "seed": self.seed, "eval_every": self.eval_every,
-            "output_dir": self.output_dir, "workers": self.workers,
-            "method": self.method.to_dict(), "dataset": self.dataset.to_dict(),
-            "model": self.model.to_dict(),
-        }
-
-    @staticmethod
-    def from_dict(d: dict) -> "ExperimentConfig":
-        known = {"rounds", "num_clients", "sample_fraction", "local_epochs",
-                 "batch_size", "learning_rate", "momentum", "clip_norm",
-                 "alpha", "seed", "eval_every", "output_dir", "workers",
-                 "method", "dataset", "model"}
-        unknown = set(d) - known
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        out = dict(d)
         try:
-            if "method" in out:
-                out["method"] = MethodConfig.from_dict(out["method"])
-            if "dataset" in out:
-                out["dataset"] = DatasetConfig.from_dict(out["dataset"])
-            if "model" in out:
-                out["model"] = ModelConfig.from_dict(out["model"])
-            return ExperimentConfig(**out)
-        except (ValueError, TypeError) as e:
-            raise ConfigError(str(e)) from e
+            self.model_spec()
+        except ValueError as e:
+            raise ConfigError(f"model: {e}") from e
 
     @staticmethod
-    def from_json_file(path: str) -> "ExperimentConfig":
+    def from_json_file(path: str, overrides=()) -> "ExperimentConfig":
+        """Load a JSON config, then apply dotted key=value overrides."""
         try:
             with open(path) as f:
                 d = json.load(f)
@@ -174,11 +109,9 @@ class ExperimentConfig:
             raise ConfigError(f"config is not valid JSON: {e}") from e
         if not isinstance(d, dict):
             raise ConfigError("config must be a JSON object")
+        for spec in overrides:
+            _apply_override(d, spec)
         return ExperimentConfig.from_dict(d)
-
-    def config_hash(self) -> str:
-        blob = json.dumps(self.to_dict(), sort_keys=True).encode()
-        return hashlib.sha256(blob).hexdigest()
 
     def trajectory_hash(self) -> str:
         """Hash of the fields that determine the parameter trajectory.
@@ -202,6 +135,26 @@ class ExperimentConfig:
                             widths=self.model.widths,
                             slim_granularity=self.model.slim_granularity,
                             projection_dim=self.model.projection_dim)
+
+
+def _apply_override(d: dict, spec: str) -> None:
+    """Set one dotted key of a config dict from `key=value` (value as JSON,
+    else as a bare string)."""
+    if "=" not in spec:
+        raise ConfigError(f"override {spec!r} is not of the form key=value")
+    key, _, raw = spec.partition("=")
+    try:
+        value = json.loads(raw)
+    except json.JSONDecodeError:
+        value = raw  # bare strings stay strings
+    parts = key.split(".")
+    cur = d
+    for p in parts[:-1]:
+        nxt = cur.setdefault(p, {})
+        if not isinstance(nxt, dict):
+            raise ConfigError(f"override {key!r} descends into a non-object")
+        cur = nxt
+    cur[parts[-1]] = value
 
 
 @dataclass
@@ -314,12 +267,12 @@ def build_state(config: ExperimentConfig) -> ExperimentState:
     ds = make_synthetic_mixture(
         config.dataset.num_classes, config.dataset.dims,
         config.dataset.samples_per_class, config.dataset.separation,
-        seed=_derive_seed(config.seed, _DATA))
+        seed=_derive_seed((config.seed, _DATA)))
     train, test = train_test_split(ds, config.dataset.test_fraction,
-                                   seed=_derive_seed(config.seed, _SPLIT))
+                                   seed=_derive_seed((config.seed, _SPLIT)))
     partition = dirichlet_partition(train.labels, config.num_clients,
                                     config.alpha,
-                                    seed=_derive_seed(config.seed, _PARTITION))
+                                    seed=_derive_seed((config.seed, _PARTITION)))
     spec = config.model_spec()
     rng = np.random.default_rng([config.seed, _INIT])
     model = BlockNet(spec, rng=rng,
@@ -333,9 +286,9 @@ def build_state(config: ExperimentConfig) -> ExperimentState:
         flops_per_forward=fpf)
 
 
-def _derive_seed(seed: int, tag: int) -> int:
+def _derive_seed(parts) -> int:
     # stable scalar sub-seed for APIs that take a single integer
-    return int(np.random.SeedSequence([seed, tag]).generate_state(1)[0])
+    return int(np.random.SeedSequence(list(parts)).generate_state(1)[0])
 
 
 # -- client execution (top level so a process pool can pickle it) --------------
@@ -343,17 +296,9 @@ def _derive_seed(seed: int, tag: int) -> int:
 
 @dataclass
 class _ClientTask:
+    config: ExperimentConfig
     client_id: int
-    seed: int
     round_idx: int
-    spec_dict: dict
-    with_projection: bool
-    method: dict
-    learning_rate: float
-    momentum: float
-    clip_norm: float
-    epochs: int
-    batch_size: int
     global_data: np.ndarray
     global_layout: tuple
     prev_data: np.ndarray | None
@@ -362,30 +307,31 @@ class _ClientTask:
 
 
 def _run_client(task: _ClientTask):
-    spec = BlockNetSpec.from_dict(task.spec_dict)
-    method = MethodConfig.from_dict(task.method)
-    model = BlockNet(spec, rng=None, with_projection=task.with_projection)
+    config, method = task.config, task.config.method
+    model = BlockNet(config.model_spec(), rng=None,
+                     with_projection=method.needs_projection)
     global_vec = ParamVector(data=task.global_data, layout=task.global_layout)
     model.load_vector(global_vec)
     global_weights = model.state()
     prev_weights = None
-    if method.method == "moon":
+    if method.record.contrastive:
         if task.prev_data is None:
-            raise RuntimeError("moon task is missing previous-round weights")
+            raise RuntimeError(f"{method.method} task is missing previous-round weights")
         model.load_vector(ParamVector(data=task.prev_data, layout=task.global_layout))
         prev_weights = model.state()
         model.load_vector(global_vec)
     ctx = ClientContext(
         model=model, inputs=task.inputs, labels=task.labels,
         data_rng=np.random.default_rng(
-            [task.seed, _CLIENT_DATA, task.round_idx, task.client_id]),
+            [config.seed, _CLIENT_DATA, task.round_idx, task.client_id]),
         method_rng=np.random.default_rng(
-            [task.seed, _CLIENT_METHOD, task.round_idx, task.client_id]),
+            [config.seed, _CLIENT_METHOD, task.round_idx, task.client_id]),
         global_weights=global_weights, prev_weights=prev_weights)
-    opt = OptimizerState(learning_rate=task.learning_rate,
-                         momentum=task.momentum, clip_norm=task.clip_norm)
+    opt = OptimizerState(learning_rate=config.learning_rate,
+                         momentum=config.momentum, clip_norm=config.clip_norm)
     try:
-        _, stats = client_update(ctx, method, task.epochs, task.batch_size, opt)
+        _, stats = client_update(ctx, method, config.local_epochs,
+                                 config.batch_size, opt)
     except Exception as e:
         raise RuntimeError(f"client {task.client_id} failed in round "
                            f"{task.round_idx}: {e}") from e
@@ -398,20 +344,16 @@ def run_round(state: ExperimentState, pool: ProcessPoolExecutor | None = None) -
     r = state.round_idx
     sampled = sample_clients(config.num_clients, config.sample_fraction, r,
                              config.seed)
+    # a contrastive method trains against each client's previous-round model
+    keeps_prev = config.method.record.contrastive
     tasks = []
     for cid in sampled:
         idx = state.partition.assignments[cid]
         prev = state.prev_client_vectors.get(cid)
-        if prev is None and config.method.method == "moon":
+        if prev is None and keeps_prev:
             prev = state.initial_vector.data  # never sampled: initial model
         tasks.append(_ClientTask(
-            client_id=cid, seed=config.seed, round_idx=r,
-            spec_dict=state.model.spec.to_dict(),
-            with_projection=config.method.needs_projection,
-            method=config.method.to_dict(),
-            learning_rate=config.learning_rate, momentum=config.momentum,
-            clip_norm=config.clip_norm, epochs=config.local_epochs,
-            batch_size=config.batch_size,
+            config=config, client_id=cid, round_idx=r,
             global_data=state.global_vector.data,
             global_layout=state.global_vector.layout,
             prev_data=prev,
@@ -428,7 +370,7 @@ def run_round(state: ExperimentState, pool: ProcessPoolExecutor | None = None) -
     state.global_vector = aggregate(vectors, counts)
     state.model.load_vector(state.global_vector)
 
-    if config.method.method == "moon":
+    if keeps_prev:
         for cid, vec, _ in results:
             state.prev_client_vectors[cid] = vec
 

@@ -4,12 +4,12 @@ Every value in the simulator flows through the Tensor type below. Ops build a
 DAG as they run; backward() walks it once in reverse topological order and
 accumulates gradients into leaf tensors. The op set is intentionally small:
 matmul, 2-d convolution, elementwise arithmetic, relu/tanh/exp/log/sqrt,
-reductions, slicing and axis permutation, average pooling (plain, adaptive,
-nearest upsample), fused softmax cross-entropy, and mean squared error.
+reductions, slicing and axis permutation, adaptive average pooling, nearest
+upsampling, fused softmax cross-entropy, and mean squared error.
 
 The module also carries the optimizer-side helpers that operate on parameter
 dicts: SGD with classic momentum, global gradient-norm clipping, and the
-flatten/unflatten bijection between a parameter dict and a single vector.
+flattening of a parameter dict into a single vector and back.
 """
 from __future__ import annotations
 
@@ -178,13 +178,6 @@ class Tensor:
     def __rtruediv__(self, other):
         return Tensor._wrap(other) / self
 
-    def __pow__(self, p):
-        if not isinstance(p, (int, float)):
-            raise TypeError("only scalar exponents are supported")
-        a = self
-        data = a.data ** p
-        return Tensor._op(data, (a,), lambda g: (g * p * a.data ** (p - 1),))
-
     def __matmul__(self, other):
         return matmul(self, other)
 
@@ -325,22 +318,6 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 1) -> Tensor:
         return (dx, dw)
 
     return Tensor._op(out, (x, w), back)
-
-
-def avg_pool2d(x: Tensor, k: int) -> Tensor:
-    """Non-overlapping k-by-k average pooling; spatial dims must divide by k."""
-    x = Tensor._wrap(x)
-    B, C, H, W = x.data.shape
-    if H % k or W % k:
-        raise ValueError("pooling window must divide spatial dims")
-    data = x.data.reshape(B, C, H // k, k, W // k, k).mean(axis=(3, 5))
-
-    def back(g):
-        gg = g[:, :, :, None, :, None] / (k * k)
-        return (np.broadcast_to(gg, (B, C, H // k, k, W // k, k))
-                .reshape(B, C, H, W).copy(),)
-
-    return Tensor._op(data, (x,), back)
 
 
 def adaptive_avg_pool2d(x: Tensor, out_hw: tuple[int, int]) -> Tensor:
@@ -516,15 +493,6 @@ def params_to_vector(params: dict[str, Tensor]) -> ParamVector:
         offset += arr.size
     data = np.concatenate(chunks) if chunks else np.zeros(0, dtype=np.float64)
     return ParamVector(data=data, layout=tuple(layout))
-
-
-def vector_to_params(vec: ParamVector) -> dict[str, Array]:
-    """Invert params_to_vector; exact bitwise round trip."""
-    out = {}
-    for name, shape, offset in vec.layout:
-        n = int(np.prod(shape)) if shape else 1
-        out[name] = vec.data[offset:offset + n].reshape(shape).copy()
-    return out
 
 
 def load_vector(params: dict[str, Tensor], vec: ParamVector) -> None:

@@ -13,8 +13,9 @@ import numpy as np
 from fedsim.data import dirichlet_partition
 from fedsim.hessian import (ce_loss_fn, cross_client_metrics, hessian_diagonal,
                             hutchinson_trace, top_eigenpairs)
-from fedsim.methods import METHODS, MethodConfig, loss_ce, loss_fedprox, spectral_norm
-from fedsim.models import BlockNet, BlockNetSpec, count_cost
+from fedsim.methods import (METHODS, MethodConfig, count_cost, loss_ce, loss_fedprox,
+                            spectral_norm)
+from fedsim.models import BlockNet, BlockNetSpec
 from fedsim.orchestrator import (DatasetConfig, ExperimentConfig, ModelConfig,
                                  aggregate, comm_cost, run_experiment,
                                  save_checkpoint)

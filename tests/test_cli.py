@@ -9,7 +9,7 @@ import pytest
 from fedsim import hessian
 from fedsim.cli import _DIAG_GLOBAL, _derive_seed, _probe_batch, main
 from fedsim.data import Partition
-from fedsim.models import count_cost
+from fedsim.methods import count_cost
 from fedsim.orchestrator import ExperimentConfig, load_checkpoint, read_metrics
 
 BASE = {
@@ -89,6 +89,18 @@ def test_run_error_exit_codes(tmp_path, capsys):
     assert main(["run", "--config", cfg, "--override",
                  "learning_rate.x=1"]) == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("override", [
+    "rounds=2.5", "method.n_subnets=1.5", "model.widths=[0,8]",
+    "model.slim_granularity=0", "seed=-1", "num_clients=true", "dataset.dims=[8.5]",
+])
+def test_run_rejects_bad_values_before_any_output(tmp_path, capsys, override):
+    out = tmp_path / "out"
+    cfg = _write_cfg(tmp_path, output_dir=str(out))
+    assert main(["run", "--config", cfg, "--override", override]) == 1
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_usage_errors_exit_one(capsys):
@@ -234,6 +246,19 @@ def test_diagnose_error_exit_codes(finished_run, tmp_path, capsys):
     other = _write_cfg(tmp_path, "other.json", seed=8)
     assert main(["diagnose", "--checkpoint", ckpt, "--config", other]) == 3
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("flags", [
+    ("--probes", "0"), ("--grid", "4"), ("--grid", "1"), ("--radius", "-1"),
+])
+def test_diagnose_rejects_bad_flags_before_loading(finished_run, tmp_path, capsys,
+                                                   flags):
+    cfg, ckpt, _ = finished_run
+    out = tmp_path / "bad_flags"
+    assert main(["diagnose", "--checkpoint", ckpt, "--config", cfg,
+                 "--out", str(out), *flags]) == 1
+    assert "config error" in capsys.readouterr().err
+    assert not (out / "diagnostics").exists()
 
 
 # -- partition ------------------------------------------------------------------------

@@ -182,7 +182,7 @@ def test_gradaug_mu_zero_short_circuits():
     x, y = _batch(seed=11)
     cfg = MethodConfig(method="gradaug", mu=0.0)
     rng = np.random.default_rng(12)
-    loss = loss_gradaug(net, x, y, cfg, rng)
+    loss = loss_gradaug(net, x, y, cfg, rng)[0]
     want = loss_ce(net.forward(x), y).item()
     assert loss.item() == want
     # the rng must not have been consumed on the short-circuit path
@@ -194,9 +194,9 @@ def test_gradaug_adds_nonnegative_distillation():
     x, y = _batch(seed=14)
     cfg = MethodConfig(method="gradaug")  # mu = 1.75, 2 subnetworks
     base = loss_ce(net.forward(x), y).item()
-    loss = loss_gradaug(net, x, y, cfg, np.random.default_rng(15))
+    loss = loss_gradaug(net, x, y, cfg, np.random.default_rng(15))[0]
     assert loss.item() >= base - 1e-12
-    again = loss_gradaug(net, x, y, cfg, np.random.default_rng(15))
+    again = loss_gradaug(net, x, y, cfg, np.random.default_rng(15))[0]
     assert loss.item() == again.item()  # same rng stream, same value
 
 
@@ -204,7 +204,7 @@ def test_gradaug_zero_subnetworks():
     net = _net(seed=16)
     x, y = _batch(seed=17)
     cfg = MethodConfig(method="gradaug", n_subnets=0, mu=1.75)
-    loss = loss_gradaug(net, x, y, cfg, np.random.default_rng(18))
+    loss = loss_gradaug(net, x, y, cfg, np.random.default_rng(18))[0]
     assert loss.item() == loss_ce(net.forward(x), y).item()
 
 
@@ -300,7 +300,7 @@ def test_fedalign_full_width_subblock_collapses_to_ce():
     net = _net(seed=24)
     x, y = _batch(seed=25)
     cfg = MethodConfig(method="fedalign", omega_S=1.0)
-    loss = loss_fedalign(net, x, y, cfg, np.random.default_rng(26))
+    loss = loss_fedalign(net, x, y, cfg, np.random.default_rng(26))[0]
     assert loss.item() == loss_ce(net.forward(x), y).item()
 
 
@@ -308,7 +308,7 @@ def test_fedalign_mu_zero_is_ce():
     net = _net(seed=27)
     x, y = _batch(seed=28)
     cfg = MethodConfig(method="fedalign", mu=0.0)
-    loss = loss_fedalign(net, x, y, cfg, np.random.default_rng(29))
+    loss = loss_fedalign(net, x, y, cfg, np.random.default_rng(29))[0]
     assert loss.item() == loss_ce(net.forward(x), y).item()
 
 
@@ -319,7 +319,7 @@ def test_fedalign_relative_scaling_identity():
     x, y = _batch(seed=31)
     cfg = MethodConfig(method="fedalign")  # omega_S 0.25, mu 0.45
     base = loss_ce(net.forward(x), y).item()
-    loss = loss_fedalign(net, x, y, cfg, np.random.default_rng(32))
+    loss = loss_fedalign(net, x, y, cfg, np.random.default_rng(32))[0]
     assert loss.item() == pytest.approx(base * (1.0 + cfg.mu), rel=1e-9)
 
 
@@ -327,7 +327,7 @@ def test_fedalign_conv_path_runs():
     net = BlockNet(CONV_SPEC, rng=np.random.default_rng(33))
     x, y = _batch(seed=34, n=4, spec=CONV_SPEC)
     loss = loss_fedalign(net, x, y, MethodConfig(method="fedalign"),
-                         np.random.default_rng(35))
+                         np.random.default_rng(35))[0]
     assert np.isfinite(loss.item())
 
 

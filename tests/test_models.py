@@ -2,9 +2,9 @@
 import numpy as np
 import pytest
 
-from fedsim.models import (BlockNet, BlockNetSpec, conv_layer_cost, count_cost,
+from fedsim.models import (BlockNet, BlockNetSpec, conv_layer_cost,
                            dense_layer_cost, keep_probability, slim_width)
-from fedsim.methods import MethodConfig
+from fedsim.methods import MethodConfig, count_cost
 from fedsim.tensor import Tensor
 
 DENSE_SPEC = BlockNetSpec(input_shape=(16,), num_classes=4, widths=(8, 8))
@@ -50,12 +50,6 @@ def test_spatial_sizes():
     assert spec.spatial_sizes() == ((8, 8), (8, 8), (4, 4))
     odd = BlockNetSpec(input_shape=(3, 7, 7), num_classes=4, widths=(4, 8))
     assert odd.spatial_sizes() == ((7, 7), (4, 4))
-
-
-def test_spec_dict_round_trip():
-    spec = BlockNetSpec(input_shape=(3, 8, 8), num_classes=4, widths=(4, 8),
-                        strides=(1, 1), slim_granularity=2, projection_dim=32)
-    assert BlockNetSpec.from_dict(spec.to_dict()) == spec
 
 
 def test_slim_width_ceiling():

@@ -1,4 +1,5 @@
 """Server-side algebra, checkpoint format, resume and determinism laws."""
+import dataclasses
 import json
 import os
 
@@ -45,7 +46,7 @@ def test_config_round_trip():
     cfg = _cfg(method=MethodConfig(method="moon"))
     clone = ExperimentConfig.from_dict(cfg.to_dict())
     assert clone == cfg
-    assert clone.config_hash() == cfg.config_hash()
+    assert clone.to_dict() == cfg.to_dict()
 
 
 def test_trajectory_hash_ignores_execution_only_fields():
@@ -54,11 +55,65 @@ def test_trajectory_hash_ignores_execution_only_fields():
             _cfg(workers=4)]
     for other in same:
         assert other.trajectory_hash() == cfg.trajectory_hash()
-        assert other.config_hash() != cfg.config_hash()
+        assert other.to_dict() != cfg.to_dict()
     diff = [_cfg(seed=8), _cfg(learning_rate=0.1),
             _cfg(method=MethodConfig(method="fedprox")), _cfg(alpha=0.1)]
     for other in diff:
         assert other.trajectory_hash() != cfg.trajectory_hash()
+
+
+def _config_keys(cfg) -> set:
+    """Dotted names of every field of a config and its nested configs."""
+    out = set()
+    for f in dataclasses.fields(cfg):
+        v = getattr(cfg, f.name)
+        if dataclasses.is_dataclass(v):
+            out |= {f"{f.name}.{k}" for k in _config_keys(v)}
+        else:
+            out.add(f.name)
+    return out
+
+
+def _dict_keys(d: dict) -> set:
+    out = set()
+    for k, v in d.items():
+        out |= {f"{k}.{kk}" for kk in _dict_keys(v)} if isinstance(v, dict) else {k}
+    return out
+
+
+def _perturbed(value):
+    """A different valid value of the same kind."""
+    if isinstance(value, bool):
+        raise TypeError("no bool config fields expected")
+    if isinstance(value, str):
+        return "fedprox" if value != "fedprox" else "fedavg"
+    if isinstance(value, int):
+        return value + 1
+    if isinstance(value, float):
+        return value / 2 if value else 0.5
+    if isinstance(value, tuple):
+        return tuple(2 * v for v in value)
+    if value is None:
+        return "elsewhere"
+    raise TypeError(f"unexpected config value {value!r}")
+
+
+def test_every_field_reaches_the_hash():
+    # moon: its default mu is non-zero, so halving it is a change
+    cfg = _cfg(method=MethodConfig(method="moon"), output_dir=None)
+    assert _dict_keys(cfg.to_dict()) == _config_keys(cfg)
+    execution_only = {"rounds", "eval_every", "output_dir", "workers"}
+    for name in sorted(_config_keys(cfg)):
+        if "." in name:
+            part, key = name.split(".")
+            sub = getattr(cfg, part)
+            other = dataclasses.replace(
+                cfg, **{part: dataclasses.replace(sub, **{key: _perturbed(getattr(sub, key))})})
+        else:
+            other = dataclasses.replace(cfg, **{name: _perturbed(getattr(cfg, name))})
+        assert other.to_dict() != cfg.to_dict(), name
+        same = other.trajectory_hash() == cfg.trajectory_hash()
+        assert same == (name in execution_only), name
 
 
 # -- aggregation ----------------------------------------------------------------------

