@@ -70,13 +70,18 @@ def make_synthetic_mixture(num_classes: int, dims, samples_per_class: int,
     return LabeledDataset(x, y[order], num_classes)
 
 
-def train_test_split(ds: LabeledDataset, test_fraction: float,
-                     seed: int) -> tuple[LabeledDataset, LabeledDataset]:
+def num_test_samples(n: int, test_fraction: float) -> int:
+    """Samples train_test_split holds out of n for testing."""
     if not 0.0 < test_fraction < 1.0:
         raise ValueError("test_fraction must be in (0, 1)")
+    return int(round(test_fraction * n))
+
+
+def train_test_split(ds: LabeledDataset, test_fraction: float,
+                     seed: int) -> tuple[LabeledDataset, LabeledDataset]:
+    n_test = num_test_samples(len(ds), test_fraction)
     rng = np.random.default_rng(seed)
     order = rng.permutation(len(ds))
-    n_test = int(round(test_fraction * len(ds)))
     return ds.subset(order[n_test:]), ds.subset(order[:n_test])
 
 

@@ -8,55 +8,31 @@ deflation for leading eigenvalues, one pass of Rademacher (Hutchinson)
 probes that gives both the diagonal, E[v * Hv], and the trace, E[v^T H v],
 from the same products (so the trace equals the diagonal's sum), pairwise
 cross-client curvature comparisons, and a 2-d loss landscape slice, which
-takes a report's eigenvectors as its directions. All routines restore the
-model's parameters exactly.
+takes a report's eigenvectors as its directions.
+
+A model is anything with a `params` dict of Tensors. Every routine reads
+theta with tensor.params_to_vector, moves the model with tensor.load_vector,
+and loads theta back before it returns, so the parameters are restored
+exactly; flat directions and gradients use the vector's layout order.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tensor import Tensor, gradients, softmax_cross_entropy, zero_gradients
+from .tensor import (ParamVector, Tensor, gradients, load_vector, params_to_vector,
+                     softmax_cross_entropy, zero_gradients)
 
 DEFAULT_FD_STEP = 1e-4
 
 
-def _slots(model) -> list[tuple[str, Tensor, int, tuple[int, ...]]]:
-    """(name, tensor, offset, shape) per parameter in flat-vector order.
-
-    Same order and offsets as tensor.params_to_vector (sorted names); worked
-    out once per routine so repeated reads and writes skip the layout pass.
-    """
-    slots, offset = [], 0
-    for name in sorted(model.params):
-        p = model.params[name]
-        slots.append((name, p, offset, p.data.shape))
-        offset += p.data.size
-    return slots
-
-
-def _read(slots) -> np.ndarray:
-    return np.concatenate([p.data.reshape(-1) for _, p, _, _ in slots])
-
-
-def _write(slots, vec: np.ndarray) -> None:
-    # fresh copies, as tensor.load_vector makes: no parameter aliases vec
-    for _, p, offset, shape in slots:
-        p.data = vec[offset:offset + math.prod(shape)].reshape(shape).copy()
-
-
-def _get_vector(model) -> np.ndarray:
-    return _read(_slots(model))
-
-
-def _grad_at(model, slots, loss_fn, batch, vec: np.ndarray) -> np.ndarray:
-    _write(slots, vec)
+def _grad_at(model, loss_fn, batch, vec: ParamVector) -> np.ndarray:
+    load_vector(model.params, vec)
     zero_gradients(model.params)
     loss = loss_fn(model, batch[0], batch[1])
     gmap = gradients(loss, model.params)
-    return np.concatenate([gmap[name].reshape(-1) for name, _, _, _ in slots])
+    return np.concatenate([gmap[name].reshape(-1) for name, _, _ in vec.layout])
 
 
 def hvp(model, loss_fn, batch, v: np.ndarray,
@@ -66,21 +42,22 @@ def hvp(model, loss_fn, batch, v: np.ndarray,
     Uses the normalized direction internally and rescales, so the step size
     is meaningful regardless of |v|. A zero direction returns zeros.
     """
-    slots = _slots(model)
-    theta = _read(slots)
+    theta = params_to_vector(model.params)
     v = np.asarray(v, dtype=np.float64)
-    if v.shape != theta.shape:
+    if v.shape != theta.data.shape:
         raise ValueError("direction length does not match parameter count")
     norm = float(np.linalg.norm(v))
     if norm == 0.0:
-        return np.zeros_like(theta)
+        return np.zeros_like(theta.data)
     try:
         unit = v / norm
-        g_plus = _grad_at(model, slots, loss_fn, batch, theta + h * unit)
-        g_minus = _grad_at(model, slots, loss_fn, batch, theta - h * unit)
+        g_plus = _grad_at(model, loss_fn, batch,
+                          ParamVector(theta.data + h * unit, theta.layout))
+        g_minus = _grad_at(model, loss_fn, batch,
+                           ParamVector(theta.data - h * unit, theta.layout))
         return (g_plus - g_minus) * (norm / (2.0 * h))
     finally:
-        _write(slots, theta)
+        load_vector(model.params, theta)
 
 
 def top_eigenpairs(model, loss_fn, batch, k: int = 1, iters: int = 100,
@@ -96,7 +73,7 @@ def top_eigenpairs(model, loss_fn, batch, k: int = 1, iters: int = 100,
     if k < 1:
         raise ValueError("k must be positive")
     rng = np.random.default_rng([seed, 0x5EED])
-    n = _get_vector(model).size
+    n = params_to_vector(model.params).size
     values: list[float] = []
     vectors: list[np.ndarray] = []
     converged: list[bool] = []
@@ -139,7 +116,7 @@ def hessian_diagonal(model, loss_fn, batch, num_probes: int = 100, seed: int = 0
     if num_probes < 1:
         raise ValueError("need at least one probe")
     rng = np.random.default_rng([seed, 0xD1A6])
-    n = _get_vector(model).size
+    n = params_to_vector(model.params).size
     mean = np.zeros(n)
     m2 = np.zeros(n)
     totals = np.empty(num_probes)
@@ -280,15 +257,14 @@ def landscape_slice(model, loss_fn, batch, dir1: np.ndarray | None = None,
         raise ValueError("grid must be odd and at least 3")
     if radius <= 0:
         raise ValueError("radius must be positive")
-    slots = _slots(model)
-    theta = _read(slots)
+    theta = params_to_vector(model.params)
     if dir1 is None or dir2 is None:
         _, vecs, _ = top_eigenpairs(model, loss_fn, batch, k=2, seed=seed)
         dir1 = vecs[0] if dir1 is None else dir1
         dir2 = vecs[1] if dir2 is None else dir2
     d1 = np.asarray(dir1, dtype=np.float64)
     d2 = np.asarray(dir2, dtype=np.float64)
-    if d1.shape != theta.shape or d2.shape != theta.shape:
+    if d1.shape != theta.data.shape or d2.shape != theta.data.shape:
         raise ValueError("direction length does not match parameter count")
     d1 = d1 / np.linalg.norm(d1)
     scale2 = np.linalg.norm(d2)
@@ -303,10 +279,11 @@ def landscape_slice(model, loss_fn, batch, dir1: np.ndarray | None = None,
     try:
         for i, a in enumerate(alphas):
             for j, b in enumerate(betas):
-                _write(slots, theta + a * d1 + b * d2)
+                load_vector(model.params, ParamVector(theta.data + a * d1 + b * d2,
+                                                      theta.layout))
                 losses[i, j] = float(loss_fn(model, batch[0], batch[1]).item())
     finally:
-        _write(slots, theta)
+        load_vector(model.params, theta)
     return alphas, betas, losses
 
 

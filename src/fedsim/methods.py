@@ -28,9 +28,10 @@ import numpy as np
 from .data import DOWNSAMPLE_SCALES, downsample_transform, mixup_batch
 from .models import (BlockNet, BlockNetSpec, _forward_cost, _head_cost,
                      _projection_cost, keep_probability)
-from .tensor import (OptimizerState, Tensor, adaptive_avg_pool2d, clip_grad_norm,
-                     exp, gradients, log, log_softmax, matmul, mse,
-                     softmax_cross_entropy, sgd_step, sqrt, zero_gradients)
+from .tensor import (OptimizerState, ParamVector, Tensor, adaptive_avg_pool2d,
+                     clip_grad_norm, exp, gradients, load_vector, log, log_softmax,
+                     matmul, mse, softmax_cross_entropy, sgd_step, sqrt,
+                     zero_gradients)
 
 
 # -- configs ------------------------------------------------------------------
@@ -164,8 +165,8 @@ class ClientContext:
     labels: np.ndarray
     data_rng: np.random.Generator
     method_rng: np.random.Generator
-    global_weights: dict[str, np.ndarray] | None = None
-    prev_weights: dict[str, np.ndarray] | None = None
+    global_weights: ParamVector | None = None   # as received this round
+    prev_weights: ParamVector | None = None     # the client's last local model
 
 
 # -- individual loss terms --------------------------------------------------
@@ -176,13 +177,17 @@ def loss_ce(logits: Tensor, labels: np.ndarray) -> Tensor:
 
 
 def loss_fedprox(base_loss: Tensor, params: dict[str, Tensor],
-                 anchor: dict[str, np.ndarray], mu: float) -> Tensor:
-    """base + (mu/2) * squared distance to the received weights."""
+                 anchor: ParamVector, mu: float) -> Tensor:
+    """base + (mu/2) * squared distance to the received weights, summed
+    per parameter in the anchor's (sorted-name) layout order."""
     if mu == 0.0 or not params:
         return base_loss
+    if len(anchor.layout) != len(params):
+        raise ValueError("fedprox anchor does not match the parameters")
     acc = None
-    for name in sorted(params):
-        d = params[name] - Tensor(anchor[name])
+    for name, shape, offset in anchor.layout:
+        p = params[name]
+        d = p - Tensor(anchor.data[offset:offset + p.data.size].reshape(shape))
         s = (d * d).sum()
         acc = s if acc is None else acc + s
     return base_loss + (mu / 2.0) * acc
@@ -532,7 +537,7 @@ def _moon_shadows(ctx: ClientContext) -> tuple[BlockNet, BlockNet]:
     for weights in (ctx.global_weights, ctx.prev_weights):
         net = BlockNet(ctx.model.spec, rng=None, with_projection=True,
                        requires_grad=False)
-        net.load_state(weights)
+        load_vector(net.params, weights)
         shadows.append(net)
     return shadows[0], shadows[1]
 

@@ -20,8 +20,8 @@ from math import ceil
 
 import numpy as np
 
-from .tensor import (Tensor, ParamVector, adaptive_avg_pool2d, conv2d, matmul,
-                     params_to_vector, load_vector, relu, slice_axis, sqrt)
+from .tensor import (Tensor, adaptive_avg_pool2d, conv2d, matmul, relu,
+                     slice_axis, sqrt)
 
 NORM_EPS = 1e-5
 
@@ -163,25 +163,6 @@ class BlockNet:
             self._add("proj.fc1.b", np.zeros(d), requires_grad)
             self._add("proj.fc2.w", normal((d, d), (2.0 / d) ** 0.5), requires_grad)
             self._add("proj.fc2.b", np.zeros(d), requires_grad)
-
-    # -- weight plumbing ----------------------------------------------------
-
-    def get_vector(self) -> ParamVector:
-        return params_to_vector(self.params)
-
-    def load_vector(self, vec: ParamVector) -> None:
-        load_vector(self.params, vec)
-
-    def state(self) -> dict[str, np.ndarray]:
-        return {k: v.data.copy() for k, v in self.params.items()}
-
-    def load_state(self, state: dict[str, np.ndarray]) -> None:
-        if set(state) != set(self.params):
-            raise ValueError("state names do not match model parameters")
-        for k, arr in state.items():
-            if arr.shape != self.params[k].data.shape:
-                raise ValueError(f"shape mismatch for {k}")
-            self.params[k].data = np.asarray(arr, dtype=np.float64).copy()
 
     # -- forward pieces -----------------------------------------------------
 

@@ -11,18 +11,20 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from math import ceil
+from math import ceil, prod
 
 import numpy as np
 
 from .data import LabeledDataset, Partition, dirichlet_partition, \
-    make_synthetic_mixture, train_test_split
+    make_synthetic_mixture, num_test_samples, train_test_split
 from .methods import (ClientContext, ConfigError, ConfigFields, MethodConfig,
                       client_update, count_cost)
 from .models import BlockNet, BlockNetSpec
-from .tensor import OptimizerState, ParamVector, softmax_cross_entropy
+from .tensor import (OptimizerState, ParamVector, load_vector, params_to_vector,
+                     softmax_cross_entropy)
 
 CHECKPOINT_VERSION = 1
 
@@ -41,6 +43,22 @@ class DatasetConfig(ConfigFields):
     samples_per_class: int = 50
     separation: float = 3.0
     test_fraction: float = 0.5
+
+    def __post_init__(self):
+        if not self.dims or min(self.dims) < 1 or prod(self.dims) < self.num_classes:
+            raise ConfigError(f"dims {list(self.dims)} must be positive and hold at "
+                              f"least one value per class")
+        if self.samples_per_class < 1:
+            raise ConfigError("samples_per_class must be positive")
+        if not 0.0 < self.test_fraction < 1.0 or min(self.split_sizes()) < 1:
+            raise ConfigError(f"test_fraction {self.test_fraction} must be in (0, 1) "
+                              f"and leave both training and test samples")
+
+    def split_sizes(self) -> tuple[int, int]:
+        """(training, test) sample counts of the synthesized dataset."""
+        n = self.num_classes * self.samples_per_class
+        n_test = num_test_samples(n, self.test_fraction)
+        return n - n_test, n_test
 
 
 @dataclass(frozen=True)
@@ -94,6 +112,10 @@ class ExperimentConfig(ConfigFields):
             raise ConfigError("eval_every must be positive")
         if self.workers < 1:
             raise ConfigError("workers must be positive")
+        n_train, _ = self.dataset.split_sizes()
+        if self.num_clients > n_train:
+            raise ConfigError(f"{self.num_clients} clients but only {n_train} "
+                              f"training samples")
         try:
             self.model_spec()
         except ValueError as e:
@@ -103,10 +125,10 @@ class ExperimentConfig(ConfigFields):
     def from_json_file(path: str, overrides=()) -> "ExperimentConfig":
         """Load a JSON config, then apply dotted key=value overrides."""
         try:
-            with open(path) as f:
+            with open(path, encoding="utf-8") as f:
                 d = json.load(f)
-        except json.JSONDecodeError as e:
-            raise ConfigError(f"config is not valid JSON: {e}") from e
+        except (UnicodeDecodeError, json.JSONDecodeError) as e:
+            raise ConfigError(f"config is not valid UTF-8 JSON: {e}") from e
         if not isinstance(d, dict):
             raise ConfigError("config must be a JSON object")
         for spec in overrides:
@@ -258,7 +280,7 @@ class ExperimentState:
     round_idx: int = 0
     comm_bits: float = 0.0
     flops: float = 0.0
-    prev_client_vectors: dict[int, np.ndarray] = field(default_factory=dict)
+    prev_client_vectors: dict[int, ParamVector] = field(default_factory=dict)
     flops_per_forward: float = 0.0
 
 
@@ -278,7 +300,7 @@ def build_state(config: ExperimentConfig) -> ExperimentState:
     model = BlockNet(spec, rng=rng,
                      with_projection=config.method.needs_projection)
     fpf, _ = count_cost(spec, config.method)
-    vec = model.get_vector()
+    vec = params_to_vector(model.params)
     return ExperimentState(
         config=config, train=train, test=test, partition=partition,
         model=model, global_vector=vec,
@@ -296,37 +318,30 @@ def _derive_seed(parts) -> int:
 
 @dataclass
 class _ClientTask:
+    # every task of a round shares one global ParamVector and only reads it
     config: ExperimentConfig
     client_id: int
     round_idx: int
-    global_data: np.ndarray
-    global_layout: tuple
-    prev_data: np.ndarray | None
+    global_vector: ParamVector
+    prev_vector: ParamVector | None  # contrastive methods only
     inputs: np.ndarray
     labels: np.ndarray
 
 
-def _run_client(task: _ClientTask):
+def _run_client(task: _ClientTask) -> tuple[int, ParamVector, list[dict]]:
     config, method = task.config, task.config.method
+    if method.record.contrastive and task.prev_vector is None:
+        raise RuntimeError(f"{method.method} task is missing previous-round weights")
     model = BlockNet(config.model_spec(), rng=None,
                      with_projection=method.needs_projection)
-    global_vec = ParamVector(data=task.global_data, layout=task.global_layout)
-    model.load_vector(global_vec)
-    global_weights = model.state()
-    prev_weights = None
-    if method.record.contrastive:
-        if task.prev_data is None:
-            raise RuntimeError(f"{method.method} task is missing previous-round weights")
-        model.load_vector(ParamVector(data=task.prev_data, layout=task.global_layout))
-        prev_weights = model.state()
-        model.load_vector(global_vec)
+    load_vector(model.params, task.global_vector)
     ctx = ClientContext(
         model=model, inputs=task.inputs, labels=task.labels,
         data_rng=np.random.default_rng(
             [config.seed, _CLIENT_DATA, task.round_idx, task.client_id]),
         method_rng=np.random.default_rng(
             [config.seed, _CLIENT_METHOD, task.round_idx, task.client_id]),
-        global_weights=global_weights, prev_weights=prev_weights)
+        global_weights=task.global_vector, prev_weights=task.prev_vector)
     opt = OptimizerState(learning_rate=config.learning_rate,
                          momentum=config.momentum, clip_norm=config.clip_norm)
     try:
@@ -335,7 +350,7 @@ def _run_client(task: _ClientTask):
     except Exception as e:
         raise RuntimeError(f"client {task.client_id} failed in round "
                            f"{task.round_idx}: {e}") from e
-    return task.client_id, model.get_vector().data, stats
+    return task.client_id, params_to_vector(model.params), stats
 
 
 def run_round(state: ExperimentState, pool: ProcessPoolExecutor | None = None) -> RoundMetrics:
@@ -349,14 +364,11 @@ def run_round(state: ExperimentState, pool: ProcessPoolExecutor | None = None) -
     tasks = []
     for cid in sampled:
         idx = state.partition.assignments[cid]
-        prev = state.prev_client_vectors.get(cid)
-        if prev is None and keeps_prev:
-            prev = state.initial_vector.data  # never sampled: initial model
+        # a client never sampled before starts from the initial model
+        prev = state.prev_client_vectors.get(cid, state.initial_vector) if keeps_prev else None
         tasks.append(_ClientTask(
             config=config, client_id=cid, round_idx=r,
-            global_data=state.global_vector.data,
-            global_layout=state.global_vector.layout,
-            prev_data=prev,
+            global_vector=state.global_vector, prev_vector=prev,
             inputs=state.train.inputs[idx], labels=state.train.labels[idx]))
     if pool is not None:
         results = list(pool.map(_run_client, tasks))
@@ -364,11 +376,9 @@ def run_round(state: ExperimentState, pool: ProcessPoolExecutor | None = None) -
         results = [_run_client(t) for t in tasks]
     results.sort(key=lambda t: t[0])  # aggregation order is ascending client id
 
-    vectors = [ParamVector(data=vec, layout=state.global_vector.layout)
-               for _, vec, _ in results]
     counts = [len(state.partition.assignments[cid]) for cid, _, _ in results]
-    state.global_vector = aggregate(vectors, counts)
-    state.model.load_vector(state.global_vector)
+    state.global_vector = aggregate([vec for _, vec, _ in results], counts)
+    load_vector(state.model.params, state.global_vector)
 
     if keeps_prev:
         for cid, vec, _ in results:
@@ -394,37 +404,42 @@ def run_round(state: ExperimentState, pool: ProcessPoolExecutor | None = None) -
 # -- checkpoints ----------------------------------------------------------------
 
 
+def _array_table(client_ids: list[int], size: int) -> list[dict]:
+    """A checkpoint's array entries: the global vector, then one previous
+    vector per client in the given order, each `size` float64s, back to back."""
+    names = ["global"] + [f"prev_client_{cid}" for cid in client_ids]
+    return [{"name": n, "length": size, "offset": 8 * size * i}
+            for i, n in enumerate(names)]
+
+
 def save_checkpoint(path: str, state: ExperimentState) -> None:
     """Single-file container: one JSON manifest line, then raw little-endian
     float64 arrays at the offsets the manifest declares."""
-    arrays: list[tuple[str, np.ndarray]] = [("global", state.global_vector.data)]
-    for cid in sorted(state.prev_client_vectors):
-        arrays.append((f"prev_client_{cid}", state.prev_client_vectors[cid]))
-    offset = 0
-    entries = []
-    for name, arr in arrays:
-        entries.append({"name": name, "length": int(arr.size), "offset": offset})
-        offset += arr.size * 8
+    ids = sorted(state.prev_client_vectors)
     manifest = {
         "version": CHECKPOINT_VERSION,
         "round": state.round_idx,
         "config_hash": state.config.trajectory_hash(),
         "layout": [[n, list(s), o] for n, s, o in state.global_vector.layout],
-        "arrays": entries,
+        "arrays": _array_table(ids, state.global_vector.size),
         "comm_bits": state.comm_bits,
         "flops": state.flops,
     }
     tmp = path + ".tmp"
     with open(tmp, "wb") as f:
         f.write(json.dumps(manifest).encode() + b"\n")
-        for _, arr in arrays:
-            f.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+        for vec in [state.global_vector] + [state.prev_client_vectors[c] for c in ids]:
+            f.write(np.ascontiguousarray(vec.data, dtype="<f8").tobytes())
     os.replace(tmp, path)
+
+
+_PREV_ARRAY = re.compile(r"prev_client_(0|[1-9][0-9]*)")
 
 
 def load_checkpoint(path: str, config: ExperimentConfig) -> ExperimentState:
     """Rebuild run state from a checkpoint; everything else is re-derived
-    deterministically from the config."""
+    deterministically from the config. A file that is not laid out exactly
+    as save_checkpoint writes it raises CheckpointError."""
     try:
         with open(path, "rb") as f:
             header = f.readline()
@@ -433,37 +448,38 @@ def load_checkpoint(path: str, config: ExperimentConfig) -> ExperimentState:
         raise CheckpointError(f"cannot read checkpoint: {e}") from e
     try:
         manifest = json.loads(header.decode())
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
-        raise CheckpointError(f"checkpoint manifest is corrupt: {e}") from e
-    if manifest.get("version") != CHECKPOINT_VERSION:
-        raise CheckpointError(
-            f"checkpoint version {manifest.get('version')} is not supported "
-            f"(expected {CHECKPOINT_VERSION})")
-    if manifest.get("config_hash") != config.trajectory_hash():
+        version, round_idx, digest = (manifest["version"], manifest["round"],
+                                      manifest["config_hash"])
+        declared = tuple((n, tuple(s), o) for n, s, o in manifest["layout"])
+        ids = [int(_PREV_ARRAY.fullmatch(e["name"])[1]) for e in manifest["arrays"][1:]]
+        comm_bits, flops = float(manifest["comm_bits"]), float(manifest["flops"])
+    except (ValueError, TypeError, KeyError) as e:  # a UnicodeDecodeError is a ValueError
+        raise CheckpointError(f"checkpoint manifest is corrupt: {e!r}") from e
+    if version != CHECKPOINT_VERSION:
+        raise CheckpointError(f"checkpoint version {version!r} is not supported "
+                              f"(expected {CHECKPOINT_VERSION})")
+    if digest != config.trajectory_hash():
         raise CheckpointError("checkpoint was produced by a different config")
+    if type(round_idx) is not int or round_idx < 0:
+        raise CheckpointError(f"checkpoint round {round_idx!r} is not a count")
     state = build_state(config)
-    expect_layout = tuple((n, tuple(s), o) for n, s, o in manifest["layout"])
-    if expect_layout != state.global_vector.layout:
+    layout, size = state.global_vector.layout, state.global_vector.size
+    if declared != layout:
         raise CheckpointError("checkpoint layout does not match the model")
-    arrays = {}
-    for entry in manifest["arrays"]:
-        name, length, offset = entry["name"], entry["length"], entry["offset"]
-        end = offset + length * 8
-        if end > len(blob):
-            raise CheckpointError(f"checkpoint truncated in array {name!r}")
-        arrays[name] = np.frombuffer(blob[offset:end], dtype="<f8").astype(np.float64)
-    if "global" not in arrays:
-        raise CheckpointError("checkpoint has no global parameter array")
-    state.global_vector = ParamVector(data=arrays.pop("global"),
-                                      layout=state.global_vector.layout)
-    state.model.load_vector(state.global_vector)
-    for name, arr in arrays.items():
-        if not name.startswith("prev_client_"):
-            raise CheckpointError(f"unexpected checkpoint array {name!r}")
-        state.prev_client_vectors[int(name.split("_")[-1])] = arr
-    state.round_idx = int(manifest["round"])
-    state.comm_bits = float(manifest.get("comm_bits", 0.0))
-    state.flops = float(manifest.get("flops", 0.0))
+    if (manifest["arrays"] != _array_table(ids, size) or ids != sorted(set(ids))
+            or not all(cid < config.num_clients for cid in ids)):
+        raise CheckpointError("checkpoint arrays are not a global and per-client "
+                              f"vectors of the layout's {size} values, back to back")
+    step, want = 8 * size, 8 * size * (len(ids) + 1)  # bytes per vector, in all
+    if len(blob) != want:
+        raise CheckpointError(f"checkpoint {'truncated' if len(blob) < want else 'too long'}:"
+                              f" {len(blob)} payload bytes, not {want}")
+    vectors = [ParamVector(np.frombuffer(blob[i:i + step], dtype="<f8").astype(np.float64),
+                           layout) for i in range(0, want, step)]
+    state.global_vector = vectors[0]
+    load_vector(state.model.params, state.global_vector)
+    state.prev_client_vectors = dict(zip(ids, vectors[1:]))
+    state.round_idx, state.comm_bits, state.flops = round_idx, comm_bits, flops
     return state
 
 

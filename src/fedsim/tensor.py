@@ -8,8 +8,9 @@ reductions, slicing and axis permutation, adaptive average pooling, nearest
 upsampling, fused softmax cross-entropy, and mean squared error.
 
 The module also carries the optimizer-side helpers that operate on parameter
-dicts: SGD with classic momentum, global gradient-norm clipping, and the
-flattening of a parameter dict into a single vector and back.
+dicts: SGD with classic momentum, global gradient-norm clipping, and the one
+flattening pair, params_to_vector and load_vector, through which weights
+leave and enter a parameter dict as a ParamVector.
 """
 from __future__ import annotations
 
@@ -42,7 +43,9 @@ class Tensor:
 
     `requires_grad` marks leaves that should receive gradients and propagates
     through ops. Detached tensors (`detach()`) never receive gradient
-    contributions. Value arrays are treated as immutable once wrapped.
+    contributions. Value arrays are treated as immutable once wrapped: code
+    that changes a parameter (sgd_step, load_vector) binds a new array to
+    `.data` instead of writing into the old one.
     """
 
     def __init__(self, data, requires_grad: bool = False):
@@ -467,10 +470,11 @@ def sgd_step(params: dict[str, Tensor], grads: dict[str, Array],
 
 @dataclass(frozen=True)
 class ParamVector:
-    """A flat float64 view of a parameter dict plus its layout.
+    """A parameter dict's values as one flat float64 array plus its layout.
 
     layout is a tuple of (name, shape, offset) triples sorted by name, which
     makes two models with the same architecture produce identical layouts.
+    It is the one form weights take outside the autodiff graph.
     """
 
     data: Array
@@ -496,10 +500,21 @@ def params_to_vector(params: dict[str, Tensor]) -> ParamVector:
 
 
 def load_vector(params: dict[str, Tensor], vec: ParamVector) -> None:
-    """Write a flat vector back into a parameter dict (layouts must match)."""
-    expect = params_to_vector(params).layout
-    if expect != vec.layout:
-        raise ValueError("parameter layout mismatch")
-    for name, shape, offset in vec.layout:
-        n = int(np.prod(shape)) if shape else 1
-        params[name].data = vec.data[offset:offset + n].reshape(shape).copy()
+    """Write a flat vector back into a parameter dict, one fresh copy each.
+
+    ValueError, with `params` untouched, unless vec's layout is the one
+    params_to_vector gives for `params` and vec.data holds exactly that.
+    """
+    if [name for name, _, _ in vec.layout] != sorted(params):
+        raise ValueError("parameter names do not match the layout")
+    offset = 0
+    for name, shape, start in vec.layout:
+        if params[name].data.shape != shape or start != offset:
+            raise ValueError(f"parameter layout mismatch at {name!r}")
+        offset += params[name].data.size
+    if vec.data.shape != (offset,):
+        raise ValueError(f"vector of shape {vec.data.shape} does not hold "
+                         f"{offset} parameters")
+    for name, shape, start in vec.layout:
+        size = params[name].data.size
+        params[name].data = vec.data[start:start + size].reshape(shape).copy()

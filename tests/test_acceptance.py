@@ -19,7 +19,7 @@ from fedsim.models import BlockNet, BlockNetSpec
 from fedsim.orchestrator import (DatasetConfig, ExperimentConfig, ModelConfig,
                                  aggregate, comm_cost, run_experiment,
                                  save_checkpoint)
-from fedsim.tensor import (ParamVector, Tensor, gradients,
+from fedsim.tensor import (ParamVector, Tensor, gradients, params_to_vector,
                            softmax_cross_entropy, zero_gradients)
 
 from helpers import (TanhMLP, matrix_with_spectrum, max_rel_err, numeric_grad,
@@ -182,7 +182,8 @@ def test_criterion_05_objective_identities(capsys):
     ce = gradients(loss_ce(net.forward(x), y), net.params)
     zero_gradients(net.params)
     base = loss_ce(net.forward(x), y)
-    prox = gradients(loss_fedprox(base, net.params, anchor, mu), net.params)
+    anchor_vec = params_to_vector({k: Tensor(a) for k, a in anchor.items()})
+    prox = gradients(loss_fedprox(base, net.params, anchor_vec, mu), net.params)
     grad_err = max(np.max(np.abs(prox[k] - (ce[k] + mu * (net.params[k].data
                                                           - anchor[k]))))
                    for k in net.params)

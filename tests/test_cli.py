@@ -94,6 +94,9 @@ def test_run_error_exit_codes(tmp_path, capsys):
 @pytest.mark.parametrize("override", [
     "rounds=2.5", "method.n_subnets=1.5", "model.widths=[0,8]",
     "model.slim_granularity=0", "seed=-1", "num_clients=true", "dataset.dims=[8.5]",
+    "dataset.samples_per_class=0", "dataset.test_fraction=1.5",
+    "num_clients=40",  # 36 samples, 18 of them for training
+    "dataset.dims=[2]",  # fewer dims than the 3 classes
 ])
 def test_run_rejects_bad_values_before_any_output(tmp_path, capsys, override):
     out = tmp_path / "out"
@@ -101,6 +104,57 @@ def test_run_rejects_bad_values_before_any_output(tmp_path, capsys, override):
     assert main(["run", "--config", cfg, "--override", override]) == 1
     assert "config error" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_run_rejects_a_config_that_is_not_utf8(tmp_path, capsys):
+    out = tmp_path / "out"
+    cfg = tmp_path / "latin1.json"
+    cfg.write_bytes(b'{"seed": "\xff", "output_dir": "' + str(out).encode() + b'"}')
+    assert main(["run", "--config", str(cfg)]) == 1
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _corrupt_trailing_bytes(manifest, payload):
+    return manifest, payload + b"\0" * 4
+
+
+def _corrupt_no_layout(manifest, payload):
+    del manifest["layout"]
+    return manifest, payload
+
+
+def _corrupt_short_global(manifest, payload):
+    (entry,) = manifest["arrays"]  # a fedavg checkpoint holds the global array only
+    entry["length"] -= 4
+    return manifest, payload[:-4 * 8]
+
+
+def _corrupt_prev_client_name(manifest, payload):
+    manifest["arrays"][1]["name"] = "prev_client_x"  # the moon run's first client
+    return manifest, payload
+
+
+@pytest.mark.parametrize("method, corrupt", [
+    ("fedavg", _corrupt_trailing_bytes), ("fedavg", _corrupt_no_layout),
+    ("fedavg", _corrupt_short_global), ("moon", _corrupt_prev_client_name),
+], ids=["trailing-bytes", "no-layout", "short-global", "prev-client-name"])
+def test_resume_rejects_a_malformed_checkpoint(tmp_path, capsys, method, corrupt):
+    out = str(tmp_path / "out")
+    cfg = _write_cfg(tmp_path, "a.json", rounds=1, output_dir=out,
+                     method={"method": method})
+    assert main(["run", "--config", cfg]) == 0
+    ckpt = os.path.join(out, "checkpoints", "round_0001.ckpt")
+    with open(ckpt, "rb") as f:
+        manifest, payload = json.loads(f.readline()), f.read()
+    manifest, payload = corrupt(manifest, payload)
+    bad = str(tmp_path / "bad.ckpt")
+    with open(bad, "wb") as f:
+        f.write(json.dumps(manifest).encode() + b"\n" + payload)
+    capsys.readouterr()
+    assert main(["run", "--config", cfg, "--resume", bad]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("i/o error:") and "checkpoint" in err
 
 
 def test_usage_errors_exit_one(capsys):

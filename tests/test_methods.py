@@ -7,7 +7,8 @@ from fedsim.methods import (ClientContext, METHODS, MethodConfig,
                             loss_ce, loss_fedalign, loss_fedprox, loss_gradaug,
                             loss_moon, spectral_norm, transmitting_matrices)
 from fedsim.models import BlockNet, BlockNetSpec
-from fedsim.tensor import (OptimizerState, Tensor, gradients, zero_gradients)
+from fedsim.tensor import (OptimizerState, Tensor, gradients, params_to_vector,
+                           zero_gradients)
 
 from helpers import matrix_with_spectrum
 
@@ -86,7 +87,7 @@ def test_loss_ce_uniform():
 
 def test_fedprox_value_hand_computed():
     params = {"w": Tensor(np.array([1.0, 2.0]), requires_grad=True)}
-    anchor = {"w": np.array([0.0, 0.0])}
+    anchor = params_to_vector({"w": Tensor(np.array([0.0, 0.0]))})
     base = Tensor(1.0)
     # (mu/2) * (1 + 4) = 0.25
     loss = loss_fedprox(base, params, anchor, mu=0.1)
@@ -103,7 +104,8 @@ def test_fedprox_gradient_identity():
     ce = gradients(loss_ce(net.forward(x), y), net.params)
     zero_gradients(net.params)
     base = loss_ce(net.forward(x), y)
-    prox = gradients(loss_fedprox(base, net.params, anchor, mu), net.params)
+    anchor_vec = params_to_vector({k: Tensor(a) for k, a in anchor.items()})
+    prox = gradients(loss_fedprox(base, net.params, anchor_vec, mu), net.params)
     for name in net.params:
         want = ce[name] + mu * (net.params[name].data - anchor[name])
         assert np.max(np.abs(prox[name] - want)) < 1e-10, name
@@ -111,8 +113,8 @@ def test_fedprox_gradient_identity():
 
 def test_fedprox_mu_zero_is_base():
     base = Tensor(2.0, requires_grad=True)
-    assert loss_fedprox(base, {"w": Tensor(np.ones(2))}, {"w": np.zeros(2)},
-                        0.0) is base
+    assert loss_fedprox(base, {"w": Tensor(np.ones(2))},
+                        params_to_vector({"w": Tensor(np.zeros(2))}), 0.0) is base
 
 
 # -- contrastive loss -----------------------------------------------------------------
@@ -336,12 +338,12 @@ def test_fedalign_conv_path_runs():
 
 def test_client_update_zero_epochs_is_noop():
     net = _net(seed=36)
-    before = net.get_vector().data.copy()
+    before = params_to_vector(net.params).data.copy()
     x, y = _batch(seed=37)
     params, stats = client_update(_ctx(net, x, y), MethodConfig(), 0, 4,
                                   OptimizerState())
     assert stats == []
-    assert np.array_equal(net.get_vector().data, before)
+    assert np.array_equal(params_to_vector(net.params).data, before)
 
 
 def test_client_update_deterministic():
@@ -351,7 +353,7 @@ def test_client_update_deterministic():
         net = _net(seed=39)
         client_update(_ctx(net, x, y, seed=40), MethodConfig(), 2, 4,
                       OptimizerState())
-        outs.append(net.get_vector().data)
+        outs.append(params_to_vector(net.params).data)
     assert np.array_equal(outs[0], outs[1])
 
 
@@ -390,9 +392,10 @@ def _trajectory(method_cfg, seed=45, with_projection=False, epochs=2):
                    with_projection=with_projection)
     x, y = _batch(seed=seed + 1)
     ctx = _ctx(net, x, y, seed=seed + 2,
-               global_weights=net.state(), prev_weights=net.state())
+               global_weights=params_to_vector(net.params),
+               prev_weights=params_to_vector(net.params))
     client_update(ctx, method_cfg, epochs, 4, OptimizerState())
-    return net.get_vector().data
+    return params_to_vector(net.params).data
 
 
 def test_mu_zero_trajectories_match_plain_ce_bitwise():
@@ -417,7 +420,8 @@ def test_every_method_trains_without_error():
                        with_projection=(m == "moon"))
         x, y = _batch(seed=47)
         ctx = _ctx(net, x, y, seed=48,
-                   global_weights=net.state(), prev_weights=net.state())
+                   global_weights=params_to_vector(net.params),
+                   prev_weights=params_to_vector(net.params))
         _, stats = client_update(ctx, MethodConfig(method=m), 1, 4,
                                  OptimizerState())
         assert np.isfinite(stats[0]["loss"]), m

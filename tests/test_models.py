@@ -5,7 +5,7 @@ import pytest
 from fedsim.models import (BlockNet, BlockNetSpec, conv_layer_cost,
                            dense_layer_cost, keep_probability, slim_width)
 from fedsim.methods import MethodConfig, count_cost
-from fedsim.tensor import Tensor
+from fedsim.tensor import ParamVector, Tensor, load_vector, params_to_vector
 
 DENSE_SPEC = BlockNetSpec(input_shape=(16,), num_classes=4, widths=(8, 8))
 CONV_SPEC = BlockNetSpec(input_shape=(2, 8, 8), num_classes=4, widths=(4, 8))
@@ -218,16 +218,18 @@ def test_projection_head():
 
 def test_state_round_trip_and_validation():
     net = _dense_net(seed=20)
-    st = net.state()
+    vec = params_to_vector(net.params)
     other = _dense_net(seed=21)
-    other.load_state(st)
-    assert all(np.array_equal(other.params[k].data, v) for k, v in st.items())
+    load_vector(other.params, vec)
+    assert all(np.array_equal(other.params[k].data, p.data) for k, p in net.params.items())
+    assert all(other.params[k].data is not p.data for k, p in net.params.items())
+    last = vec.layout[-1][2]  # drop the last parameter and its segment
     with pytest.raises(ValueError):
-        other.load_state({k: v for k, v in list(st.items())[:-1]})
-    bad = dict(st)
-    bad["head.b"] = np.zeros(5)
+        load_vector(other.params, ParamVector(vec.data[:last], vec.layout[:-1]))
+    bad = dict(net.params)
+    bad["head.b"] = Tensor(np.zeros(5))
     with pytest.raises(ValueError):
-        other.load_state(bad)
+        load_vector(other.params, params_to_vector(bad))
 
 
 def test_zero_init_without_rng():
@@ -271,7 +273,7 @@ def test_count_cost_matches_stored_parameters():
                  BlockNetSpec(input_shape=(3, 16, 16), num_classes=10,
                               widths=(8, 8, 16))):
         net = BlockNet(spec, rng=None)
-        assert count_cost(spec, None)[1] == net.get_vector().size
+        assert count_cost(spec, None)[1] == params_to_vector(net.params).size
 
 
 def test_count_cost_fedprox_doubles_params():

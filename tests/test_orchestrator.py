@@ -6,6 +6,7 @@ import os
 import numpy as np
 import pytest
 
+from fedsim import orchestrator
 from fedsim.methods import MethodConfig
 from fedsim.orchestrator import (CheckpointError, ConfigError, DatasetConfig,
                                  ExperimentConfig, ModelConfig, RoundMetrics,
@@ -13,7 +14,7 @@ from fedsim.orchestrator import (CheckpointError, ConfigError, DatasetConfig,
                                  emit_metrics, load_checkpoint, read_metrics,
                                  run_experiment, run_round, sample_clients,
                                  save_checkpoint)
-from fedsim.tensor import ParamVector
+from fedsim.tensor import ParamVector, load_vector
 
 
 def _cfg(**kw):
@@ -189,7 +190,7 @@ def test_evaluate_uniform_logits():
     state = build_state(_cfg())
     zero = ParamVector(data=np.zeros_like(state.global_vector.data),
                        layout=state.global_vector.layout)
-    state.model.load_vector(zero)
+    load_vector(state.model.params, zero)
     acc, loss = evaluate(state.model, state.test)
     assert abs(loss - np.log(3.0)) < 1e-12
     assert acc == float((state.test.labels == 0).mean())
@@ -207,6 +208,27 @@ def test_run_round_accounting():
     assert set(m.train_loss) == {0, 1, 2}
     m2 = run_round(state)
     assert m2.comm_bits_cum == 2 * m.comm_bits_cum
+
+
+@pytest.mark.parametrize("method", ["fedprox", "moon"])
+def test_round_shares_the_global_vector_read_only(method, monkeypatch):
+    state = build_state(_cfg(method=MethodConfig(method=method)))
+    given = []
+    real_run_client = orchestrator._run_client
+
+    def recording_run_client(task):
+        given.append(task.global_vector)
+        return real_run_client(task)
+
+    monkeypatch.setattr(orchestrator, "_run_client", recording_run_client)
+    for _ in range(2):  # moon's second round also reads last round's client vectors
+        shared = [state.global_vector, state.initial_vector,
+                  *state.prev_client_vectors.values()]
+        before = [v.data.tobytes() for v in shared]
+        given.clear()
+        run_round(state)
+        assert [v is shared[0] for v in given] == [True] * 3
+        assert [v.data.tobytes() for v in shared] == before
 
 
 def test_eval_cadence():
@@ -249,7 +271,7 @@ def test_checkpoint_round_trip(tmp_path):
     assert loaded.flops == state.flops
     assert sorted(loaded.prev_client_vectors) == sorted(state.prev_client_vectors)
     for cid, vec in state.prev_client_vectors.items():
-        assert np.array_equal(loaded.prev_client_vectors[cid], vec)
+        assert np.array_equal(loaded.prev_client_vectors[cid].data, vec.data)
 
 
 def test_checkpoint_rejects_other_config(tmp_path):
@@ -321,8 +343,7 @@ def test_moon_previous_round_fallback_is_initial_model():
 
     c = build_state(cfg)
     run_round(c)
-    c.prev_client_vectors = {cid: c.initial_vector.data.copy()
-                             for cid in range(cfg.num_clients)}
+    c.prev_client_vectors = {cid: c.initial_vector for cid in range(cfg.num_clients)}
     run_round(c)
 
     assert np.array_equal(b.global_vector.data, c.global_vector.data)

@@ -407,6 +407,16 @@ def test_load_vector_layout_mismatch():
     p3 = {"v": Tensor(np.zeros(3))}
     with pytest.raises(ValueError):
         load_vector(p3, params_to_vector(p1))
+    vec = params_to_vector(p1)
+    for data in (np.zeros(2), np.zeros(4), np.zeros((3, 1))):  # wrong length or shape
+        with pytest.raises(ValueError):
+            load_vector(p1, ParamVector(data=data, layout=vec.layout))
+    both = params_to_vector({"v": Tensor(np.zeros(3)), "w": Tensor(np.zeros(3))})
+    with pytest.raises(ValueError):  # an extra name
+        load_vector(p1, both)
+    with pytest.raises(ValueError):  # a missing name
+        load_vector({"v": Tensor(np.zeros(3)), "w": Tensor(np.zeros(3)),
+                     "x": Tensor(np.zeros(3))}, both)
 
 
 def test_param_vector_layout_deterministic():

@@ -1,0 +1,110 @@
+"""Write the golden file set: the outputs a change that keeps every bit of
+every trajectory must leave byte-identical.
+
+    python3 tools/golden.py OUT_DIR
+
+OUT_DIR must be new or empty. Every run goes through the fedsim command line
+with OUT_DIR as the working directory, so the paths inside the outputs are
+relative and two OUT_DIRs compare equal with `diff -r`:
+
+- every method on criterion 9's configuration (8 clients, Dir(0.1), 6 local
+  epochs, batch 16, seed 0) for 3 rounds;
+- moon on the same configuration with 2 worker processes;
+- gradaug and fedalign on the benchmark's conv-train configuration (seed 3)
+  for 3 rounds;
+- for each run above: `fedsim cost --rounds 20`, and a resume from its
+  round-3 checkpoint for 2 more rounds.
+
+Each run `<name>` leaves `configs/<name>.json`, `<name>/` (metrics.json,
+metrics.csv, config_echo.json, checkpoints/), `<name>.run.txt` and
+`<name>.cost.txt` (stdout), and the same for its resume `<name>-resumed`.
+The program is imported from src/ of the checkout this file sits in.
+"""
+import contextlib
+import io
+import json
+import os
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "src"))
+
+from fedsim import cli  # noqa: E402
+from fedsim.methods import METHODS  # noqa: E402
+
+ROUNDS = 3
+RESUMED_ROUNDS = 5
+COST_ROUNDS = 20
+
+
+def c9_config(method: str) -> dict:
+    """Criterion 9's experiment for experiment seed 0."""
+    mc = {"method": method, "mu": 0.12} if method == "fedalign" else {"method": method}
+    return {"rounds": ROUNDS, "num_clients": 8, "local_epochs": 6, "batch_size": 16,
+            "learning_rate": 0.05, "momentum": 0.9, "clip_norm": 5.0, "alpha": 0.1,
+            "seed": 0, "eval_every": ROUNDS, "method": mc,
+            "dataset": {"num_classes": 8, "dims": [16], "samples_per_class": 80,
+                        "separation": 2.5, "test_fraction": 0.5},
+            "model": {"widths": [16, 16], "projection_dim": 32}}
+
+
+def conv_config(method: str) -> dict:
+    """The conv-train workload's experiment: a stride-2 conv BlockNet."""
+    mc = {"method": method, "mu": 0.12} if method == "fedalign" else {"method": method}
+    return {"rounds": ROUNDS, "num_clients": 4, "local_epochs": 1, "batch_size": 32,
+            "learning_rate": 0.05, "momentum": 0.9, "clip_norm": 5.0, "alpha": 100.0,
+            "seed": 3, "eval_every": 2, "method": mc,
+            "dataset": {"num_classes": 8, "dims": [3, 12, 12], "samples_per_class": 60,
+                        "separation": 6.0, "test_fraction": 0.5},
+            "model": {"widths": [8, 16], "projection_dim": 32}}
+
+
+def runs() -> dict[str, dict]:
+    out = {f"c9-{m}": c9_config(m) for m in METHODS}
+    out["c9-moon-workers2"] = {**c9_config("moon"), "workers": 2}
+    for m in ("gradaug", "fedalign"):
+        out[f"conv-{m}"] = conv_config(m)
+    return out
+
+
+def fedsim(args: list[str], stdout_path: str) -> None:
+    """Run the fedsim command line in process; keep its stdout in a file."""
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        rc = cli.main(args)
+    if rc != 0:
+        sys.exit(f"fedsim {' '.join(args)} exited {rc}")
+    with open(stdout_path, "w") as f:
+        f.write(buf.getvalue())
+
+
+def write_config(name: str, config: dict) -> str:
+    path = os.path.join("configs", f"{name}.json")
+    with open(path, "w") as f:
+        json.dump({**config, "output_dir": name}, f, indent=1, sort_keys=True)
+    return path
+
+
+def main() -> int:
+    if len(sys.argv) != 2:
+        sys.exit(__doc__)
+    out = sys.argv[1]
+    if os.path.exists(out) and os.listdir(out):
+        sys.exit(f"{out} is not empty")
+    os.makedirs(os.path.join(out, "configs"), exist_ok=True)
+    os.chdir(out)
+    for name, config in runs().items():
+        print(name, file=sys.stderr)
+        path = write_config(name, config)
+        fedsim(["run", "--config", path], f"{name}.run.txt")
+        fedsim(["cost", "--config", path, "--rounds", str(COST_ROUNDS)],
+               f"{name}.cost.txt")
+        resumed = f"{name}-resumed"
+        path = write_config(resumed, {**config, "rounds": RESUMED_ROUNDS})
+        checkpoint = os.path.join(name, "checkpoints", f"round_{ROUNDS:04d}.ckpt")
+        fedsim(["run", "--config", path, "--resume", checkpoint], f"{resumed}.run.txt")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
