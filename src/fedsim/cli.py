@@ -125,14 +125,16 @@ def _cmd_diagnose(args) -> int:
         print(f"client {cid}: lambda_max={rep.top_eigenvalues[0]:.6g} "
               f"trace={rep.trace_estimate:.6g} converged={rep.eigen_converged}")
 
-    if len(ids) >= 2:
+    try:
         cross = cross_client_metrics(diagonals, client_ids=ids)
+    except ValueError as e:  # fewer than two clients with a nonzero diagonal
+        print(f"cross-client metrics skipped ({e})")
+    else:
         with open(os.path.join(diag_dir, "cross_client.json"), "w") as f:
             json.dump({"round": state.round_idx, **cross.to_dict()}, f, indent=1)
+        skipped = f" skipped={cross.skipped} (zero-norm diagonal)" if cross.skipped else ""
         print(f"cross-client: norm_gap={cross.norm_gap:.6g} "
-              f"direction_cosine={cross.direction_cosine:.6g}")
-    else:
-        print("cross-client metrics skipped (need at least two clients)")
+              f"direction_cosine={cross.direction_cosine:.6g}{skipped}")
 
     # the global report's top-2 eigenvectors: the directions landscape_slice
     # would solve for itself on this model, batch and seed

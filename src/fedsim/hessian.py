@@ -17,6 +17,7 @@ exactly; flat directions and gradients use the vector's layout order.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,7 +47,7 @@ def hvp(model, loss_fn, batch, v: np.ndarray,
     v = np.asarray(v, dtype=np.float64)
     if v.shape != theta.data.shape:
         raise ValueError("direction length does not match parameter count")
-    norm = float(np.linalg.norm(v))
+    norm = math.sqrt(v @ v)  # numpy's 1-D norm, bit for bit
     if norm == 0.0:
         return np.zeros_like(theta.data)
     try:
@@ -79,7 +80,7 @@ def top_eigenpairs(model, loss_fn, batch, k: int = 1, iters: int = 100,
     converged: list[bool] = []
     for which in range(k):
         v = rng.standard_normal(n)
-        v /= np.linalg.norm(v)
+        v /= math.sqrt(v @ v)
         lam = 0.0
         ok = False
         for _ in range(iters):
@@ -87,7 +88,7 @@ def top_eigenpairs(model, loss_fn, batch, k: int = 1, iters: int = 100,
             for lam_j, v_j in zip(values, vectors):
                 w = w - lam_j * float(v_j @ v) * v_j
             new_lam = float(v @ w)
-            wn = float(np.linalg.norm(w))
+            wn = math.sqrt(w @ w)
             if wn == 0.0:
                 lam, ok = 0.0, True
                 break
@@ -192,43 +193,58 @@ class CrossClientReport:
     by the product of squared norms (the literal normalization this metric is
     defined with); direction_cosine divides by the product of plain norms and
     is 1 for identical diagonals. Each field is the average over unordered
-    client pairs; per_pair keeps the individual values.
+    client pairs; per_pair keeps the individual values. skipped names the
+    clients left out because their diagonal has zero norm, which makes both
+    direction metrics undefined; to_dict writes it only when it is not empty.
     """
 
     norm_gap: float
     direction: float
     direction_cosine: float
     per_pair: list[dict] = field(default_factory=list)
+    skipped: list[int] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
+        out = {
             "norm_gap": self.norm_gap,
             "direction": self.direction,
             "direction_cosine": self.direction_cosine,
             "per_pair": self.per_pair,
         }
+        if self.skipped:
+            out["skipped"] = self.skipped
+        return out
 
 
 def cross_client_metrics(diagonals: list[np.ndarray],
                          client_ids: list[int] | None = None) -> CrossClientReport:
-    if len(diagonals) < 2:
-        raise ValueError("need at least two client diagonals")
+    """Compare every pair of clients whose diagonal has a nonzero norm.
+
+    A zero-norm diagonal is left out and its id listed in `skipped`;
+    ValueError if fewer than two clients remain.
+    """
     ids = client_ids if client_ids is not None else list(range(len(diagonals)))
     if len(ids) != len(diagonals):
         raise ValueError("client ids do not match diagonals")
-    sq = []
-    for d in diagonals:
+    kept, sq, skipped = [], [], []
+    for cid, d in zip(ids, diagonals):
         d = np.asarray(d, dtype=np.float64)
         s = float(d @ d)
         if s == 0.0:
-            raise ValueError("zero-norm Hessian diagonal")
-        sq.append(s)
+            skipped.append(cid)
+        else:
+            kept.append((cid, d))
+            sq.append(s)
+    if len(kept) < 2:
+        zero = f"; zero-norm: {skipped}" if skipped else ""
+        raise ValueError("need at least two clients with a nonzero diagonal, "
+                         f"got {len(kept)}{zero}")
     pairs = []
-    for i in range(len(diagonals)):
-        for j in range(i + 1, len(diagonals)):
-            dot = float(np.asarray(diagonals[i]) @ np.asarray(diagonals[j]))
+    for i in range(len(kept)):
+        for j in range(i + 1, len(kept)):
+            dot = float(kept[i][1] @ kept[j][1])
             pairs.append({
-                "clients": [ids[i], ids[j]],
+                "clients": [kept[i][0], kept[j][0]],
                 "norm_gap": (sq[i] - sq[j]) ** 2,
                 "direction": dot / (sq[i] * sq[j]),
                 "direction_cosine": dot / np.sqrt(sq[i] * sq[j]),
@@ -238,6 +254,7 @@ def cross_client_metrics(diagonals: list[np.ndarray],
         direction=float(np.mean([p["direction"] for p in pairs])),
         direction_cosine=float(np.mean([p["direction_cosine"] for p in pairs])),
         per_pair=pairs,
+        skipped=skipped,
     )
 
 

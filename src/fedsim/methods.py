@@ -20,6 +20,7 @@ shares, and the ConfigError it raises.
 from __future__ import annotations
 
 import dataclasses
+import math
 import typing
 from dataclasses import dataclass, field
 
@@ -71,6 +72,8 @@ def _decode(hint, value, key: str):
         return tuple(items)
     if not _ACCEPTS[hint](value):
         raise ConfigError(f"{key} must be of type {hint.__name__}, got {value!r}")
+    if isinstance(value, float) and not math.isfinite(value):  # JSON NaN, Infinity
+        raise ConfigError(f"{key} must be a finite number, got {value!r}")
     return value
 
 
@@ -79,9 +82,9 @@ class ConfigFields:
 
     to_dict writes tuples as lists and nested configs as dicts. from_dict
     rejects unknown keys and values that do not fit a field's annotation: an
-    int field takes no float or bool, a float field also takes an int, a
-    tuple field takes a list of ints. Every failure, the class's own
-    validation included, raises ConfigError.
+    int field takes no float or bool, a float field also takes an int but no
+    NaN or infinity, a tuple field takes a list of ints. Every failure, the
+    class's own validation included, raises ConfigError.
     """
 
     def to_dict(self) -> dict:
@@ -311,12 +314,12 @@ def spectral_norm(x: Tensor, power_iters: int = 20,
         return Tensor(0.0) * x.sum()  # keeps the zero on the graph with zero grad
     rng = rng if rng is not None else np.random.default_rng(0)
     v = rng.standard_normal(a.shape[1])
-    v /= np.linalg.norm(v)
+    v /= math.sqrt(v @ v)  # numpy's 1-D norm, bit for bit, without its dispatch
     for _ in range(power_iters):
         u = a @ v
-        u /= np.linalg.norm(u)
+        u /= math.sqrt(u @ u)
         v = a.T @ u
-        v /= np.linalg.norm(v)
+        v /= math.sqrt(v @ v)
     outer = np.outer(u, v)
     return (x * Tensor(outer)).sum()
 

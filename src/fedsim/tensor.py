@@ -2,7 +2,12 @@
 
 Every value in the simulator flows through the Tensor type below. Ops build a
 DAG as they run; backward() walks it once in reverse topological order and
-accumulates gradients into leaf tensors. The op set is intentionally small:
+accumulates gradients into leaf tensors. Two rules fix every gradient bit:
+a node's incoming contributions are summed in the post-order of backward's
+depth-first search (first contribution, then `slot + next`), and an op's
+backward closure returns None for a parent that requires no gradient
+instead of computing a value that would be dropped. The op set is
+intentionally small:
 matmul, 2-d convolution, elementwise arithmetic, relu/tanh/exp/log/sqrt,
 reductions, slicing and axis permutation, adaptive average pooling, nearest
 upsampling, fused softmax cross-entropy, and mean squared error.
@@ -19,6 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 Array = np.ndarray
+_F64 = np.dtype(np.float64)
 
 
 def _f64(x) -> Array:
@@ -46,24 +52,38 @@ class Tensor:
     contributions. Value arrays are treated as immutable once wrapped: code
     that changes a parameter (sgd_step, load_vector) binds a new array to
     `.data` instead of writing into the old one.
+
+    backward() keeps its per-call state on the nodes themselves: `_mark`
+    holds the call's visit mark and `_g` the gradient flowing into the node.
+    Both are None outside a backward call. Contributions into `_g` are summed
+    in the post-order of backward's depth-first search, and an op's closure
+    returns None for each parent that requires no gradient.
     """
 
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward",
+                 "_g", "_mark")
+
     def __init__(self, data, requires_grad: bool = False):
-        self.data = _f64(data)
+        # an ndarray that is already float64 is what np.asarray would return
+        self.data = data if type(data) is np.ndarray and data.dtype is _F64 else _f64(data)
         self.grad: Array | None = None
         self.requires_grad = bool(requires_grad)
         self._parents: tuple[Tensor, ...] = ()
         self._backward = None
+        self._g: Array | None = None
+        self._mark = None
 
     # -- construction -----------------------------------------------------
 
     @staticmethod
     def _op(data: Array, parents: tuple["Tensor", ...], backward_fn) -> "Tensor":
         out = Tensor(data)
-        if any(p.requires_grad for p in parents):
-            out.requires_grad = True
-            out._parents = parents
-            out._backward = backward_fn
+        for p in parents:
+            if p.requires_grad:
+                out.requires_grad = True
+                out._parents = parents
+                out._backward = backward_fn
+                break
         return out
 
     @property
@@ -92,43 +112,52 @@ class Tensor:
         """Backpropagate from this scalar; gradients accumulate into .grad.
 
         Repeated calls keep accumulating until zero_grad() clears a leaf,
-        which is what makes backward linear in the loss.
+        which is what makes backward linear in the loss. If a closure raises,
+        every visited node's `_g` and `_mark` is cleared before the error
+        propagates, so no partial gradient leaks into a later call.
         """
         if self.data.shape != ():
             raise ValueError("backward() requires a scalar tensor")
         if not self.requires_grad:
             return
+        mark = object()  # fresh per call: a stale mark never matches
         topo: list[Tensor] = []
-        seen: set[int] = set()
         stack: list[tuple[Tensor, bool]] = [(self, False)]
-        while stack:
-            node, expanded = stack.pop()
-            if expanded:
-                topo.append(node)
-                continue
-            if id(node) in seen:
-                continue
-            seen.add(id(node))
-            stack.append((node, True))
-            for p in node._parents:
-                if p.requires_grad and id(p) not in seen:
-                    stack.append((p, False))
-
-        grads: dict[int, Array] = {id(self): np.ones((), dtype=np.float64)}
-        for node in reversed(topo):
-            g = grads.pop(id(node), None)
-            if g is None:
-                continue
-            if node._backward is None:
-                node.grad = g if node.grad is None else node.grad + g
-                continue
-            for p, pg in zip(node._parents, node._backward(g)):
-                if pg is None or not p.requires_grad:
+        try:
+            while stack:
+                node, expanded = stack.pop()
+                if expanded:
+                    topo.append(node)
                     continue
-                if id(p) in grads:
-                    grads[id(p)] = grads[id(p)] + pg
-                else:
-                    grads[id(p)] = pg
+                if node._mark is mark:
+                    continue
+                node._mark = mark
+                stack.append((node, True))
+                for p in node._parents:
+                    if p.requires_grad and p._mark is not mark:
+                        stack.append((p, False))
+
+            self._g = np.ones((), dtype=np.float64)
+            for node in reversed(topo):
+                g = node._g
+                node._g = None
+                node._mark = None
+                if g is None:
+                    continue
+                if node._backward is None:
+                    node.grad = g if node.grad is None else node.grad + g
+                    continue
+                for p, pg in zip(node._parents, node._backward(g)):
+                    if pg is None or not p.requires_grad:
+                        continue
+                    slot = p._g
+                    p._g = pg if slot is None else slot + pg
+        except BaseException:
+            # marked nodes are in topo or still on the stack awaiting expansion
+            for node in topo + [n for n, expanded in stack if expanded]:
+                node._g = None
+                node._mark = None
+            raise
         # leaves collected above; interior nodes with no _backward cannot occur
 
     # -- arithmetic -------------------------------------------------------
@@ -142,7 +171,8 @@ class Tensor:
         a, b = self, other
         data = a.data + b.data
         return Tensor._op(data, (a, b), lambda g: (
-            _unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)))
+            _unbroadcast(g, a.data.shape) if a.requires_grad else None,
+            _unbroadcast(g, b.data.shape) if b.requires_grad else None))
 
     __radd__ = __add__
 
@@ -155,7 +185,8 @@ class Tensor:
         a, b = self, other
         data = a.data - b.data
         return Tensor._op(data, (a, b), lambda g: (
-            _unbroadcast(g, a.data.shape), _unbroadcast(-g, b.data.shape)))
+            _unbroadcast(g, a.data.shape) if a.requires_grad else None,
+            _unbroadcast(-g, b.data.shape) if b.requires_grad else None))
 
     def __rsub__(self, other):
         return Tensor._wrap(other) - self
@@ -165,8 +196,8 @@ class Tensor:
         a, b = self, other
         data = a.data * b.data
         return Tensor._op(data, (a, b), lambda g: (
-            _unbroadcast(g * b.data, a.data.shape),
-            _unbroadcast(g * a.data, b.data.shape)))
+            _unbroadcast(g * b.data, a.data.shape) if a.requires_grad else None,
+            _unbroadcast(g * a.data, b.data.shape) if b.requires_grad else None))
 
     __rmul__ = __mul__
 
@@ -175,8 +206,9 @@ class Tensor:
         a, b = self, other
         data = a.data / b.data
         return Tensor._op(data, (a, b), lambda g: (
-            _unbroadcast(g / b.data, a.data.shape),
-            _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape)))
+            _unbroadcast(g / b.data, a.data.shape) if a.requires_grad else None,
+            _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape)
+            if b.requires_grad else None))
 
     def __rtruediv__(self, other):
         return Tensor._wrap(other) / self
@@ -218,7 +250,9 @@ class Tensor:
                 axes = (axis,) if isinstance(axis, int) else tuple(axis)
                 for ax in sorted(ax % a.data.ndim for ax in axes):
                     gg = np.expand_dims(gg, ax)
-            return (np.broadcast_to(gg, a.data.shape).copy(),)
+            out = np.empty(a.data.shape)  # the C-order copy of the broadcast,
+            out[...] = gg                 # without np.broadcast_to's dispatch
+            return (out,)
 
         return Tensor._op(data, (a,), back)
 
@@ -233,7 +267,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.ndim != 2 or b.ndim != 2:
         raise ValueError("matmul supports 2-d tensors only")
     data = a.data @ b.data
-    return Tensor._op(data, (a, b), lambda g: (g @ b.data.T, a.data.T @ g))
+    return Tensor._op(data, (a, b), lambda g: (
+        g @ b.data.T if a.requires_grad else None,
+        a.data.T @ g if b.requires_grad else None))
 
 
 def relu(x: Tensor) -> Tensor:
@@ -307,7 +343,10 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 1) -> Tensor:
 
     def back(g):
         g2 = g.reshape(B, Cout, Hout * Wout)
-        dw = np.einsum("bol,bcl->oc", g2, cols2).reshape(w.data.shape)
+        dw = (np.einsum("bol,bcl->oc", g2, cols2).reshape(w.data.shape)
+              if w.requires_grad else None)
+        if not x.requires_grad:
+            return (None, dw)
         dcols = (w2.T @ g2).reshape(B, Cin, k, k, Hout, Wout)
         dxp = np.zeros_like(xp)
         for i in range(k):

@@ -1,11 +1,14 @@
-"""Shared test fixtures: tiny models and finite-difference oracles.
+"""Shared test fixtures: tiny models, finite-difference oracles and a reference
+backward pass.
 
 The gradient and Hessian oracles here deliberately avoid the library's own
 backward pass: they perturb parameters and difference loss (or gradient)
 values, so agreement is evidence rather than tautology. Networks built for
 finite-difference comparison use tanh activations, which are smooth
 everywhere; relu paths are checked separately at points safely away from the
-kink.
+kink. reference_gradients is backward's bookkeeping kept in its
+id()-keyed dict form, so tests can require the library to sum every
+gradient in the same order, bit for bit.
 """
 import numpy as np
 
@@ -56,6 +59,51 @@ class QuadraticModel:
         quad = (matmul(matmul(th, Tensor(self.a)), th.reshape(-1, 1))).sum()
         lin = (self.params["theta"] * Tensor(self.b)).sum()
         return 0.5 * quad + lin
+
+
+def reference_gradients(loss, params):
+    """{name: gradient} of `loss`, from an id()-keyed depth-first backward.
+
+    The same DFS and the same `slot + contribution` order as
+    Tensor.backward, with every gradient kept in dicts instead of on the
+    nodes. Calls the graph's backward closures but writes no tensor field,
+    so the library's backward can run on the same graph afterwards.
+    Unreached parameters get zeros, as tensor.gradients gives them.
+    """
+    topo = []
+    seen = set()
+    stack = [(loss, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            topo.append(node)
+            continue
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        stack.append((node, True))
+        for p in node._parents:
+            if p.requires_grad and id(p) not in seen:
+                stack.append((p, False))
+
+    grads = {id(loss): np.ones((), dtype=np.float64)}
+    leaves = {}
+    for node in reversed(topo):
+        g = grads.pop(id(node), None)
+        if g is None:
+            continue
+        if node._backward is None:
+            leaves[id(node)] = g
+            continue
+        for p, pg in zip(node._parents, node._backward(g)):
+            if pg is None or not p.requires_grad:
+                continue
+            if id(p) in grads:
+                grads[id(p)] = grads[id(p)] + pg
+            else:
+                grads[id(p)] = pg
+    return {name: leaves[id(p)] if id(p) in leaves else np.zeros_like(p.data)
+            for name, p in params.items()}
 
 
 def numeric_grad(loss_builder, params, eps=1e-6):

@@ -1,0 +1,102 @@
+"""Tensor.backward against the id()-keyed reference backward, bit for bit.
+
+Gradients summed in another order differ in their last bits, and criterion
+9's trajectories amplify that. Each case builds one graph, runs the
+reference bookkeeping on it (tests/helpers.py), then tensor.gradients, and
+requires every gradient byte to agree.
+"""
+import itertools
+
+import numpy as np
+import pytest
+
+from fedsim.methods import METHOD_TABLE, ClientContext, MethodConfig, _moon_shadows
+from fedsim.models import BlockNet, BlockNetSpec
+from fedsim.orchestrator import DatasetConfig, ExperimentConfig, ModelConfig, build_state
+from fedsim.tensor import (Tensor, gradients, params_to_vector, sqrt,
+                           zero_gradients)
+
+from helpers import reference_gradients
+
+# criterion 9's dense model and its batch size
+C9_DATASET = DatasetConfig(num_classes=8, dims=(16,), samples_per_class=80,
+                           separation=2.5, test_fraction=0.5)
+C9_MODEL = ModelConfig(widths=(16, 16), projection_dim=32)
+# the conv-train benchmark's stride-2 conv BlockNet
+CONV_SPEC = BlockNetSpec(input_shape=(3, 12, 12), num_classes=8, widths=(8, 16),
+                         projection_dim=32)
+
+
+def _assert_bitwise(loss, params):
+    want = reference_gradients(loss, params)
+    zero_gradients(params)
+    got = gradients(loss, params)
+    assert sorted(got) == sorted(want)
+    for name in want:
+        assert got[name].tobytes() == want[name].tobytes(), name
+
+
+def _one_step_loss(method, model, x, y, seed=5):
+    config = (MethodConfig(method="fedalign", mu=0.12) if method == "fedalign"
+              else MethodConfig(method=method))
+    vec = params_to_vector(model.params)
+    ctx = ClientContext(model=model, inputs=x, labels=y,
+                        data_rng=np.random.default_rng([seed, 0]),
+                        method_rng=np.random.default_rng([seed, 1]),
+                        global_weights=vec, prev_weights=vec)
+    rec = METHOD_TABLE[method]
+    aux = _moon_shadows(ctx) if rec.contrastive else None
+    loss, _ = rec.step(ctx, config, x, y, aux)
+    return loss
+
+
+@pytest.mark.parametrize("method", list(METHOD_TABLE))
+def test_every_method_step_on_the_criterion_9_model(method):
+    config = ExperimentConfig(num_clients=8, alpha=0.1, seed=0, batch_size=16,
+                              method=MethodConfig(method=method),
+                              dataset=C9_DATASET, model=C9_MODEL)
+    state = build_state(config)
+    idx = state.partition.assignments[0][:16]
+    x, y = state.train.inputs[idx], state.train.labels[idx]
+    model = state.model
+    # move off the initial point, where norm scales are 1 and shifts 0
+    rng = np.random.default_rng(1)
+    for p in model.params.values():
+        p.data = p.data + rng.normal(0.0, 0.1, p.data.shape)
+    _assert_bitwise(_one_step_loss(method, model, x, y), model.params)
+
+
+@pytest.mark.parametrize("method", ["fedalign", "gradaug"])
+def test_conv_blocknet_steps(method):
+    rng = np.random.default_rng(3)
+    model = BlockNet(CONV_SPEC, rng=rng)
+    x = rng.normal(size=(8,) + CONV_SPEC.input_shape)
+    y = rng.integers(0, CONV_SPEC.num_classes, size=8)
+    _assert_bitwise(_one_step_loss(method, model, x, y), model.params)
+
+
+def test_three_consumers_sum_in_backward_order():
+    # h feeds three products; element 0's three contributions give a
+    # different float sum in some orders, so only one order passes
+    a = np.array([1e16, 1.0, 0.1])
+    b = np.array([1.0, 1e16, 0.3])
+    c = np.array([-1e16, -1e16, 0.7])
+    sums = {((p + q) + r).tobytes() for p, q, r in itertools.permutations((a, b, c))}
+    assert len(sums) > 1
+    x = Tensor(np.array([1.0, 2.0, 3.0]), requires_grad=True)
+    h = x * 2.0
+    loss = (h * Tensor(a)).sum() + (h * Tensor(b)).sum() + (h * Tensor(c)).sum()
+    _assert_bitwise(loss, {"x": x})
+
+
+def test_normalization_difference_with_three_consumers():
+    # BlockNet._norm's d = x - mean feeds d*d (twice) and d / sqrt(var + eps)
+    rng = np.random.default_rng(7)
+    x = Tensor(rng.normal(size=(16, 16)) * 1e3 + 1e5, requires_grad=True)
+    scale = Tensor(rng.normal(size=(1, 16)), requires_grad=True)
+    mu = x.mean(axis=(1,), keepdims=True)
+    d = x - mu
+    var = (d * d).mean(axis=(1,), keepdims=True)
+    y = d / sqrt(var + 1e-5)
+    loss = ((y * scale) * (y * scale)).mean()
+    _assert_bitwise(loss, {"x": x, "scale": scale})

@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from fedsim import hessian
+from fedsim import cli, hessian
 from fedsim.cli import _DIAG_GLOBAL, _derive_seed, _probe_batch, main
 from fedsim.data import Partition
 from fedsim.methods import count_cost
@@ -97,6 +97,7 @@ def test_run_error_exit_codes(tmp_path, capsys):
     "dataset.samples_per_class=0", "dataset.test_fraction=1.5",
     "num_clients=40",  # 36 samples, 18 of them for training
     "dataset.dims=[2]",  # fewer dims than the 3 classes
+    "learning_rate=NaN", "dataset.separation=NaN", "clip_norm=Infinity",
 ])
 def test_run_rejects_bad_values_before_any_output(tmp_path, capsys, override):
     out = tmp_path / "out"
@@ -273,6 +274,31 @@ def test_diagnose_outputs_agree_with_direct_calls(finished_run, tmp_path, capsys
         for i, a in enumerate(alphas) for j, b in enumerate(betas))
     with open(os.path.join(out, "landscape.csv"), "rb") as f:
         assert f.read() == want.encode()
+
+
+def test_diagnose_skips_a_client_with_a_zero_diagonal(finished_run, tmp_path,
+                                                      capsys, monkeypatch):
+    real = cli.hessian_report
+    calls = []
+
+    def zero_client_1(*args, **kwargs):
+        rep = real(*args, **kwargs)
+        calls.append(rep)
+        if len(calls) == 3:  # global, client 0, client 1
+            rep.diagonal = np.zeros_like(rep.diagonal)
+        return rep
+
+    monkeypatch.setattr(cli, "hessian_report", zero_client_1)
+    cfg, ckpt, _ = finished_run
+    out = str(tmp_path / "zero")
+    assert main(["diagnose", "--checkpoint", ckpt, "--config", cfg, "--out", out,
+                 "--probes", "4", "--grid", "3"]) == 0
+    line = [ln for ln in capsys.readouterr().out.splitlines()
+            if ln.startswith("cross-client:")]
+    assert len(line) == 1 and "skipped=[1]" in line[0]
+    cross = json.load(open(os.path.join(out, "diagnostics", "cross_client.json")))
+    assert cross["skipped"] == [1]
+    assert [p["clients"] for p in cross["per_pair"]] == [[0, 2]]
 
 
 def test_diagnose_client_subset(finished_run, tmp_path, capsys):

@@ -242,6 +242,18 @@ def test_cross_client_validation():
         cross_client_metrics([np.ones(3), np.ones(3)], client_ids=[0])
     rep = cross_client_metrics([np.ones(2), 2 * np.ones(2)], client_ids=[4, 9])
     assert rep.per_pair[0]["clients"] == [4, 9]
+    assert rep.skipped == [] and "skipped" not in rep.to_dict()
+
+
+def test_cross_client_skips_a_zero_norm_diagonal():
+    d0, d2 = np.array([1.0, 2.0, 0.0]), np.array([0.5, -1.0, 3.0])
+    rep = cross_client_metrics([d0, np.zeros(3), d2], client_ids=[3, 5, 7])
+    want = cross_client_metrics([d0, d2], client_ids=[3, 7])
+    assert rep.skipped == [5]
+    assert rep.to_dict() == {**want.to_dict(), "skipped": [5]}
+    assert [p["clients"] for p in rep.per_pair] == [[3, 7]]
+    with pytest.raises(ValueError, match="zero-norm: \\[5, 7\\]"):
+        cross_client_metrics([d0, np.zeros(3), np.zeros(3)], client_ids=[3, 5, 7])
 
 
 # -- landscape slices -----------------------------------------------------------------

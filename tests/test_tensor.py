@@ -298,6 +298,80 @@ def test_backward_accumulates_and_zero_grad():
     assert x.grad is None
 
 
+def _graph_nodes(root):
+    nodes, stack, seen = [], [root], set()
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            nodes.append(node)
+            stack.extend(node._parents)
+    return nodes
+
+
+def test_backward_that_raises_leaves_no_partial_gradient():
+    rng = np.random.default_rng(0)
+    x = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+    w = Tensor(rng.normal(size=(3, 2)), requires_grad=True)
+
+    def build(closure=None):
+        h = tanh(matmul(x, w))
+        if closure is not None:
+            h = Tensor._op(h.data.copy(), (h,), closure)
+        return (w * 2.0).sum() + (h * h).sum()
+
+    want = gradients(build(), {"x": x, "w": w})
+    want = {k: g.copy() for k, g in want.items()}
+    zero_gradients({"x": x, "w": w})
+
+    partial = []
+
+    def boom(g):
+        partial.append(w._g is not None)  # w already holds a contribution
+        raise RuntimeError("boom")
+
+    loss = build(boom)
+    with pytest.raises(RuntimeError, match="boom"):
+        loss.backward()
+    assert partial == [True]
+    assert all(n._g is None and n._mark is None for n in _graph_nodes(loss))
+
+    zero_gradients({"x": x, "w": w})
+    got = gradients(build(), {"x": x, "w": w})
+    for k in want:
+        assert got[k].tobytes() == want[k].tobytes(), k
+
+
+def test_backward_clears_its_node_state():
+    x = Tensor(np.arange(3.0), requires_grad=True)
+    y = x * x
+    loss = (y + y * 3.0).sum()
+    loss.backward()
+    assert all(n._g is None and n._mark is None for n in _graph_nodes(loss))
+
+
+def test_binary_ops_skip_the_gradient_of_a_constant():
+    x = Tensor(np.array([[1.0, 2.0]]), requires_grad=True)
+    c = Tensor(np.array([[3.0], [4.0]]))
+    g = np.ones((1, 2))
+    for out in (x + c.T, x - c.T, x * c.T, x / c.T):
+        assert out._backward(g)[1] is None
+    for out in (c.T + x, c.T - x, c.T * x, c.T / x):
+        assert out._backward(g)[0] is None
+    assert matmul(x, c)._backward(np.ones((1, 1)))[1] is None
+    assert matmul(c, x)._backward(np.ones((2, 2)))[0] is None
+    image = Tensor(np.ones((1, 1, 3, 3)))
+    kernel = Tensor(np.ones((1, 1, 3, 3)), requires_grad=True)
+    assert conv2d(image, kernel)._backward(np.ones((1, 1, 3, 3)))[0] is None
+
+
+def test_wrapping_a_float64_array_keeps_it():
+    a = np.arange(3.0)
+    assert Tensor(a).data is a
+    assert Tensor(np.arange(3)).data.dtype == np.float64
+    assert Tensor(np.float64(2.0)).data.shape == ()
+
+
 def test_shared_subexpression_gradient():
     x = Tensor(3.0, requires_grad=True)
     y = x * x

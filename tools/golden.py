@@ -13,11 +13,16 @@ relative and two OUT_DIRs compare equal with `diff -r`:
 - gradaug and fedalign on the benchmark's conv-train configuration (seed 3)
   for 3 rounds;
 - for each run above: `fedsim cost --rounds 20`, and a resume from its
-  round-3 checkpoint for 2 more rounds.
+  round-3 checkpoint for 2 more rounds;
+- `fedsim diagnose --probes 10 --grid 5` on the fedavg run's round-3
+  checkpoint, so the curvature code (hessian-vector products, eigen solve,
+  landscape slice) is covered as well as training.
 
 Each run `<name>` leaves `configs/<name>.json`, `<name>/` (metrics.json,
 metrics.csv, config_echo.json, checkpoints/), `<name>.run.txt` and
 `<name>.cost.txt` (stdout), and the same for its resume `<name>-resumed`.
+The diagnosis leaves `c9-fedavg-diagnose/` (diagnostics/*.json,
+landscape.csv) and `c9-fedavg-diagnose.txt` (stdout).
 The program is imported from src/ of the checkout this file sits in.
 """
 import contextlib
@@ -35,6 +40,7 @@ from fedsim.methods import METHODS  # noqa: E402
 ROUNDS = 3
 RESUMED_ROUNDS = 5
 COST_ROUNDS = 20
+DIAGNOSED = "c9-fedavg"
 
 
 def c9_config(method: str) -> dict:
@@ -103,6 +109,12 @@ def main() -> int:
         path = write_config(resumed, {**config, "rounds": RESUMED_ROUNDS})
         checkpoint = os.path.join(name, "checkpoints", f"round_{ROUNDS:04d}.ckpt")
         fedsim(["run", "--config", path, "--resume", checkpoint], f"{resumed}.run.txt")
+    diagnosis = f"{DIAGNOSED}-diagnose"
+    print(diagnosis, file=sys.stderr)
+    checkpoint = os.path.join(DIAGNOSED, "checkpoints", f"round_{ROUNDS:04d}.ckpt")
+    fedsim(["diagnose", "--checkpoint", checkpoint,
+            "--config", os.path.join("configs", f"{DIAGNOSED}.json"),
+            "--out", diagnosis, "--probes", "10", "--grid", "5"], f"{diagnosis}.txt")
     return 0
 
 
