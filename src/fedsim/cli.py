@@ -136,8 +136,7 @@ def _cmd_diagnose(args) -> int:
         print(f"cross-client: norm_gap={cross.norm_gap:.6g} "
               f"direction_cosine={cross.direction_cosine:.6g}{skipped}")
 
-    # the global report's top-2 eigenvectors: the directions landscape_slice
-    # would solve for itself on this model, batch and seed
+    # the slice runs along the global report's top-2 eigenvectors
     d1, d2 = report.eigenvectors
     alphas, betas, losses = landscape_slice(model, ce_loss_fn, (gx, gy), d1, d2,
                                             grid=args.grid, radius=args.radius)
@@ -160,14 +159,17 @@ def _load_labels(spec: str) -> np.ndarray:
         if classes < 1 or per_class < 1:
             raise ConfigError("synthetic labels need positive counts")
         return np.repeat(np.arange(classes), per_class)
-    if spec.endswith(".npy"):
-        arr = np.load(spec)
-    elif spec.endswith(".json"):
-        with open(spec) as f:
-            arr = np.asarray(json.load(f))
-    else:
-        arr = np.loadtxt(spec, ndmin=1)
-    arr = np.asarray(arr).ravel()
+    try:
+        if spec.endswith(".npy"):
+            arr = np.load(spec)
+        elif spec.endswith(".json"):
+            with open(spec) as f:
+                arr = np.asarray(json.load(f))
+        else:
+            arr = np.loadtxt(spec, ndmin=1)
+        arr = np.asarray(arr).ravel()
+    except ValueError as e:  # unparsable, ragged or not an array
+        raise ConfigError(f"cannot read labels from {spec}: {e}") from e
     if arr.size == 0:
         raise ConfigError("labels file is empty")
     as_int = arr.astype(np.int64)

@@ -258,14 +258,12 @@ def cross_client_metrics(diagonals: list[np.ndarray],
     )
 
 
-def landscape_slice(model, loss_fn, batch, dir1: np.ndarray | None = None,
-                    dir2: np.ndarray | None = None, grid: int = 21,
-                    radius: float = 1.0, seed: int = 0):
+def landscape_slice(model, loss_fn, batch, dir1: np.ndarray, dir2: np.ndarray,
+                    grid: int = 21, radius: float = 1.0):
     """Loss surface on a 2-d slice through the current parameters.
 
-    Directions default to the top-2 Hessian eigenvectors, solved here with
-    top_eigenpairs' defaults and seed; passing a HessianReport's eigenvectors
-    skips that solve. dir2 is orthonormalized against dir1 either way.
+    The directions are usually a HessianReport's top-2 eigenvectors; dir2 is
+    orthonormalized against dir1.
     Returns (alphas, betas, losses) with losses[i, j] evaluated at
     theta + alphas[i]*d1 + betas[j]*d2. The center entry is the unperturbed
     loss.
@@ -275,10 +273,6 @@ def landscape_slice(model, loss_fn, batch, dir1: np.ndarray | None = None,
     if radius <= 0:
         raise ValueError("radius must be positive")
     theta = params_to_vector(model.params)
-    if dir1 is None or dir2 is None:
-        _, vecs, _ = top_eigenpairs(model, loss_fn, batch, k=2, seed=seed)
-        dir1 = vecs[0] if dir1 is None else dir1
-        dir2 = vecs[1] if dir2 is None else dir2
     d1 = np.asarray(dir1, dtype=np.float64)
     d2 = np.asarray(dir2, dtype=np.float64)
     if d1.shape != theta.data.shape or d2.shape != theta.data.shape:

@@ -1,17 +1,22 @@
 """Residual block networks with prefix-slimmable widths.
 
 BlockNet is a stack of residual blocks (dense or 3x3-conv, chosen by the
-input shape) followed by a linear classifier. Each block can run at a reduced
-width: the first ceil(omega * width) channels of every layer are kept and the
-rest are simply not computed, so a slimmed forward touches a prefix subset of
-the full parameter set. Normalization is statistics-free (per-sample, over
-the channels present), which keeps slimmed forwards well defined and the
-whole model free of running state.
+input shape) followed by a linear classifier. Each block is stated once for
+both kinds: two bias-free layers, each followed by normalization, and a skip
+that is a learned 1x1 layer exactly where the block changes width and the
+identity elsewhere. Strides are derived: a conv block that widens downsamples
+by 2. Each block can run at a reduced width: the first ceil(omega * width)
+channels of every layer are kept and the rest are simply not computed, so a
+slimmed forward touches a prefix subset of the full parameter set, and a
+layer at full width takes no slice at all. Normalization is statistics-free
+(per-sample, over the channels present), which keeps slimmed forwards well
+defined and the whole model free of running state.
 
 Also here: stochastic-depth forwarding with linearly decaying keep
 probabilities, an optional two-layer projection head for contrastive
 training, and the analytic FLOP / parameter counts of forward passes that
-the per-method cost model in methods.py is built from.
+the per-method cost model in methods.py is built from. The counts treat a
+dense layer as a 1x1 conv on a 1x1 map.
 """
 from __future__ import annotations
 
@@ -31,23 +36,22 @@ class BlockNetSpec:
     """Architecture description: per-block widths over a fixed input shape.
 
     input_shape of length 1 selects dense residual blocks, length 3 (C, H, W)
-    selects conv blocks. strides applies to conv blocks only; by default a
-    block that increases width downsamples by 2, mirroring the usual staged
-    layout.
+    selects 3x3 conv blocks. Strides are derived, not configured: a conv block
+    that widens its input downsamples by 2, mirroring the usual staged layout.
+    Block i projects its skip through a learned 1x1 layer exactly when it
+    changes width (block_inputs()[i] != widths[i]); otherwise the skip is the
+    identity.
     """
 
     input_shape: tuple[int, ...]
     num_classes: int
     widths: tuple[int, ...] = (16, 16, 32)
-    strides: tuple[int, ...] | None = None
     slim_granularity: int = 1
     projection_dim: int = 64
 
     def __post_init__(self):
         object.__setattr__(self, "input_shape", tuple(self.input_shape))
         object.__setattr__(self, "widths", tuple(self.widths))
-        if self.strides is not None:
-            object.__setattr__(self, "strides", tuple(self.strides))
         if len(self.input_shape) not in (1, 3):
             raise ValueError("input_shape must be (dims,) or (C, H, W)")
         if len(self.widths) < 2:
@@ -60,12 +64,15 @@ class BlockNetSpec:
             raise ValueError("slim_granularity must be positive")
         if any(w % self.slim_granularity for w in self.widths):
             raise ValueError("widths must be divisible by slim_granularity")
-        if self.strides is not None and len(self.strides) != len(self.widths):
-            raise ValueError("strides must align with widths")
 
     @property
     def is_conv(self) -> bool:
         return len(self.input_shape) == 3
+
+    @property
+    def kernel_size(self) -> int:
+        """Kernel side of the block layers; a dense layer is a 1x1 conv."""
+        return 3 if self.is_conv else 1
 
     @property
     def num_blocks(self) -> int:
@@ -74,12 +81,12 @@ class BlockNetSpec:
     def block_strides(self) -> tuple[int, ...]:
         if not self.is_conv:
             return tuple(1 for _ in self.widths)
-        if self.strides is not None:
-            return self.strides
-        out = [1]
-        for i in range(1, len(self.widths)):
-            out.append(2 if self.widths[i] > self.widths[i - 1] else 1)
-        return tuple(out)
+        return (1,) + tuple(2 if b > a else 1
+                            for a, b in zip(self.widths, self.widths[1:]))
+
+    def projects_skip(self, i: int) -> bool:
+        """Whether block i's skip is a learned 1x1 layer (it changes width)."""
+        return self.block_inputs()[i] != self.widths[i]
 
     def block_inputs(self) -> tuple[int, ...]:
         """Input channel count of each block at full width."""
@@ -106,6 +113,11 @@ def slim_width(width: int, omega: float) -> int:
     return ceil(omega * width)
 
 
+def _prefix(x: Tensor, axis: int, k: int) -> Tensor:
+    """The first k entries of x along axis; x itself when it is k wide."""
+    return x if x.shape[axis] == k else slice_axis(x, axis, 0, k)
+
+
 def keep_probability(block_idx: int, num_blocks: int, final_keep: float) -> float:
     """Linearly decaying survival probability, 1 at depth 0 down to final_keep."""
     ell = block_idx + 1
@@ -120,6 +132,7 @@ class BlockNet:
         self.spec = spec
         self.with_projection = with_projection
         self.params: dict[str, Tensor] = {}
+        self._kind = "conv" if spec.is_conv else "fc"
         self._build(rng, requires_grad)
 
     # -- parameter construction -------------------------------------------
@@ -135,20 +148,17 @@ class BlockNet:
                 return np.zeros(shape, dtype=np.float64)
             return rng.normal(0.0, std, size=shape)
 
+        def layer(name, cin, cout, k, gain):
+            shape = (cout, cin, k, k) if spec.is_conv else (cin, cout)
+            self._add(name, normal(shape, (gain / (cin * k * k)) ** 0.5), requires_grad)
+
         ins = spec.block_inputs()
         for i, w in enumerate(spec.widths):
-            cin = ins[i]
             p = f"block{i}"
-            if spec.is_conv:
-                self._add(f"{p}.conv1.w", normal((w, cin, 3, 3), (2.0 / (cin * 9)) ** 0.5), requires_grad)
-                self._add(f"{p}.conv2.w", normal((w, w, 3, 3), (2.0 / (w * 9)) ** 0.5), requires_grad)
-                if cin != w or spec.block_strides()[i] != 1:
-                    self._add(f"{p}.skip.w", normal((w, cin, 1, 1), (1.0 / cin) ** 0.5), requires_grad)
-            else:
-                self._add(f"{p}.fc1.w", normal((cin, w), (2.0 / cin) ** 0.5), requires_grad)
-                self._add(f"{p}.fc2.w", normal((w, w), (2.0 / w) ** 0.5), requires_grad)
-                if cin != w:
-                    self._add(f"{p}.skip.w", normal((cin, w), (1.0 / cin) ** 0.5), requires_grad)
+            layer(f"{p}.{self._kind}1.w", ins[i], w, spec.kernel_size, 2.0)
+            layer(f"{p}.{self._kind}2.w", w, w, spec.kernel_size, 2.0)
+            if spec.projects_skip(i):
+                layer(f"{p}.skip.w", ins[i], w, 1, 1.0)
             self._add(f"{p}.norm1.scale", np.ones(w), requires_grad)
             self._add(f"{p}.norm1.shift", np.zeros(w), requires_grad)
             self._add(f"{p}.norm2.scale", np.ones(w), requires_grad)
@@ -168,8 +178,8 @@ class BlockNet:
 
     def _norm(self, x: Tensor, prefix: str, k: int) -> Tensor:
         """Per-sample normalization over the k active channels (and space)."""
-        scale = slice_axis(self.params[f"{prefix}.scale"], 0, 0, k)
-        shift = slice_axis(self.params[f"{prefix}.shift"], 0, 0, k)
+        scale = _prefix(self.params[f"{prefix}.scale"], 0, k)
+        shift = _prefix(self.params[f"{prefix}.shift"], 0, k)
         axes = tuple(range(1, x.ndim))
         mu = x.mean(axis=axes, keepdims=True)
         d = x - mu
@@ -178,89 +188,69 @@ class BlockNet:
         shape = (1, k) + (1,) * (x.ndim - 2)
         return y * scale.reshape(shape) + shift.reshape(shape)
 
-    def _dense(self, x: Tensor, name: str, in_k: int, out_k: int) -> Tensor:
-        w = self.params[name]
-        full_in, full_out = w.shape
-        if in_k != full_in or out_k != full_out:
-            w = slice_axis(slice_axis(w, 0, 0, in_k), 1, 0, out_k)
-        return matmul(x, w)
+    def _layer(self, x: Tensor, name: str, in_k: int, out_k: int,
+               stride: int, padding: int) -> Tensor:
+        """Bias-free layer on the first in_k input and out_k output channels.
 
-    def _conv(self, x: Tensor, name: str, in_k: int, out_k: int,
-              stride: int = 1, padding: int = 1) -> Tensor:
+        Conv kernels are (out, in, k, k) and dense matrices (in, out); a dense
+        layer ignores stride and padding.
+        """
         w = self.params[name]
-        full_out, full_in = w.shape[0], w.shape[1]
-        if in_k != full_in or out_k != full_out:
-            w = slice_axis(slice_axis(w, 0, 0, out_k), 1, 0, in_k)
-        return conv2d(x, w, stride=stride, padding=padding)
+        if w.ndim == 4:
+            w = _prefix(_prefix(w, 0, out_k), 1, in_k)
+            return conv2d(x, w, stride=stride, padding=padding)
+        return matmul(x, _prefix(_prefix(w, 0, in_k), 1, out_k))
 
-    def _block(self, x: Tensor, i: int, in_k: int, out_k: int,
+    def _block(self, x: Tensor, i: int, out_k: int,
                drop: float | None = None) -> Tensor:
-        """One residual block at the given active widths.
+        """One residual block at out_k active channels on all of x's channels.
 
         drop is a multiplier on the residual branch (stochastic depth mask or
         its expectation); None means no multiplier node at all.
         """
-        spec = self.spec
         p = f"block{i}"
-        if spec.is_conv:
-            s = spec.block_strides()[i]
-            h = self._conv(x, f"{p}.conv1.w", in_k, out_k, stride=s)
-            h = relu(self._norm(h, f"{p}.norm1", out_k))
-            h = self._conv(h, f"{p}.conv2.w", out_k, out_k)
-            h = self._norm(h, f"{p}.norm2", out_k)
-            if f"{p}.skip.w" in self.params:
-                skip = self._conv(x, f"{p}.skip.w", in_k, out_k, stride=s, padding=0)
-            elif in_k == out_k:
-                skip = x
-            else:
-                skip = slice_axis(x, 1, 0, out_k)
+        in_k = x.shape[1]
+        s = self.spec.block_strides()[i]
+        h = self._layer(x, f"{p}.{self._kind}1.w", in_k, out_k, s, 1)
+        h = relu(self._norm(h, f"{p}.norm1", out_k))
+        h = self._layer(h, f"{p}.{self._kind}2.w", out_k, out_k, 1, 1)
+        h = self._norm(h, f"{p}.norm2", out_k)
+        if self.spec.projects_skip(i):
+            skip = self._layer(x, f"{p}.skip.w", in_k, out_k, s, 0)
         else:
-            h = self._dense(x, f"{p}.fc1.w", in_k, out_k)
-            h = relu(self._norm(h, f"{p}.norm1", out_k))
-            h = self._dense(h, f"{p}.fc2.w", out_k, out_k)
-            h = self._norm(h, f"{p}.norm2", out_k)
-            if f"{p}.skip.w" in self.params:
-                skip = self._dense(x, f"{p}.skip.w", in_k, out_k)
-            elif in_k == out_k:
-                skip = x
-            else:
-                skip = slice_axis(x, 1, 0, out_k)
+            skip = _prefix(x, 1, out_k)
         if drop is not None:
             h = h * drop
         return relu(h + skip)
 
-    def _pool_flatten(self, f: Tensor, k: int) -> Tensor:
+    def _pool_flatten(self, f: Tensor) -> Tensor:
         if self.spec.is_conv:
             f = adaptive_avg_pool2d(f, (1, 1))
-            return f.reshape(f.shape[0], k)
+            return f.reshape(f.shape[0], f.shape[1])
         return f
 
-    def _head(self, h: Tensor, in_k: int) -> Tensor:
-        w = self.params["head.w"]
-        if in_k != w.shape[0]:
-            w = slice_axis(w, 0, 0, in_k)
-        return matmul(h, w) + self.params["head.b"]
+    def _stack(self, x, ks, drops=None) -> tuple[list[Tensor], Tensor]:
+        """Every block at active widths ks, then the head.
 
-    def _check_input(self, x: Tensor) -> Tensor:
-        x = x if isinstance(x, Tensor) else Tensor(x)
-        if x.shape[1:] != self.spec.input_shape:
-            raise ValueError(f"input shape {x.shape[1:]} does not match spec "
+        Returns (block outputs, logits). drops holds one residual-branch
+        multiplier per block; None builds no multiplier node.
+        """
+        h = x if isinstance(x, Tensor) else Tensor(x)
+        if h.shape[1:] != self.spec.input_shape:
+            raise ValueError(f"input shape {h.shape[1:]} does not match spec "
                              f"{self.spec.input_shape}")
-        return x
+        feats = []
+        for i, k in enumerate(ks):
+            h = self._block(h, i, k, None if drops is None else drops[i])
+            feats.append(h)
+        w = _prefix(self.params["head.w"], 0, ks[-1])
+        return feats, matmul(self._pool_flatten(h), w) + self.params["head.b"]
 
     # -- public forwards ----------------------------------------------------
 
     def forward_with_features(self, x) -> tuple[Tensor, Tensor, Tensor]:
         """Full-width forward returning (next-to-last feature, last feature, logits)."""
-        x = self._check_input(x)
-        ins = self.spec.block_inputs()
-        h = x
-        feats = []
-        for i, w in enumerate(self.spec.widths):
-            h = self._block(h, i, ins[i], w)
-            feats.append(h)
-        logits = self._head(self._pool_flatten(feats[-1], self.spec.widths[-1]),
-                            self.spec.widths[-1])
+        feats, logits = self._stack(x, self.spec.widths)
         return feats[-2], feats[-1], logits
 
     def forward(self, x) -> Tensor:
@@ -268,13 +258,7 @@ class BlockNet:
 
     def forward_subnetwork(self, x, omega: float) -> Tensor:
         """Forward with every block slimmed to ceil(omega * width) channels."""
-        x = self._check_input(x)
-        ks = [slim_width(w, omega) for w in self.spec.widths]
-        ins = [self.spec.input_shape[0]] + ks[:-1]
-        h = x
-        for i in range(self.spec.num_blocks):
-            h = self._block(h, i, ins[i], ks[i])
-        return self._head(self._pool_flatten(h, ks[-1]), ks[-1])
+        return self._stack(x, [slim_width(w, omega) for w in self.spec.widths])[1]
 
     def forward_final_subblock(self, f_prev: Tensor, omega_s: float) -> Tensor:
         """Re-run the last block at reduced width on its full-width input.
@@ -284,9 +268,7 @@ class BlockNet:
         residual addition type-checks.
         """
         i = self.spec.num_blocks - 1
-        in_full = self.spec.block_inputs()[i]
-        k = slim_width(self.spec.widths[i], omega_s)
-        return self._block(f_prev, i, in_full, k)
+        return self._block(f_prev, i, slim_width(self.spec.widths[i], omega_s))
 
     def stochdepth_forward(self, x, final_keep: float,
                            rng: np.random.Generator | None = None,
@@ -299,9 +281,7 @@ class BlockNet:
         """
         if not 0.0 < final_keep <= 1.0:
             raise ValueError("final keep probability must be in (0, 1]")
-        x = self._check_input(x)
         L = self.spec.num_blocks
-        ins = self.spec.block_inputs()
         probs = np.array([keep_probability(i, L, final_keep) for i in range(L)])
         if training:
             if rng is None:
@@ -309,18 +289,14 @@ class BlockNet:
             mask = (rng.random(L) < probs).astype(np.float64)
         else:
             mask = probs
-        h = x
-        for i, w in enumerate(self.spec.widths):
-            h = self._block(h, i, ins[i], w, drop=float(mask[i]))
-        logits = self._head(self._pool_flatten(h, self.spec.widths[-1]),
-                            self.spec.widths[-1])
+        _, logits = self._stack(x, self.spec.widths, [float(m) for m in mask])
         return logits, mask
 
     def project(self, f_last: Tensor) -> Tensor:
         """Two-layer projection head on the pooled last feature map."""
         if not self.with_projection:
             raise ValueError("model was built without a projection head")
-        h = self._pool_flatten(f_last, self.spec.widths[-1])
+        h = self._pool_flatten(f_last)
         h = matmul(h, self.params["proj.fc1.w"]) + self.params["proj.fc1.b"]
         h = relu(h)
         return matmul(h, self.params["proj.fc2.w"]) + self.params["proj.fc2.b"]
@@ -354,31 +330,20 @@ def _forward_cost(spec: BlockNetSpec, omega: float = 1.0,
     block_weights scales each block's flops (expected cost under dropping).
     """
     ins = spec.block_inputs()
-    strides = spec.block_strides()
     sizes = spec.spatial_sizes()
     lo, hi = block_range if block_range is not None else (0, spec.num_blocks)
     flops = 0.0
     params = 0
     for i in range(lo, hi):
-        w = spec.widths[i]
-        k = slim_width(w, omega)
+        k = slim_width(spec.widths[i], omega)
         if i == lo and (first_in_full or i == 0):
             cin = ins[i]
         else:
             cin = slim_width(ins[i], omega)
         hw = sizes[i]
-        if spec.is_conv:
-            f1, p1 = conv_layer_cost(cin, k, 3, hw)
-            f2, p2 = conv_layer_cost(k, k, 3, hw)
-            fs = ps = 0
-            if ins[i] != spec.widths[i] or strides[i] != 1:
-                fs, ps = conv_layer_cost(cin, k, 1, hw)
-        else:
-            f1, p1 = dense_layer_cost(cin, k, bias=False)
-            f2, p2 = dense_layer_cost(k, k, bias=False)
-            fs = ps = 0
-            if ins[i] != spec.widths[i]:
-                fs, ps = dense_layer_cost(cin, k, bias=False)
+        f1, p1 = conv_layer_cost(cin, k, spec.kernel_size, hw)
+        f2, p2 = conv_layer_cost(k, k, spec.kernel_size, hw)
+        fs, ps = conv_layer_cost(cin, k, 1, hw) if spec.projects_skip(i) else (0, 0)
         wt = 1.0 if block_weights is None else block_weights[i - lo]
         flops += (f1 + f2) * wt + fs  # skip path runs even when the branch drops
         params += p1 + p2 + ps + 2 * k + 2 * k  # two norm layers, scale+shift

@@ -261,14 +261,16 @@ def test_diagnose_outputs_agree_with_direct_calls(finished_run, tmp_path, capsys
         total = math.fsum(rep["diagonal"])
         assert abs(rep["trace_estimate"] - total) <= 1e-9 * abs(total), name
 
-    # a slice left to solve its own eigenpairs on the same model, batch and seed
+    # a slice along eigenpairs solved directly on the same model, batch and seed
     config = ExperimentConfig.from_json_file(cfg)
     state = load_checkpoint(ckpt, config)
     batch = _probe_batch(state.test.inputs, state.test.labels,
                          (config.seed, _DIAG_GLOBAL))
-    alphas, betas, losses = hessian.landscape_slice(
-        state.model, hessian.ce_loss_fn, batch, grid=3, radius=0.5,
+    _, (d1, d2), _ = hessian.top_eigenpairs(
+        state.model, hessian.ce_loss_fn, batch, k=2,
         seed=_derive_seed((config.seed, _DIAG_GLOBAL)))
+    alphas, betas, losses = hessian.landscape_slice(
+        state.model, hessian.ce_loss_fn, batch, d1, d2, grid=3, radius=0.5)
     want = "alpha,beta,loss\n" + "".join(
         f"{float(a)!r},{float(b)!r},{float(losses[i, j])!r}\n"
         for i, a in enumerate(alphas) for j, b in enumerate(betas))
@@ -384,6 +386,14 @@ def test_partition_error_exit_codes(tmp_path, capsys):
                  "--alpha", "1", "--seed", "0"]) == 1
     assert main(["partition", "--labels", "synthetic:3x10", "--clients", "0",
                  "--alpha", "1", "--seed", "0"]) == 1
+    # unparsable text, truncated or ragged JSON, and a .npy that is no array
+    for name, content in (("abc.txt", "abc\n"), ("cut.json", "[1, 2"),
+                          ("ragged.json", "[[0,1],[2]]"), ("junk.npy", "garbage")):
+        path = str(tmp_path / name)
+        with open(path, "w") as f:
+            f.write(content)
+        assert main(["partition", "--labels", path, "--clients", "2",
+                     "--alpha", "1", "--seed", "0"]) == 1, name
     capsys.readouterr()
 
 

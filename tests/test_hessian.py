@@ -265,7 +265,8 @@ def test_landscape_center_is_unperturbed_loss():
     model.params["theta"].data[:] = [0.5, -1.0, 2.0]
     before = model.params["theta"].data.copy()
     want = loss_fn(model, None, None).item()
-    alphas, betas, losses = landscape_slice(model, loss_fn, batch, grid=5,
+    _, (d1, d2), _ = top_eigenpairs(model, loss_fn, batch, k=2, seed=0)
+    alphas, betas, losses = landscape_slice(model, loss_fn, batch, d1, d2, grid=5,
                                             radius=0.5)
     c = len(alphas) // 2
     assert losses[c, c] == want
@@ -276,7 +277,8 @@ def test_landscape_center_is_unperturbed_loss():
 def test_landscape_curvature_matches_top_eigenvalue():
     # pure quadratic at the origin: L(a*v1 + b*v2) = (lam1 a^2 + lam2 b^2)/2
     model, loss_fn, batch = _quad(np.diag([4.0, 1.0, 0.5]))
-    alphas, betas, losses = landscape_slice(model, loss_fn, batch, grid=5,
+    _, (d1, d2), _ = top_eigenpairs(model, loss_fn, batch, k=2, seed=0)
+    alphas, betas, losses = landscape_slice(model, loss_fn, batch, d1, d2, grid=5,
                                             radius=1.0)
     c = len(alphas) // 2
     step = alphas[c + 1]
@@ -298,10 +300,11 @@ def test_landscape_explicit_directions_orthonormalized():
 
 def test_landscape_validation():
     model, loss_fn, batch = _quad(np.eye(2))
+    _, (d1, d2), _ = top_eigenpairs(model, loss_fn, batch, k=2, seed=0)
     with pytest.raises(ValueError):
-        landscape_slice(model, loss_fn, batch, grid=4)
+        landscape_slice(model, loss_fn, batch, d1, d2, grid=4)
     with pytest.raises(ValueError):
-        landscape_slice(model, loss_fn, batch, grid=3, radius=0.0)
+        landscape_slice(model, loss_fn, batch, d1, d2, grid=3, radius=0.0)
     with pytest.raises(ValueError):
         landscape_slice(model, loss_fn, batch, dir1=np.ones(2),
                         dir2=2 * np.ones(2), grid=3)

@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from fedsim import models
 from fedsim.models import (BlockNet, BlockNetSpec, conv_layer_cost,
                            dense_layer_cost, keep_probability, slim_width)
 from fedsim.methods import MethodConfig, count_cost
@@ -32,16 +33,22 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         BlockNetSpec(input_shape=(8,), num_classes=4, widths=(8, 8),
                      slim_granularity=3)
-    with pytest.raises(ValueError):
-        BlockNetSpec(input_shape=(2, 4, 4), num_classes=4, widths=(4, 8),
-                     strides=(1,))
 
 
 def test_default_block_strides_downsample_on_widening():
-    spec = BlockNetSpec(input_shape=(3, 16, 16), num_classes=10,
-                        widths=(8, 8, 16, 16, 32))
-    assert spec.block_strides() == (1, 1, 2, 1, 2)
+    staged = BlockNetSpec(input_shape=(3, 16, 16), num_classes=10,
+                          widths=(8, 8, 16, 16, 32))
+    assert staged.block_strides() == (1, 1, 2, 1, 2)
     assert DENSE_SPEC.block_strides() == (1, 1)  # dense: no spatial notion
+    # a learned skip exactly where a block changes width: widths (3, 8, 4)
+    # on 3 channels keep, widen (with stride 2 for conv), then narrow
+    for spec in (staged, DENSE_SPEC, CONV_SPEC,
+                 BlockNetSpec(input_shape=(3, 16, 16), num_classes=4, widths=(3, 8, 4)),
+                 BlockNetSpec(input_shape=(3,), num_classes=4, widths=(3, 8, 4))):
+        net = BlockNet(spec, rng=None)
+        want = [a != b for a, b in zip(spec.block_inputs(), spec.widths)]
+        assert [f"block{i}.skip.w" in net.params for i in range(spec.num_blocks)] == want
+        assert [spec.projects_skip(i) for i in range(spec.num_blocks)] == want
 
 
 def test_spatial_sizes():
@@ -149,6 +156,33 @@ def test_subnetwork_prefix_for_conv():
     net.params["head.w"].data[slim_width(8, 0.5):, :] = 1e6
     after = net.forward_subnetwork(x, 0.5).data
     assert np.array_equal(before, after)
+
+
+def test_slices_only_narrowed_axes(monkeypatch):
+    calls = []
+    real = models.slice_axis
+
+    def counting(x, axis, start, stop):
+        calls.append((x, axis, stop))
+        return real(x, axis, start, stop)
+
+    monkeypatch.setattr(models, "slice_axis", counting)
+    for net, x, first in ((_dense_net(), np.ones((2, 16)), "fc1"),
+                          (_conv_net(), np.ones((2, 2, 8, 8)), "conv1")):
+        net.forward(x)
+        net.forward_with_features(x)
+        net.stochdepth_forward(x, 0.9, np.random.default_rng(0))
+        net.forward_subnetwork(x, 1.0)
+        assert calls == []  # full width: no slice node anywhere
+        net.forward_subnetwork(x, 0.5)
+        assert calls and all(stop < t.shape[axis] for t, axis, stop in calls)
+        # block 0 reads the whole input, so its input-side layers slice their
+        # output axis only: (in, out) for dense, (out, in, k, k) for conv
+        out_axis = 0 if net.spec.is_conv else 1
+        for name in (f"block0.{first}.w", "block0.skip.w"):
+            w = net.params[name]
+            assert [axis for t, axis, _ in calls if t is w] == [out_axis]
+        calls.clear()
 
 
 def test_final_subblock_full_width_matches_last_feature():

@@ -10,8 +10,9 @@ relative and two OUT_DIRs compare equal with `diff -r`:
 - every method on criterion 9's configuration (8 clients, Dir(0.1), 6 local
   epochs, batch 16, seed 0) for 3 rounds;
 - moon on the same configuration with 2 worker processes;
-- gradaug and fedalign on the benchmark's conv-train configuration (seed 3)
-  for 3 rounds;
+- gradaug, fedalign, stochdepth and moon on the benchmark's conv-train
+  configuration (seed 3) for 3 rounds, so every BlockNet forward (slimmed,
+  final sub-block, stochastic depth, projection head) runs on conv blocks;
 - for each run above: `fedsim cost --rounds 20`, and a resume from its
   round-3 checkpoint for 2 more rounds;
 - `fedsim diagnose --probes 10 --grid 5` on the fedavg run's round-3
@@ -68,7 +69,7 @@ def conv_config(method: str) -> dict:
 def runs() -> dict[str, dict]:
     out = {f"c9-{m}": c9_config(m) for m in METHODS}
     out["c9-moon-workers2"] = {**c9_config("moon"), "workers": 2}
-    for m in ("gradaug", "fedalign"):
+    for m in ("gradaug", "fedalign", "stochdepth", "moon"):
         out[f"conv-{m}"] = conv_config(m)
     return out
 
