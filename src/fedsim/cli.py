@@ -15,11 +15,13 @@ import numpy as np
 from .data import dirichlet_partition
 from .hessian import ce_loss_fn, cross_client_metrics, hessian_report, landscape_slice
 from .methods import count_cost
+from .models import model_params
 from .orchestrator import (
     CheckpointError,
     ConfigError,
     ExperimentConfig,
     _derive_seed,
+    clients_per_round,
     comm_cost,
     load_checkpoint,
     run_experiment,
@@ -205,13 +207,15 @@ def _cmd_cost(args) -> int:
     spec = config.model_spec()
     flops, params = count_cost(spec, config.method)
     base_flops, _ = count_cost(spec, None)
-    clients_per_round = int(np.ceil(config.sample_fraction * config.num_clients))
-    bits = comm_cost(params, args.rounds, clients_per_round)
+    per_round = clients_per_round(config.num_clients, config.sample_fraction)
+    # a round sends one model per sampled client; params counts every stored copy
+    bits = comm_cost(model_params(spec, config.method.needs_projection),
+                     args.rounds, per_round)
     print(f"method {config.method.method}")
     print(f"params {params}")
     print(f"flops_per_forward {flops:.6g}")
     print(f"flops_ratio_vs_fedavg {flops / base_flops:.4f}")
-    print(f"clients_per_round {clients_per_round}")
+    print(f"clients_per_round {per_round}")
     print(f"rounds {args.rounds}")
     print(f"comm_bits {bits:.6g}")
     print(f"comm_gigabits {bits / 1e9:.4f}")

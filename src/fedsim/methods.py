@@ -27,8 +27,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import DOWNSAMPLE_SCALES, downsample_transform, mixup_batch
-from .models import (BlockNet, BlockNetSpec, _forward_cost, _head_cost,
-                     _projection_cost, keep_probability)
+from .models import (BlockNet, BlockNetSpec, block_cost, keep_probability,
+                     layer_cost, model_params, slim_width, stack_cost)
 from .tensor import (OptimizerState, ParamVector, Tensor, adaptive_avg_pool2d,
                      clip_grad_norm, exp, gradients, load_vector, log, log_softmax,
                      matmul, mse, softmax_cross_entropy, sgd_step, sqrt,
@@ -425,68 +425,68 @@ def _step_fedalign(ctx, config, xb, yb, aux):
 # (spec, config) -> (flops per sample forward, stored parameter count)
 
 
-def _cost_plain(spec: BlockNetSpec, config=None) -> tuple[float, int]:
-    f, p = _forward_cost(spec)
-    head_f, head_p = _head_cost(spec)
-    return f + head_f, p + head_p
+def _cost_plain(spec, config):
+    return stack_cost(spec, spec.widths)
 
 
 def _cost_fedprox(spec, config):
-    f, p = _cost_plain(spec)
+    f, p = stack_cost(spec, spec.widths)
     return f, 2 * p  # plus the received anchor weights
 
 
 def _cost_moon(spec, config):
-    base_f, base_p = _cost_plain(spec)
-    head_f, _ = _head_cost(spec)
-    proj_f, proj_p = _projection_cost(spec)
-    # three block-stack+projection passes, one classifier pass
-    return 3.0 * (base_f - head_f + proj_f) + head_f, 3 * (base_p + proj_p)
+    base_f, _ = stack_cost(spec, spec.widths)
+    c, d = spec.widths[-1], spec.projection_dim
+    head_f, _ = layer_cost(c, spec.num_classes, bias=True)
+    proj_f = layer_cost(c, d, bias=True)[0] + layer_cost(d, d, bias=True)[0]
+    # three block-stack+projection passes, one classifier pass, three stored models
+    return 3.0 * (base_f - head_f + proj_f) + head_f, 3 * model_params(spec, True)
 
 
 def _cost_stochdepth(spec, config):
     L = spec.num_blocks
-    weights = [keep_probability(i, L, config.gamma_L) for i in range(L)]
-    f, _ = _forward_cost(spec, block_weights=weights)
-    hf, _ = _head_cost(spec)
-    return f + hf, _cost_plain(spec)[1]
+    return stack_cost(spec, spec.widths,
+                      [keep_probability(i, L, config.gamma_L) for i in range(L)])
 
 
 def _cost_gradaug(spec, config):
     # expected subnetwork cost under omega ~ U(omega_b, 1), averaged on a grid
-    base_f, base_p = _cost_plain(spec)
+    base_f, base_p = stack_cost(spec, spec.widths)
     grid = np.linspace(config.omega_b, 1.0, 51)
-    sub = 0.0
+    sub, walked = 0.0, {}  # grid points slimming to the same widths cost the same
     for om in grid:
-        f, _ = _forward_cost(spec, omega=float(om))
-        hf, _ = _head_cost(spec, omega=float(om))
-        sub += f + hf
-    sub /= len(grid)
-    return base_f + config.n_subnets * sub, base_p
+        ks = tuple(slim_width(w, float(om)) for w in spec.widths)
+        if ks not in walked:
+            walked[ks] = stack_cost(spec, ks)[0]
+        sub += walked[ks]
+    return base_f + config.n_subnets * (sub / len(grid)), base_p
 
 
 def _cost_fedalign(spec, config):
-    base_f, base_p = _cost_plain(spec)
+    # one more pass of the final block at omega_S on its full-width input
+    base_f, base_p = stack_cost(spec, spec.widths)
     i = spec.num_blocks - 1
-    f, _ = _forward_cost(spec, omega=config.omega_S, first_in_full=True,
-                         block_range=(i, i + 1))
-    return base_f + f, base_p
+    branch, skip, _ = block_cost(spec, i, spec.block_inputs()[i],
+                                 slim_width(spec.widths[i], config.omega_S))
+    return base_f + (branch + skip), base_p
 
 
 def count_cost(spec: BlockNetSpec, config=None) -> tuple[float, int]:
     """(flops per sample forward, stored parameter count) for a method.
 
-    config is a MethodConfig-like object (or None for the bare model). Flops
-    reflect what the local step actually executes per sample: contrastive
-    training runs three model+projection forwards, distillation adds the
-    expected cost of its sampled-width subnetworks, the Lipschitz method adds
-    one reduced-width pass of the final block, stochastic depth drops blocks
-    at their keep probabilities. Parameter counts include extra stored copies
-    (anchor weights, previous/global models).
+    config is a MethodConfig-like object (or None for the bare model). Every
+    method composes models.stack_cost, one pass of the block walk at given
+    widths, and models.block_cost, one block: contrastive training runs three
+    model+projection forwards, distillation adds the expected cost of its
+    sampled-width subnetworks, the Lipschitz method adds one reduced-width
+    pass of the final block, stochastic depth scales each residual branch by
+    its keep probability. Parameter counts include extra stored copies
+    (anchor weights, previous/global models), so they measure memory; what a
+    round sends is models.model_params.
     """
     method = getattr(config, "method", None)
     if method is None:
-        return _cost_plain(spec)
+        return _cost_plain(spec, None)
     if method not in METHOD_TABLE:
         raise ValueError(f"unknown method {method!r}")
     return METHOD_TABLE[method].cost(spec, config)

@@ -14,9 +14,9 @@ defined and the whole model free of running state.
 
 Also here: stochastic-depth forwarding with linearly decaying keep
 probabilities, an optional two-layer projection head for contrastive
-training, and the analytic FLOP / parameter counts of forward passes that
-the per-method cost model in methods.py is built from. The counts treat a
-dense layer as a 1x1 conv on a 1x1 map.
+training, and the analytic FLOP / parameter counts that the per-method cost
+model in methods.py composes: one layer rule (a dense layer is a 1x1 conv on
+a 1x1 map), one block rule and one walk pricing what _stack runs.
 """
 from __future__ import annotations
 
@@ -46,7 +46,6 @@ class BlockNetSpec:
     input_shape: tuple[int, ...]
     num_classes: int
     widths: tuple[int, ...] = (16, 16, 32)
-    slim_granularity: int = 1
     projection_dim: int = 64
 
     def __post_init__(self):
@@ -60,10 +59,8 @@ class BlockNetSpec:
             raise ValueError("widths must be positive")
         if self.num_classes < 2:
             raise ValueError("need at least two classes")
-        if self.slim_granularity < 1:
-            raise ValueError("slim_granularity must be positive")
-        if any(w % self.slim_granularity for w in self.widths):
-            raise ValueError("widths must be divisible by slim_granularity")
+        if self.projection_dim < 1:
+            raise ValueError("projection_dim must be positive")
 
     @property
     def is_conv(self) -> bool:
@@ -80,7 +77,7 @@ class BlockNetSpec:
 
     def block_strides(self) -> tuple[int, ...]:
         if not self.is_conv:
-            return tuple(1 for _ in self.widths)
+            return (1,) * len(self.widths)
         return (1,) + tuple(2 if b > a else 1
                             for a, b in zip(self.widths, self.widths[1:]))
 
@@ -96,7 +93,7 @@ class BlockNetSpec:
     def spatial_sizes(self) -> tuple[tuple[int, int], ...]:
         """Output (H, W) of each block for conv specs."""
         if not self.is_conv:
-            return tuple((1, 1) for _ in self.widths)
+            return ((1, 1),) * len(self.widths)
         h, w = self.input_shape[1], self.input_shape[2]
         out = []
         for s in self.block_strides():
@@ -305,57 +302,44 @@ class BlockNet:
 # -- analytic cost counting -------------------------------------------------
 
 
-def dense_layer_cost(in_dim: int, out_dim: int, bias: bool = True) -> tuple[float, int]:
-    """(flops, params) of one dense layer; flops counts multiply-accumulates twice."""
-    flops = 2.0 * in_dim * out_dim
-    params = in_dim * out_dim + (out_dim if bias else 0)
-    return flops, params
-
-
-def conv_layer_cost(in_ch: int, out_ch: int, k: int,
-                    out_hw: tuple[int, int]) -> tuple[float, int]:
+def layer_cost(in_ch: int, out_ch: int, k: int = 1,
+               out_hw: tuple[int, int] = (1, 1), bias: bool = False) -> tuple[float, int]:
+    """(flops, params) of one k x k layer; a dense layer is a 1x1 conv on a
+    1x1 map. flops counts each multiply-accumulate twice."""
     flops = 2.0 * in_ch * out_ch * k * k * out_hw[0] * out_hw[1]
-    params = out_ch * in_ch * k * k
-    return flops, params
+    return flops, out_ch * in_ch * k * k + (out_ch if bias else 0)
 
 
-def _forward_cost(spec: BlockNetSpec, omega: float = 1.0,
-                  first_in_full: bool = False,
-                  block_range: tuple[int, int] | None = None,
-                  block_weights: list[float] | None = None) -> tuple[float, int]:
-    """Analytic cost of one forward pass at a uniform width fraction.
+def block_cost(spec: BlockNetSpec, i: int, cin: int, k: int) -> tuple[float, float, int]:
+    """(residual-branch flops, skip flops, params) of block i at k channels on
+    cin input channels, as BlockNet._block runs it."""
+    hw = spec.spatial_sizes()[i]
+    f1, p1 = layer_cost(cin, k, spec.kernel_size, hw)
+    f2, p2 = layer_cost(k, k, spec.kernel_size, hw)
+    fs, ps = layer_cost(cin, k, 1, hw) if spec.projects_skip(i) else (0, 0)
+    return f1 + f2, fs, p1 + p2 + ps + 2 * k + 2 * k  # two norm layers, scale+shift
 
-    block_range selects a sub-stack [lo, hi); first_in_full keeps the first
-    selected block's input at full width (the slimmed-final-block case).
-    block_weights scales each block's flops (expected cost under dropping).
+
+def stack_cost(spec: BlockNetSpec, ks, weights=None) -> tuple[float, int]:
+    """(flops, params) of one BlockNet._stack pass at active widths ks.
+
+    Block 0 reads the full input and block i the ks[i-1] channels before it;
+    the head runs at ks[-1]. weights scales each residual branch (its keep
+    probability under stochastic depth); the skip always runs.
     """
-    ins = spec.block_inputs()
-    sizes = spec.spatial_sizes()
-    lo, hi = block_range if block_range is not None else (0, spec.num_blocks)
-    flops = 0.0
-    params = 0
-    for i in range(lo, hi):
-        k = slim_width(spec.widths[i], omega)
-        if i == lo and (first_in_full or i == 0):
-            cin = ins[i]
-        else:
-            cin = slim_width(ins[i], omega)
-        hw = sizes[i]
-        f1, p1 = conv_layer_cost(cin, k, spec.kernel_size, hw)
-        f2, p2 = conv_layer_cost(k, k, spec.kernel_size, hw)
-        fs, ps = conv_layer_cost(cin, k, 1, hw) if spec.projects_skip(i) else (0, 0)
-        wt = 1.0 if block_weights is None else block_weights[i - lo]
-        flops += (f1 + f2) * wt + fs  # skip path runs even when the branch drops
-        params += p1 + p2 + ps + 2 * k + 2 * k  # two norm layers, scale+shift
-    return flops, params
+    flops, params = 0.0, 0
+    cin = spec.input_shape[0]
+    for i, k in enumerate(ks):
+        branch, skip, p = block_cost(spec, i, cin, k)
+        flops += branch * (1.0 if weights is None else weights[i]) + skip
+        params += p
+        cin = k
+    head_f, head_p = layer_cost(ks[-1], spec.num_classes, bias=True)
+    return flops + head_f, params + head_p
 
 
-def _head_cost(spec: BlockNetSpec, omega: float = 1.0) -> tuple[float, int]:
-    k = slim_width(spec.widths[-1], omega)
-    return dense_layer_cost(k, spec.num_classes, bias=True)
-
-
-def _projection_cost(spec: BlockNetSpec) -> tuple[float, int]:
-    f1, p1 = dense_layer_cost(spec.widths[-1], spec.projection_dim, bias=True)
-    f2, p2 = dense_layer_cost(spec.projection_dim, spec.projection_dim, bias=True)
-    return f1 + f2, p1 + p2
+def model_params(spec: BlockNetSpec, with_projection: bool = False) -> int:
+    """Size of a BlockNet's flat vector: what a round sends each sampled client."""
+    d = spec.projection_dim
+    proj = layer_cost(spec.widths[-1], d, bias=True)[1] + layer_cost(d, d, bias=True)[1]
+    return stack_cost(spec, spec.widths)[1] + (proj if with_projection else 0)

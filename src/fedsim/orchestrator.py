@@ -45,9 +45,10 @@ class DatasetConfig(ConfigFields):
     test_fraction: float = 0.5
 
     def __post_init__(self):
-        if not self.dims or min(self.dims) < 1 or prod(self.dims) < self.num_classes:
-            raise ConfigError(f"dims {list(self.dims)} must be positive and hold at "
-                              f"least one value per class")
+        if (len(self.dims) not in (1, 3) or min(self.dims) < 1
+                or prod(self.dims) < self.num_classes):
+            raise ConfigError(f"dims {list(self.dims)} must be [features] or [channels, "
+                              f"height, width], positive, holding a value per class")
         if self.samples_per_class < 1:
             raise ConfigError("samples_per_class must be positive")
         if not 0.0 < self.test_fraction < 1.0 or min(self.split_sizes()) < 1:
@@ -64,7 +65,6 @@ class DatasetConfig(ConfigFields):
 @dataclass(frozen=True)
 class ModelConfig(ConfigFields):
     widths: tuple[int, ...] = (16, 16, 32)
-    slim_granularity: int = 1
     projection_dim: int = 64
 
 
@@ -150,12 +150,9 @@ class ExperimentConfig(ConfigFields):
         return hashlib.sha256(blob).hexdigest()
 
     def model_spec(self) -> BlockNetSpec:
-        dims = self.dataset.dims
-        shape = dims if len(dims) in (1, 3) else (int(np.prod(dims)),)
-        return BlockNetSpec(input_shape=shape,
+        return BlockNetSpec(input_shape=self.dataset.dims,
                             num_classes=self.dataset.num_classes,
                             widths=self.model.widths,
-                            slim_granularity=self.model.slim_granularity,
                             projection_dim=self.model.projection_dim)
 
 
@@ -238,12 +235,17 @@ def aggregate(client_vectors: list[ParamVector], counts: list[int]) -> ParamVect
     return ParamVector(data=out, layout=layout)
 
 
+def clients_per_round(num_clients: int, sample_fraction: float) -> int:
+    """How many clients train each round: ceil(fraction * C)."""
+    return ceil(sample_fraction * num_clients)
+
+
 def sample_clients(num_clients: int, sample_fraction: float, round_idx: int,
                    seed: int) -> list[int]:
-    """ceil(fraction * C) distinct ids, ascending, keyed by (seed, round)."""
+    """clients_per_round distinct ids, ascending, keyed by (seed, round)."""
     if not 0.0 < sample_fraction <= 1.0:
         raise ValueError("sample_fraction must be in (0, 1]")
-    m = ceil(sample_fraction * num_clients)
+    m = clients_per_round(num_clients, sample_fraction)
     rng = np.random.default_rng([seed, _SAMPLE, round_idx])
     return sorted(int(i) for i in rng.choice(num_clients, size=m, replace=False))
 

@@ -9,8 +9,9 @@ import pytest
 from fedsim import cli, hessian
 from fedsim.cli import _DIAG_GLOBAL, _derive_seed, _probe_batch, main
 from fedsim.data import Partition
-from fedsim.methods import count_cost
-from fedsim.orchestrator import ExperimentConfig, load_checkpoint, read_metrics
+from fedsim.methods import METHODS, count_cost
+from fedsim.orchestrator import (ExperimentConfig, comm_cost, load_checkpoint,
+                                 read_metrics)
 
 BASE = {
     "rounds": 1, "num_clients": 3, "local_epochs": 1, "batch_size": 8,
@@ -93,10 +94,11 @@ def test_run_error_exit_codes(tmp_path, capsys):
 
 @pytest.mark.parametrize("override", [
     "rounds=2.5", "method.n_subnets=1.5", "model.widths=[0,8]",
-    "model.slim_granularity=0", "seed=-1", "num_clients=true", "dataset.dims=[8.5]",
+    "model.projection_dim=0", "seed=-1", "num_clients=true", "dataset.dims=[8.5]",
     "dataset.samples_per_class=0", "dataset.test_fraction=1.5",
     "num_clients=40",  # 36 samples, 18 of them for training
     "dataset.dims=[2]",  # fewer dims than the 3 classes
+    "dataset.dims=[4,4]", "dataset.dims=[2,2,2,2]",  # neither features nor (C, H, W)
     "learning_rate=NaN", "dataset.separation=NaN", "clip_norm=Infinity",
 ])
 def test_run_rejects_bad_values_before_any_output(tmp_path, capsys, override):
@@ -420,6 +422,28 @@ def test_cost_reports_model_and_comm(tmp_path, capsys):
     assert int(got["clients_per_round"]) == 3
     assert float(got["comm_bits"]) == pytest.approx(params * 32.0 * 3 * 10,
                                                     rel=1e-6)
+
+
+@pytest.mark.parametrize("fraction", [1.0, 0.5])
+@pytest.mark.parametrize("method", METHODS)
+def test_cost_prices_what_a_run_sends(tmp_path, capsys, monkeypatch, method, fraction):
+    # fedsim cost --rounds R prices the bits an R-round run accumulates,
+    # compared unrounded: the priced value is read off cli.comm_cost
+    rounds = 2
+    out = tmp_path / "out"
+    cfg = _write_cfg(tmp_path, rounds=rounds, sample_fraction=fraction,
+                     method={"method": method}, output_dir=str(out))
+    assert main(["run", "--config", cfg]) == 0
+    priced = []
+
+    def spy(*args):
+        priced.append(comm_cost(*args))
+        return priced[-1]
+
+    monkeypatch.setattr(cli, "comm_cost", spy)
+    assert main(["cost", "--config", cfg, "--rounds", str(rounds)]) == 0
+    capsys.readouterr()
+    assert priced == [read_metrics(str(out))[-1].comm_bits_cum]
 
 
 def test_cost_moon_ratio_exceeds_one(tmp_path, capsys):

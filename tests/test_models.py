@@ -3,8 +3,8 @@ import numpy as np
 import pytest
 
 from fedsim import models
-from fedsim.models import (BlockNet, BlockNetSpec, conv_layer_cost,
-                           dense_layer_cost, keep_probability, slim_width)
+from fedsim.models import (BlockNet, BlockNetSpec, keep_probability, layer_cost,
+                           model_params, slim_width)
 from fedsim.methods import MethodConfig, count_cost
 from fedsim.tensor import ParamVector, Tensor, load_vector, params_to_vector
 
@@ -31,8 +31,7 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         BlockNetSpec(input_shape=(8,), num_classes=1)
     with pytest.raises(ValueError):
-        BlockNetSpec(input_shape=(8,), num_classes=4, widths=(8, 8),
-                     slim_granularity=3)
+        BlockNetSpec(input_shape=(8,), num_classes=4, projection_dim=0)
 
 
 def test_default_block_strides_downsample_on_widening():
@@ -276,13 +275,13 @@ def test_zero_init_without_rng():
 
 
 def test_dense_layer_cost_frozen():
-    assert dense_layer_cost(10, 5) == (100.0, 55)
-    assert dense_layer_cost(10, 5, bias=False) == (100.0, 50)
+    assert layer_cost(10, 5, bias=True) == (100.0, 55)
+    assert layer_cost(10, 5) == (100.0, 50)
 
 
 def test_conv_layer_cost_frozen():
     # 2 * cin * cout * k^2 * H * W = 2*3*8*9*16 = 6912; params 8*3*9 = 216
-    assert conv_layer_cost(3, 8, 3, (4, 4)) == (6912.0, 216)
+    assert layer_cost(3, 8, 3, (4, 4)) == (6912.0, 216)
 
 
 # hand tally for DENSE_SPEC (input 16, widths (8, 8), 4 classes):
@@ -308,6 +307,9 @@ def test_count_cost_matches_stored_parameters():
                               widths=(8, 8, 16))):
         net = BlockNet(spec, rng=None)
         assert count_cost(spec, None)[1] == params_to_vector(net.params).size
+        assert model_params(spec) == params_to_vector(net.params).size
+        net = BlockNet(spec, rng=None, with_projection=True)
+        assert model_params(spec, with_projection=True) == params_to_vector(net.params).size
 
 
 def test_count_cost_fedprox_doubles_params():
