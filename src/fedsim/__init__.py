@@ -7,7 +7,6 @@ diagnostics and a reproducible round orchestrator.
 
 from .tensor import (
     Tensor,
-    OptimizerState,
     ParamVector,
     clip_grad_norm,
     gradients,
@@ -33,7 +32,7 @@ from .data import (
     train_test_split,
 )
 from .methods import (
-    ClientContext,
+    ClientTask,
     MethodConfig,
     METHODS,
     METHOD_TABLE,

@@ -17,7 +17,6 @@ from .hessian import ce_loss_fn, cross_client_metrics, hessian_report, landscape
 from .methods import count_cost
 from .models import model_params
 from .orchestrator import (
-    CheckpointError,
     ConfigError,
     ExperimentConfig,
     _derive_seed,
@@ -280,10 +279,7 @@ def main(argv=None) -> int:
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 1
-    except CheckpointError as e:
-        print(f"i/o error: {e}", file=sys.stderr)
-        return 3
-    except OSError as e:
+    except OSError as e:  # a CheckpointError is an OSError too
         print(f"i/o error: {e}", file=sys.stderr)
         return 3
     except Exception as e:  # anything the run itself raises

@@ -15,7 +15,7 @@ from math import prod
 
 import numpy as np
 
-from .tensor import Tensor, adaptive_avg_pool2d, upsample_nearest
+from .tensor import Tensor, adaptive_avg_pool2d
 
 DOWNSAMPLE_SCALES = (1.0, 0.75, 0.5)
 NOISE_BASE = 0.1  # additive-noise fallback strength at scale 0
@@ -212,8 +212,11 @@ def downsample_transform(x: np.ndarray, scale: float,
     if x.ndim == 4:
         h, w = x.shape[2], x.shape[3]
         th, tw = max(1, round(h * scale)), max(1, round(w * scale))
-        t = adaptive_avg_pool2d(Tensor(x), (th, tw))
-        return upsample_nearest(t, (h, w)).data
+        t = adaptive_avg_pool2d(Tensor(x), (th, tw)).data
+        # nearest neighbour: output row i reads pooled row i * th // h
+        ri = (np.arange(h) * th) // h
+        ci = (np.arange(w) * tw) // w
+        return t[:, :, ri][:, :, :, ci]
     if rng is None:
         raise ValueError("flat inputs need an rng for the noise fallback")
     return x + rng.normal(0.0, (1.0 - scale) * NOISE_BASE, size=x.shape)

@@ -14,6 +14,11 @@ against the received and previous-round models through a projection head.
 The update loop, the round loop and the cost model read the record and
 nothing else, so adding a method is adding one entry.
 
+One client's local training is one ClientTask, built by the round loop;
+client_update builds the model from it, trains it one step(net, task, xb,
+yb, shadows) at a time and returns the trained ParamVector. shadows are
+moon's frozen received and previous-round models, which run no classifier.
+
 Also here: the field-derived (de)serialization that every config class
 shares, and the ConfigError it raises.
 """
@@ -29,10 +34,10 @@ import numpy as np
 from .data import DOWNSAMPLE_SCALES, downsample_transform, mixup_batch
 from .models import (BlockNet, BlockNetSpec, block_cost, keep_probability,
                      layer_cost, model_params, slim_width, stack_cost)
-from .tensor import (OptimizerState, ParamVector, Tensor, adaptive_avg_pool2d,
+from .tensor import (ParamVector, Tensor, adaptive_avg_pool2d, clamp_min,
                      clip_grad_norm, exp, gradients, load_vector, log, log_softmax,
-                     matmul, mse, softmax_cross_entropy, sgd_step, sqrt,
-                     zero_gradients)
+                     matmul, mse, params_to_vector, softmax_cross_entropy, sgd_step,
+                     sqrt, zero_gradients)
 
 
 # -- configs ------------------------------------------------------------------
@@ -160,16 +165,30 @@ class MethodConfig(ConfigFields):
 
 
 @dataclass
-class ClientContext:
-    """Everything one client update needs, bundled for the worker boundary."""
+class ClientTask:
+    """One client's local training in one round, as a worker receives it.
 
-    model: BlockNet
+    Training starts from `received`, the weights sent this round; fedprox
+    anchors to them and moon contrasts against them and `prev`, the client's
+    own last model. The round loop keys both generators by (seed, purpose,
+    round, client), so where a task runs changes no draw.
+    """
+
+    client_id: int
+    round_idx: int
+    method: MethodConfig
+    spec: BlockNetSpec
     inputs: np.ndarray
     labels: np.ndarray
-    data_rng: np.random.Generator
-    method_rng: np.random.Generator
-    global_weights: ParamVector | None = None   # as received this round
-    prev_weights: ParamVector | None = None     # the client's last local model
+    received: ParamVector
+    data_rng: np.random.Generator     # batch order
+    method_rng: np.random.Generator   # the method's own draws
+    epochs: int
+    batch_size: int
+    learning_rate: float
+    momentum: float
+    clip_norm: float
+    prev: ParamVector | None = None   # contrastive methods only
 
 
 # -- individual loss terms --------------------------------------------------
@@ -197,11 +216,13 @@ def loss_fedprox(base_loss: Tensor, params: dict[str, Tensor],
 
 
 def _row_cosine(a: Tensor, b: Tensor) -> Tensor:
-    """Row-wise cosine similarity of two (batch, dim) tensors."""
-    na = sqrt((a * a).sum(axis=1, keepdims=True))
-    nb = sqrt((b * b).sum(axis=1, keepdims=True))
-    if np.any(na.data == 0.0) or np.any(nb.data == 0.0):
-        raise ValueError("zero-norm representation in contrastive loss")
+    """Row-wise cosine similarity of two (batch, dim) tensors.
+
+    As in MOON, each norm is floored at 1e-8, so a zero row has cosine 0; the
+    floor is on the squared norm, so no gradient divides by zero.
+    """
+    na = sqrt(clamp_min((a * a).sum(axis=1, keepdims=True), 1e-16))
+    nb = sqrt(clamp_min((b * b).sum(axis=1, keepdims=True), 1e-16))
     dots = (a * b).sum(axis=1, keepdims=True)
     return (dots / (na * nb)).reshape(a.shape[0])
 
@@ -353,71 +374,61 @@ def loss_fedalign(net: BlockNet, x: np.ndarray, y: np.ndarray,
 
 
 # -- one batch's loss per method ---------------------------------------------
-# (ctx, config, xb, yb, aux) -> (loss, batch accuracy); aux holds the frozen
-# global and previous-round models of a contrastive method, else None
+# (net, task, xb, yb, shadows) -> (loss, batch accuracy); shadows holds the
+# frozen received and previous-round models of a contrastive method, else None
 
 
 def _accuracy(logits: np.ndarray, labels: np.ndarray) -> float:
     return float((logits.argmax(axis=1) == labels).mean())
 
 
-def _step_fedavg(ctx, config, xb, yb, aux):
-    logits = ctx.model.forward(xb)
+def _step_fedavg(net, task, xb, yb, shadows):
+    logits = net.forward(xb)
     return loss_ce(logits, yb), _accuracy(logits.data, yb)
 
 
-def _step_fedprox(ctx, config, xb, yb, aux):
-    if ctx.global_weights is None:
-        raise ValueError("fedprox needs the received global weights")
-    net = ctx.model
+def _step_fedprox(net, task, xb, yb, shadows):
     logits = net.forward(xb)
     base = loss_ce(logits, yb)
-    return (loss_fedprox(base, net.params, ctx.global_weights, config.mu),
+    return (loss_fedprox(base, net.params, task.received, task.method.mu),
             _accuracy(logits.data, yb))
 
 
-def _shadow_projection(shadow: BlockNet, x: np.ndarray) -> Tensor:
-    _, f_last, _ = shadow.forward_with_features(x)
-    return shadow.project(f_last)
-
-
-def _step_moon(ctx, config, xb, yb, aux):
-    net = ctx.model
-    f_prev, f_last, logits = net.forward_with_features(xb)
+def _step_moon(net, task, xb, yb, shadows):
+    config = task.method
+    _, f_last, logits = net.forward_with_features(xb)
     base = loss_ce(logits, yb)
     if config.mu == 0.0:
         return base, _accuracy(logits.data, yb)
-    global_net, prev_net = aux
     z_local = net.project(f_last)
-    z_global = _shadow_projection(global_net, xb)
-    z_prev = _shadow_projection(prev_net, xb)
+    z_global, z_prev = (shadow.embed(xb) for shadow in shadows)
     return (loss_moon(base, z_local, z_global, z_prev, config.tau, config.mu),
             _accuracy(logits.data, yb))
 
 
-def _step_mixup(ctx, config, xb, yb, aux):
-    perm = ctx.method_rng.permutation(len(xb))
+def _step_mixup(net, task, xb, yb, shadows):
+    perm = task.method_rng.permutation(len(xb))
     xm, ya, yb2, beta = mixup_batch(xb, yb, xb[perm], yb[perm],
-                                    config.gamma, ctx.method_rng)
-    logits = ctx.model.forward(xm)
+                                    task.method.gamma, task.method_rng)
+    logits = net.forward(xm)
     loss = beta * loss_ce(logits, ya) + (1.0 - beta) * loss_ce(logits, yb2)
     acc = beta * _accuracy(logits.data, ya) + (1 - beta) * _accuracy(logits.data, yb2)
     return loss, acc
 
 
-def _step_stochdepth(ctx, config, xb, yb, aux):
-    logits, _ = ctx.model.stochdepth_forward(xb, config.gamma_L, ctx.method_rng,
-                                             training=True)
+def _step_stochdepth(net, task, xb, yb, shadows):
+    logits, _ = net.stochdepth_forward(xb, task.method.gamma_L, task.method_rng,
+                                       training=True)
     return loss_ce(logits, yb), _accuracy(logits.data, yb)
 
 
-def _step_gradaug(ctx, config, xb, yb, aux):
-    loss, logits = loss_gradaug(ctx.model, xb, yb, config, ctx.method_rng)
+def _step_gradaug(net, task, xb, yb, shadows):
+    loss, logits = loss_gradaug(net, xb, yb, task.method, task.method_rng)
     return loss, _accuracy(logits.data, yb)
 
 
-def _step_fedalign(ctx, config, xb, yb, aux):
-    loss, logits = loss_fedalign(ctx.model, xb, yb, config, ctx.method_rng)
+def _step_fedalign(net, task, xb, yb, shadows):
+    loss, logits = loss_fedalign(net, xb, yb, task.method, task.method_rng)
     return loss, _accuracy(logits.data, yb)
 
 
@@ -532,46 +543,48 @@ def _batched_indices(n: int, batch_size: int,
     return [order[i:i + batch_size] for i in range(0, n, batch_size)]
 
 
-def _moon_shadows(ctx: ClientContext) -> tuple[BlockNet, BlockNet]:
-    """Frozen copies of the received global model and the client's last model."""
-    if ctx.global_weights is None or ctx.prev_weights is None:
-        raise ValueError("moon needs global and previous weights")
-    shadows = []
-    for weights in (ctx.global_weights, ctx.prev_weights):
-        net = BlockNet(ctx.model.spec, rng=None, with_projection=True,
-                       requires_grad=False)
-        load_vector(net.params, weights)
-        shadows.append(net)
-    return shadows[0], shadows[1]
+def _model(task: ClientTask, weights: ParamVector,
+           requires_grad: bool = True) -> BlockNet:
+    net = BlockNet(task.spec, rng=None, with_projection=task.method.needs_projection,
+                   requires_grad=requires_grad)
+    load_vector(net.params, weights)
+    return net
 
 
-def client_update(ctx: ClientContext, config: MethodConfig, epochs: int,
-                  batch_size: int, opt: OptimizerState) -> tuple[dict[str, Tensor], list[dict]]:
-    """Run local epochs of clipped momentum SGD under the configured method.
+def client_update(task: ClientTask) -> tuple[ParamVector, list[dict]]:
+    """Run local epochs of clipped momentum SGD under the task's method.
 
-    Returns the model's (mutated) parameter dict and per-epoch stats. Zero
-    epochs leaves the parameters untouched.
+    Builds the model from the received weights (and, for a contrastive
+    method, frozen copies of the received and previous-round models), trains
+    it, and returns its trained weights and per-epoch stats. Zero epochs
+    return the received weights.
     """
-    if epochs < 0:
+    if task.epochs < 0:
         raise ValueError("epochs must be non-negative")
-    if batch_size < 1:
+    if task.batch_size < 1:
         raise ValueError("batch_size must be positive")
-    if len(ctx.inputs) == 0:
+    if len(task.inputs) == 0:
         raise ValueError("client has no samples")
+    config = task.method
     method = config.record
-    aux = None
+    if method.contrastive and task.prev is None:
+        raise ValueError(f"{config.method} needs the client's previous-round weights")
+    net = _model(task, task.received)
+    shadows = None
     if method.contrastive and config.mu != 0.0:
-        aux = _moon_shadows(ctx)
+        shadows = (_model(task, task.received, requires_grad=False),
+                   _model(task, task.prev, requires_grad=False))
+    velocity = {}
     stats = []
-    for _ in range(epochs):
+    for _ in range(task.epochs):
         losses, accs, weights = [], [], []
-        for idx in _batched_indices(len(ctx.inputs), batch_size, ctx.data_rng):
-            xb, yb = ctx.inputs[idx], ctx.labels[idx]
-            loss, acc = method.step(ctx, config, xb, yb, aux)
-            zero_gradients(ctx.model.params)
-            grads = gradients(loss, ctx.model.params)
-            grads, _ = clip_grad_norm(grads, opt.clip_norm)
-            sgd_step(ctx.model.params, grads, opt)
+        for idx in _batched_indices(len(task.inputs), task.batch_size, task.data_rng):
+            xb, yb = task.inputs[idx], task.labels[idx]
+            loss, acc = method.step(net, task, xb, yb, shadows)
+            zero_gradients(net.params)
+            grads = gradients(loss, net.params)
+            grads, _ = clip_grad_norm(grads, task.clip_norm)
+            sgd_step(net.params, grads, velocity, task.learning_rate, task.momentum)
             losses.append(loss.item())
             accs.append(acc)
             weights.append(len(idx))
@@ -580,4 +593,4 @@ def client_update(ctx: ClientContext, config: MethodConfig, epochs: int,
             "loss": float(np.average(losses, weights=w)),
             "accuracy": float(np.average(accs, weights=w)),
         })
-    return ctx.model.params, stats
+    return params_to_vector(net.params), stats

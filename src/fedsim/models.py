@@ -14,9 +14,10 @@ defined and the whole model free of running state.
 
 Also here: stochastic-depth forwarding with linearly decaying keep
 probabilities, an optional two-layer projection head for contrastive
-training, and the analytic FLOP / parameter counts that the per-method cost
-model in methods.py composes: one layer rule (a dense layer is a 1x1 conv on
-a 1x1 map), one block rule and one walk pricing what _stack runs.
+training (embed runs the blocks and that head, no classifier), and the
+analytic FLOP / parameter counts that the per-method cost model in
+methods.py composes: one layer rule (a dense layer is a 1x1 conv on a 1x1
+map), one block rule and one walk pricing what _walk and _head run.
 """
 from __future__ import annotations
 
@@ -226,11 +227,11 @@ class BlockNet:
             return f.reshape(f.shape[0], f.shape[1])
         return f
 
-    def _stack(self, x, ks, drops=None) -> tuple[list[Tensor], Tensor]:
-        """Every block at active widths ks, then the head.
+    def _walk(self, x, ks, drops=None) -> list[Tensor]:
+        """Every block at active widths ks; returns the block outputs.
 
-        Returns (block outputs, logits). drops holds one residual-branch
-        multiplier per block; None builds no multiplier node.
+        drops holds one residual-branch multiplier per block; None builds no
+        multiplier node.
         """
         h = x if isinstance(x, Tensor) else Tensor(x)
         if h.shape[1:] != self.spec.input_shape:
@@ -240,22 +241,27 @@ class BlockNet:
         for i, k in enumerate(ks):
             h = self._block(h, i, k, None if drops is None else drops[i])
             feats.append(h)
-        w = _prefix(self.params["head.w"], 0, ks[-1])
-        return feats, matmul(self._pool_flatten(h), w) + self.params["head.b"]
+        return feats
+
+    def _head(self, f_last: Tensor) -> Tensor:
+        """The classifier on the pooled last feature map, at its active width."""
+        w = _prefix(self.params["head.w"], 0, f_last.shape[1])
+        return matmul(self._pool_flatten(f_last), w) + self.params["head.b"]
 
     # -- public forwards ----------------------------------------------------
 
     def forward_with_features(self, x) -> tuple[Tensor, Tensor, Tensor]:
         """Full-width forward returning (next-to-last feature, last feature, logits)."""
-        feats, logits = self._stack(x, self.spec.widths)
-        return feats[-2], feats[-1], logits
+        feats = self._walk(x, self.spec.widths)
+        return feats[-2], feats[-1], self._head(feats[-1])
 
     def forward(self, x) -> Tensor:
         return self.forward_with_features(x)[2]
 
     def forward_subnetwork(self, x, omega: float) -> Tensor:
         """Forward with every block slimmed to ceil(omega * width) channels."""
-        return self._stack(x, [slim_width(w, omega) for w in self.spec.widths])[1]
+        ks = [slim_width(w, omega) for w in self.spec.widths]
+        return self._head(self._walk(x, ks)[-1])
 
     def forward_final_subblock(self, f_prev: Tensor, omega_s: float) -> Tensor:
         """Re-run the last block at reduced width on its full-width input.
@@ -286,8 +292,12 @@ class BlockNet:
             mask = (rng.random(L) < probs).astype(np.float64)
         else:
             mask = probs
-        _, logits = self._stack(x, self.spec.widths, [float(m) for m in mask])
-        return logits, mask
+        feats = self._walk(x, self.spec.widths, [float(m) for m in mask])
+        return self._head(feats[-1]), mask
+
+    def embed(self, x) -> Tensor:
+        """Full-width blocks, then the projection head; no classifier."""
+        return self.project(self._walk(x, self.spec.widths)[-1])
 
     def project(self, f_last: Tensor) -> Tensor:
         """Two-layer projection head on the pooled last feature map."""
@@ -321,7 +331,8 @@ def block_cost(spec: BlockNetSpec, i: int, cin: int, k: int) -> tuple[float, flo
 
 
 def stack_cost(spec: BlockNetSpec, ks, weights=None) -> tuple[float, int]:
-    """(flops, params) of one BlockNet._stack pass at active widths ks.
+    """(flops, params) of one BlockNet._walk pass at active widths ks, then
+    the classifier head.
 
     Block 0 reads the full input and block i the ks[i-1] channels before it;
     the head runs at ks[-1]. weights scales each residual branch (its keep

@@ -20,11 +20,10 @@ import numpy as np
 
 from .data import LabeledDataset, Partition, dirichlet_partition, \
     make_synthetic_mixture, num_test_samples, train_test_split
-from .methods import (ClientContext, ConfigError, ConfigFields, MethodConfig,
+from .methods import (ClientTask, ConfigError, ConfigFields, MethodConfig,
                       client_update, count_cost)
 from .models import BlockNet, BlockNetSpec
-from .tensor import (OptimizerState, ParamVector, load_vector, params_to_vector,
-                     softmax_cross_entropy)
+from .tensor import ParamVector, load_vector, params_to_vector, softmax_cross_entropy
 
 CHECKPOINT_VERSION = 1
 
@@ -318,41 +317,13 @@ def _derive_seed(parts) -> int:
 # -- client execution (top level so a process pool can pickle it) --------------
 
 
-@dataclass
-class _ClientTask:
-    # every task of a round shares one global ParamVector and only reads it
-    config: ExperimentConfig
-    client_id: int
-    round_idx: int
-    global_vector: ParamVector
-    prev_vector: ParamVector | None  # contrastive methods only
-    inputs: np.ndarray
-    labels: np.ndarray
-
-
-def _run_client(task: _ClientTask) -> tuple[int, ParamVector, list[dict]]:
-    config, method = task.config, task.config.method
-    if method.record.contrastive and task.prev_vector is None:
-        raise RuntimeError(f"{method.method} task is missing previous-round weights")
-    model = BlockNet(config.model_spec(), rng=None,
-                     with_projection=method.needs_projection)
-    load_vector(model.params, task.global_vector)
-    ctx = ClientContext(
-        model=model, inputs=task.inputs, labels=task.labels,
-        data_rng=np.random.default_rng(
-            [config.seed, _CLIENT_DATA, task.round_idx, task.client_id]),
-        method_rng=np.random.default_rng(
-            [config.seed, _CLIENT_METHOD, task.round_idx, task.client_id]),
-        global_weights=task.global_vector, prev_weights=task.prev_vector)
-    opt = OptimizerState(learning_rate=config.learning_rate,
-                         momentum=config.momentum, clip_norm=config.clip_norm)
+def _run_client(task: ClientTask) -> tuple[int, ParamVector, list[dict]]:
     try:
-        _, stats = client_update(ctx, method, config.local_epochs,
-                                 config.batch_size, opt)
+        vec, stats = client_update(task)
     except Exception as e:
         raise RuntimeError(f"client {task.client_id} failed in round "
                            f"{task.round_idx}: {e}") from e
-    return task.client_id, params_to_vector(model.params), stats
+    return task.client_id, vec, stats
 
 
 def run_round(state: ExperimentState, pool: ProcessPoolExecutor | None = None) -> RoundMetrics:
@@ -363,15 +334,22 @@ def run_round(state: ExperimentState, pool: ProcessPoolExecutor | None = None) -
                              config.seed)
     # a contrastive method trains against each client's previous-round model
     keeps_prev = config.method.record.contrastive
+    spec = config.model_spec()
     tasks = []
     for cid in sampled:
         idx = state.partition.assignments[cid]
         # a client never sampled before starts from the initial model
         prev = state.prev_client_vectors.get(cid, state.initial_vector) if keeps_prev else None
-        tasks.append(_ClientTask(
-            config=config, client_id=cid, round_idx=r,
-            global_vector=state.global_vector, prev_vector=prev,
-            inputs=state.train.inputs[idx], labels=state.train.labels[idx]))
+        # every task of a round shares one global ParamVector and only reads it
+        tasks.append(ClientTask(
+            client_id=cid, round_idx=r, method=config.method, spec=spec,
+            inputs=state.train.inputs[idx], labels=state.train.labels[idx],
+            received=state.global_vector, prev=prev,
+            data_rng=np.random.default_rng([config.seed, _CLIENT_DATA, r, cid]),
+            method_rng=np.random.default_rng([config.seed, _CLIENT_METHOD, r, cid]),
+            epochs=config.local_epochs, batch_size=config.batch_size,
+            learning_rate=config.learning_rate, momentum=config.momentum,
+            clip_norm=config.clip_norm))
     if pool is not None:
         results = list(pool.map(_run_client, tasks))
     else:

@@ -9,8 +9,8 @@ backward closure returns None for a parent that requires no gradient
 instead of computing a value that would be dropped. The op set is
 intentionally small:
 matmul, 2-d convolution, elementwise arithmetic, relu/tanh/exp/log/sqrt,
-reductions, slicing and axis permutation, adaptive average pooling, nearest
-upsampling, fused softmax cross-entropy, and mean squared error.
+clamping from below, reductions, slicing and axis permutation, adaptive
+average pooling, fused softmax cross-entropy, and mean squared error.
 
 The module also carries the optimizer-side helpers that operate on parameter
 dicts: SGD with classic momentum, global gradient-norm clipping, and the one
@@ -19,7 +19,7 @@ leave and enter a parameter dict as a ParamVector.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -302,6 +302,14 @@ def sqrt(x: Tensor) -> Tensor:
     return Tensor._op(s, (x,), lambda g: (g * 0.5 / s,))
 
 
+def clamp_min(x: Tensor, floor: float) -> Tensor:
+    """max(x, floor) elementwise; the gradient passes only where x > floor."""
+    x = Tensor._wrap(x)
+    mask = x.data > floor
+    return Tensor._op(np.maximum(x.data, floor), (x,),
+                      lambda g: (np.where(mask, g, 0.0),))
+
+
 def slice_axis(x: Tensor, axis: int, start: int, stop: int) -> Tensor:
     """Contiguous slice along one axis; backward zero-pads the complement."""
     x = Tensor._wrap(x)
@@ -387,22 +395,6 @@ def adaptive_avg_pool2d(x: Tensor, out_hw: tuple[int, int]) -> Tensor:
     return Tensor._op(data, (x,), back)
 
 
-def upsample_nearest(x: Tensor, out_hw: tuple[int, int]) -> Tensor:
-    x = Tensor._wrap(x)
-    B, C, H, W = x.data.shape
-    oh, ow = out_hw
-    ri = (np.arange(oh) * H) // oh
-    ci = (np.arange(ow) * W) // ow
-    data = x.data[:, :, ri][:, :, :, ci]
-
-    def back(g):
-        dx = np.zeros_like(x.data)
-        np.add.at(dx, (slice(None), slice(None), ri[:, None], ci[None, :]), g)
-        return (dx,)
-
-    return Tensor._op(data, (x,), back)
-
-
 def softmax_cross_entropy(logits: Tensor, labels: Array) -> Tensor:
     """Mean cross-entropy of integer labels under softmax(logits).
 
@@ -483,27 +475,19 @@ def clip_grad_norm(grads: dict[str, Array], max_norm: float) -> tuple[dict[str, 
     return {k: g * scale for k, g in grads.items()}, scale
 
 
-@dataclass
-class OptimizerState:
-    """SGD with classic momentum: v <- momentum*v + g; w <- w - lr*v."""
-
-    learning_rate: float = 0.01
-    momentum: float = 0.9
-    clip_norm: float = 5.0
-    velocity: dict[str, Array] = field(default_factory=dict)
-
-
 def sgd_step(params: dict[str, Tensor], grads: dict[str, Array],
-             state: OptimizerState) -> dict[str, Tensor]:
-    """One momentum-SGD update, in place. Velocity persists in `state`."""
+             velocity: dict[str, Array], learning_rate: float,
+             momentum: float) -> dict[str, Tensor]:
+    """One classic-momentum SGD update, in place: v <- momentum*v + g;
+    w <- w - learning_rate*v. `velocity` holds v by name across steps."""
     for name, p in params.items():
         g = grads[name]
         if g.shape != p.data.shape:
             raise ValueError(f"gradient shape mismatch for {name}")
-        v = state.velocity.get(name)
-        v = g.copy() if v is None else state.momentum * v + g
-        state.velocity[name] = v
-        p.data = p.data - state.learning_rate * v
+        v = velocity.get(name)
+        v = g.copy() if v is None else momentum * v + g
+        velocity[name] = v
+        p.data = p.data - learning_rate * v
     return params
 
 

@@ -10,7 +10,7 @@ import itertools
 import numpy as np
 import pytest
 
-from fedsim.methods import METHOD_TABLE, ClientContext, MethodConfig, _moon_shadows
+from fedsim.methods import METHOD_TABLE, ClientTask, MethodConfig, _model
 from fedsim.models import BlockNet, BlockNetSpec
 from fedsim.orchestrator import DatasetConfig, ExperimentConfig, ModelConfig, build_state
 from fedsim.tensor import (Tensor, gradients, params_to_vector, sqrt,
@@ -40,13 +40,18 @@ def _one_step_loss(method, model, x, y, seed=5):
     config = (MethodConfig(method="fedalign", mu=0.12) if method == "fedalign"
               else MethodConfig(method=method))
     vec = params_to_vector(model.params)
-    ctx = ClientContext(model=model, inputs=x, labels=y,
-                        data_rng=np.random.default_rng([seed, 0]),
-                        method_rng=np.random.default_rng([seed, 1]),
-                        global_weights=vec, prev_weights=vec)
+    task = ClientTask(client_id=0, round_idx=0, method=config, spec=model.spec,
+                      inputs=x, labels=y, received=vec, prev=vec,
+                      data_rng=np.random.default_rng([seed, 0]),
+                      method_rng=np.random.default_rng([seed, 1]),
+                      epochs=1, batch_size=len(x), learning_rate=0.05,
+                      momentum=0.9, clip_norm=5.0)
     rec = METHOD_TABLE[method]
-    aux = _moon_shadows(ctx) if rec.contrastive else None
-    loss, _ = rec.step(ctx, config, x, y, aux)
+    shadows = None
+    if rec.contrastive:
+        shadows = (_model(task, vec, requires_grad=False),
+                   _model(task, vec, requires_grad=False))
+    loss, _ = rec.step(model, task, x, y, shadows)
     return loss
 
 

@@ -71,6 +71,18 @@ def test_run_resume_extends_metrics(tmp_path, capsys):
     assert [m.round for m in read_metrics(out)] == [0, 1, 2, 3]
 
 
+def test_moon_trains_through_a_zero_norm_representation(tmp_path, capsys):
+    # this narrow projection head maps some inputs to all-zero rows, whose
+    # cosine is 0 under the norm floor rather than an error
+    path = str(tmp_path / "moon.json")
+    with open(path, "w") as f:
+        json.dump({"num_clients": 3, "method": {"method": "moon"},
+                   "dataset": {"num_classes": 4, "dims": [8], "samples_per_class": 10},
+                   "model": {"widths": [4, 4], "projection_dim": 8}}, f)
+    assert main(["run", "--config", path]) == 0
+    assert "completed 20/20 rounds" in capsys.readouterr().out
+
+
 def test_run_error_exit_codes(tmp_path, capsys):
     assert main(["run", "--config", str(tmp_path / "absent.json")]) == 3
 

@@ -2,13 +2,12 @@
 import numpy as np
 import pytest
 
-from fedsim.methods import (ClientContext, METHODS, MethodConfig,
+from fedsim.methods import (ClientTask, METHODS, MethodConfig,
                             _kd_divergence, _np_softmax, client_update,
                             loss_ce, loss_fedalign, loss_fedprox, loss_gradaug,
                             loss_moon, spectral_norm, transmitting_matrices)
 from fedsim.models import BlockNet, BlockNetSpec
-from fedsim.tensor import (OptimizerState, Tensor, gradients, params_to_vector,
-                           zero_gradients)
+from fedsim.tensor import Tensor, gradients, params_to_vector, zero_gradients
 
 from helpers import matrix_with_spectrum
 
@@ -27,10 +26,18 @@ def _batch(seed=1, n=10, spec=SPEC):
     return x, y
 
 
-def _ctx(net, x, y, seed=2, **kw):
-    return ClientContext(model=net, inputs=x, labels=y,
-                         data_rng=np.random.default_rng([seed, 0]),
-                         method_rng=np.random.default_rng([seed, 1]), **kw)
+def _task(net, x, y, seed=2, method=None, epochs=1, with_prev=False, **kw):
+    """A task that starts from net's weights (and, with_prev, has them as the
+    previous-round weights too), at batch size 4 and the optimizer defaults."""
+    received = params_to_vector(net.params)
+    sgd = dict(batch_size=4, learning_rate=0.01, momentum=0.9, clip_norm=5.0)
+    sgd.update(kw)
+    return ClientTask(client_id=0, round_idx=0, method=method or MethodConfig(),
+                      spec=net.spec, inputs=x, labels=y, received=received,
+                      prev=received if with_prev else None,
+                      data_rng=np.random.default_rng([seed, 0]),
+                      method_rng=np.random.default_rng([seed, 1]),
+                      epochs=epochs, **sgd)
 
 
 # -- configuration ----------------------------------------------------------------
@@ -153,8 +160,19 @@ def test_moon_mu_zero_and_zero_norm():
     base = Tensor(1.0, requires_grad=True)
     z = Tensor(np.ones((2, 3)))
     assert loss_moon(base, z, z, z, 0.5, 0.0) is base
-    with pytest.raises(ValueError):
-        loss_moon(base, Tensor(np.zeros((2, 3))), z, z, 0.5, 1.0)
+    # each norm is floored, so a zero row has cosine 0 with anything and the
+    # term is log(e^0 + e^0) - 0 = log 2
+    zero = Tensor(np.zeros((2, 3)), requires_grad=True)
+    loss = loss_moon(base, zero, z, z, 0.5, 1.0)
+    assert abs(loss.item() - (1.0 + np.log(2.0))) < 1e-12
+    loss.backward()
+    assert np.all(np.isfinite(zero.grad))
+    local = Tensor(np.ones((2, 3)), requires_grad=True)
+    loss = loss_moon(base, local, Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))),
+                     0.5, 1.0)
+    assert abs(loss.item() - (1.0 + np.log(2.0))) < 1e-12
+    loss.backward()
+    assert np.all(np.isfinite(local.grad))
 
 
 # -- distillation pieces -----------------------------------------------------------
@@ -338,30 +356,25 @@ def test_fedalign_conv_path_runs():
 
 def test_client_update_zero_epochs_is_noop():
     net = _net(seed=36)
-    before = params_to_vector(net.params).data.copy()
     x, y = _batch(seed=37)
-    params, stats = client_update(_ctx(net, x, y), MethodConfig(), 0, 4,
-                                  OptimizerState())
+    task = _task(net, x, y, epochs=0)
+    vec, stats = client_update(task)
     assert stats == []
-    assert np.array_equal(params_to_vector(net.params).data, before)
+    assert vec.layout == task.received.layout
+    assert np.array_equal(vec.data, task.received.data)
 
 
 def test_client_update_deterministic():
     x, y = _batch(seed=38)
-    outs = []
-    for _ in range(2):
-        net = _net(seed=39)
-        client_update(_ctx(net, x, y, seed=40), MethodConfig(), 2, 4,
-                      OptimizerState())
-        outs.append(params_to_vector(net.params).data)
+    outs = [client_update(_task(_net(seed=39), x, y, seed=40, epochs=2))[0].data
+            for _ in range(2)]
     assert np.array_equal(outs[0], outs[1])
 
 
 def test_client_update_reports_weighted_stats():
     net = _net(seed=41)
     x, y = _batch(seed=42, n=6)
-    _, stats = client_update(_ctx(net, x, y), MethodConfig(), 3, 4,
-                             OptimizerState(learning_rate=0.05))
+    _, stats = client_update(_task(net, x, y, epochs=3, learning_rate=0.05))
     assert len(stats) == 3
     assert all(set(s) == {"loss", "accuracy"} for s in stats)
     assert stats[-1]["loss"] < stats[0]["loss"]  # it does learn something
@@ -371,47 +384,48 @@ def test_client_update_validation():
     net = _net()
     x, y = _batch()
     with pytest.raises(ValueError):
-        client_update(_ctx(net, x, y), MethodConfig(), -1, 4, OptimizerState())
+        client_update(_task(net, x, y, epochs=-1))
     with pytest.raises(ValueError):
-        client_update(_ctx(net, x, y), MethodConfig(), 1, 0, OptimizerState())
+        client_update(_task(net, x, y, batch_size=0))
     with pytest.raises(ValueError):
-        client_update(_ctx(net, x[:0], y[:0]), MethodConfig(), 1, 4,
-                      OptimizerState())
+        client_update(_task(net, x[:0], y[:0]))
 
 
 def test_moon_update_requires_reference_weights():
     net = _net(seed=43, with_projection=True)
     x, y = _batch(seed=44)
-    with pytest.raises(ValueError):
-        client_update(_ctx(net, x, y), MethodConfig(method="moon"), 1, 4,
-                      OptimizerState())
+    for mu in (1.0, 0.0):
+        with pytest.raises(ValueError):
+            client_update(_task(net, x, y, method=MethodConfig(method="moon", mu=mu)))
 
 
-def _trajectory(method_cfg, seed=45, with_projection=False, epochs=2):
+def _trajectory(method_cfg, seed=45, epochs=2):
     net = BlockNet(SPEC, rng=np.random.default_rng(seed),
-                   with_projection=with_projection)
+                   with_projection=method_cfg.needs_projection)
     x, y = _batch(seed=seed + 1)
-    ctx = _ctx(net, x, y, seed=seed + 2,
-               global_weights=params_to_vector(net.params),
-               prev_weights=params_to_vector(net.params))
-    client_update(ctx, method_cfg, epochs, 4, OptimizerState())
-    return params_to_vector(net.params).data
+    task = _task(net, x, y, seed=seed + 2, method=method_cfg, epochs=epochs,
+                 with_prev=True)
+    return client_update(task)[0]
 
 
 def test_mu_zero_trajectories_match_plain_ce_bitwise():
-    want = _trajectory(MethodConfig(method="fedavg"))
-    assert np.array_equal(_trajectory(MethodConfig(method="fedprox", mu=0.0)), want)
-    assert np.array_equal(_trajectory(MethodConfig(method="gradaug", mu=0.0)), want)
+    want = _trajectory(MethodConfig(method="fedavg")).data
+    assert np.array_equal(_trajectory(MethodConfig(method="fedprox", mu=0.0)).data, want)
+    assert np.array_equal(_trajectory(MethodConfig(method="gradaug", mu=0.0)).data, want)
     assert np.array_equal(
-        _trajectory(MethodConfig(method="fedalign", omega_S=1.0)), want)
+        _trajectory(MethodConfig(method="fedalign", omega_S=1.0)).data, want)
     assert np.array_equal(
-        _trajectory(MethodConfig(method="stochdepth", gamma_L=1.0)), want)
+        _trajectory(MethodConfig(method="stochdepth", gamma_L=1.0)).data, want)
 
 
 def test_moon_mu_zero_matches_ce_with_projection():
-    want = _trajectory(MethodConfig(method="fedavg"), with_projection=True)
-    got = _trajectory(MethodConfig(method="moon", mu=0.0), with_projection=True)
-    assert np.array_equal(got, want)
+    # fedavg's model has no projection head; its proj.* entries sort last
+    want = _trajectory(MethodConfig(method="fedavg"))
+    got = _trajectory(MethodConfig(method="moon", mu=0.0))
+    n = len(want.layout)
+    assert got.layout[:n] == want.layout
+    assert all(name.startswith("proj.") for name, _, _ in got.layout[n:])
+    assert np.array_equal(got.data[:want.size], want.data)
 
 
 def test_every_method_trains_without_error():
@@ -419,9 +433,6 @@ def test_every_method_trains_without_error():
         net = BlockNet(SPEC, rng=np.random.default_rng(46),
                        with_projection=(m == "moon"))
         x, y = _batch(seed=47)
-        ctx = _ctx(net, x, y, seed=48,
-                   global_weights=params_to_vector(net.params),
-                   prev_weights=params_to_vector(net.params))
-        _, stats = client_update(ctx, MethodConfig(method=m), 1, 4,
-                                 OptimizerState())
+        _, stats = client_update(_task(net, x, y, seed=48,
+                                       method=MethodConfig(method=m), with_prev=True))
         assert np.isfinite(stats[0]["loss"]), m

@@ -217,7 +217,7 @@ def test_round_shares_the_global_vector_read_only(method, monkeypatch):
     real_run_client = orchestrator._run_client
 
     def recording_run_client(task):
-        given.append(task.global_vector)
+        given.append(task.received)
         return real_run_client(task)
 
     monkeypatch.setattr(orchestrator, "_run_client", recording_run_client)
@@ -386,9 +386,12 @@ def test_full_determinism_and_seed_sensitivity():
     assert not np.array_equal(s1.global_vector.data, s3.global_vector.data)
 
 
-def test_parallel_matches_serial_bitwise():
-    cfg_serial = _cfg(rounds=2, method=MethodConfig(method="moon"))
-    cfg_par = _cfg(rounds=2, workers=2, method=MethodConfig(method="moon"))
+@pytest.mark.parametrize("method", ["moon", "gradaug"])
+def test_parallel_matches_serial_bitwise(method):
+    # the round loop builds each task's generators and pickles them to the
+    # workers: moon draws only batch order, gradaug also draws every step
+    cfg_serial = _cfg(rounds=2, method=MethodConfig(method=method))
+    cfg_par = _cfg(rounds=2, workers=2, method=MethodConfig(method=method))
     s_serial, m_serial = run_experiment(cfg_serial)
     s_par, m_par = run_experiment(cfg_par)
     assert np.array_equal(s_serial.global_vector.data, s_par.global_vector.data)

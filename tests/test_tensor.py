@@ -2,12 +2,11 @@
 import numpy as np
 import pytest
 
-from fedsim.tensor import (OptimizerState, ParamVector, Tensor,
-                           adaptive_avg_pool2d, clip_grad_norm,
-                           conv2d, exp, gradients, load_vector, log,
-                           log_softmax, matmul, mse, params_to_vector, relu,
-                           sgd_step, slice_axis, softmax_cross_entropy, sqrt,
-                           tanh, upsample_nearest, zero_gradients)
+from fedsim.tensor import (ParamVector, Tensor, adaptive_avg_pool2d,
+                           clamp_min, clip_grad_norm, conv2d, exp, gradients,
+                           load_vector, log, log_softmax, matmul, mse,
+                           params_to_vector, relu, sgd_step, slice_axis,
+                           softmax_cross_entropy, sqrt, tanh, zero_gradients)
 
 from helpers import max_rel_err, numeric_grad
 
@@ -134,6 +133,15 @@ def test_relu_values_and_safe_gradient():
               params)
 
 
+def test_clamp_min_values_and_gradient():
+    x = Tensor([-1.0, 0.0, 1e-16, 2.0], requires_grad=True)
+    y = clamp_min(x, 1e-16)
+    assert np.array_equal(y.data, [1e-16, 1e-16, 1e-16, 2.0])
+    (y * Tensor([1.0, 2.0, 3.0, 4.0])).sum().backward()
+    # the gradient passes only strictly above the floor
+    assert np.array_equal(x.grad, [0.0, 0.0, 0.0, 4.0])
+
+
 def test_tanh_fd():
     params = {"x": Tensor(np.linspace(-2, 2, 7), requires_grad=True)}
     _fd_check(lambda: _square(tanh(params["x"])).sum(), params)
@@ -205,20 +213,6 @@ def test_adaptive_avg_pool2d_grads_fd():
     params = {"x": Tensor(rng.normal(size=(1, 2, 5, 3)), requires_grad=True)}
     _fd_check(lambda: _square(adaptive_avg_pool2d(params["x"], (2, 2))).sum(),
               params)
-
-
-def test_upsample_nearest_index_oracle():
-    x = np.array([[[[1.0, 2.0], [3.0, 4.0]]]])
-    got = upsample_nearest(Tensor(x), (4, 4)).data
-    want = np.array([[[[1, 1, 2, 2], [1, 1, 2, 2],
-                       [3, 3, 4, 4], [3, 3, 4, 4]]]], dtype=np.float64)
-    assert np.array_equal(got, want)
-
-
-def test_upsample_nearest_grads_fd():
-    rng = np.random.default_rng(11)
-    params = {"x": Tensor(rng.normal(size=(1, 2, 2, 3)), requires_grad=True)}
-    _fd_check(lambda: _square(upsample_nearest(params["x"], (3, 5))).sum(), params)
 
 
 # -- losses -----------------------------------------------------------------------
@@ -429,28 +423,28 @@ def test_clip_grad_norm_zero_and_nonfinite():
 
 def test_sgd_step_two_steps_hand_computed():
     p = {"w": Tensor(np.array([1.0]), requires_grad=True)}
-    st = OptimizerState(learning_rate=0.1, momentum=0.9)
-    sgd_step(p, {"w": np.array([2.0])}, st)
+    velocity = {}
+    sgd_step(p, {"w": np.array([2.0])}, velocity, 0.1, 0.9)
     # v = 2, w = 1 - 0.1*2 = 0.8
     assert np.allclose(p["w"].data, [0.8])
-    sgd_step(p, {"w": np.array([1.0])}, st)
+    sgd_step(p, {"w": np.array([1.0])}, velocity, 0.1, 0.9)
     # v = 0.9*2 + 1 = 2.8, w = 0.8 - 0.28 = 0.52
     assert np.allclose(p["w"].data, [0.52])
-    assert np.allclose(st.velocity["w"], [2.8])
+    assert np.allclose(velocity["w"], [2.8])
 
 
 def test_sgd_step_zero_momentum_is_plain_sgd():
     p = {"w": Tensor(np.array([1.0, 2.0]), requires_grad=True)}
-    st = OptimizerState(learning_rate=0.5, momentum=0.0)
-    sgd_step(p, {"w": np.array([1.0, -1.0])}, st)
-    sgd_step(p, {"w": np.array([1.0, -1.0])}, st)
+    velocity = {}
+    sgd_step(p, {"w": np.array([1.0, -1.0])}, velocity, 0.5, 0.0)
+    sgd_step(p, {"w": np.array([1.0, -1.0])}, velocity, 0.5, 0.0)
     assert np.allclose(p["w"].data, [0.0, 3.0])
 
 
 def test_sgd_step_shape_mismatch():
     p = {"w": Tensor(np.zeros(2), requires_grad=True)}
     with pytest.raises(ValueError):
-        sgd_step(p, {"w": np.zeros(3)}, OptimizerState())
+        sgd_step(p, {"w": np.zeros(3)}, {}, 0.01, 0.9)
 
 
 # -- parameter vector bijection ---------------------------------------------------------

@@ -9,7 +9,9 @@ relative and two OUT_DIRs compare equal with `diff -r`:
 
 - every method on criterion 9's configuration (8 clients, Dir(0.1), 6 local
   epochs, batch 16, seed 0) for 3 rounds;
-- moon on the same configuration with 2 worker processes;
+- moon and gradaug on the same configuration with 2 worker processes, so
+  both client generators (moon draws only data order, gradaug also draws
+  subnetwork widths and transforms every step) cross the process pool;
 - fedprox on the same configuration at sample_fraction 0.3, so 3 of the 8
   clients train each round (partial participation);
 - gradaug, fedalign, stochdepth and moon on the benchmark's conv-train
@@ -70,7 +72,8 @@ def conv_config(method: str) -> dict:
 
 def runs() -> dict[str, dict]:
     out = {f"c9-{m}": c9_config(m) for m in METHODS}
-    out["c9-moon-workers2"] = {**c9_config("moon"), "workers": 2}
+    for m in ("moon", "gradaug"):
+        out[f"c9-{m}-workers2"] = {**c9_config(m), "workers": 2}
     out["c9-fedprox-partial"] = {**c9_config("fedprox"), "sample_fraction": 0.3}
     for m in ("gradaug", "fedalign", "stochdepth", "moon"):
         out[f"conv-{m}"] = conv_config(m)
