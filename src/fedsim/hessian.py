@@ -1,14 +1,14 @@
 """Matrix-free curvature diagnostics over the flat parameter vector.
 
 Hessian-vector products come from central finite differences of the gradient
-(two gradient evaluations per product, step h = 1e-4 along the normalized
-direction, so the truncation error is O(h^2) and float64 round-off stays
-around 1e-8 for desk-scale losses). On top of that: power iteration with
-deflation for leading eigenvalues, one pass of Rademacher (Hutchinson)
-probes that gives both the diagonal, E[v * Hv], and the trace, E[v^T H v],
-from the same products (so the trace equals the diagonal's sum), pairwise
-cross-client curvature comparisons, and a 2-d loss landscape slice, which
-takes a report's eigenvectors as its directions.
+(two gradient evaluations per product, step h = DEFAULT_FD_STEP = 1e-4 along
+the normalized direction, so the truncation error is O(h^2) and float64
+round-off stays around 1e-8 for desk-scale losses). On top of that: power
+iteration with deflation for leading eigenvalues, one pass of Rademacher
+(Hutchinson) probes that gives both the diagonal, E[v * Hv], and the trace,
+E[v^T H v], from the same products (so the trace equals the diagonal's sum),
+pairwise cross-client curvature comparisons, and a 2-d loss landscape slice,
+which takes a report's eigenvectors as its directions.
 
 A model is anything with a `params` dict of Tensors. Every routine reads
 theta with tensor.params_to_vector, moves the model with tensor.load_vector,
@@ -23,25 +23,23 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .tensor import (ParamVector, Tensor, gradients, load_vector, params_to_vector,
-                     softmax_cross_entropy, zero_gradients)
+                     softmax_cross_entropy)
 
 DEFAULT_FD_STEP = 1e-4
 
 
 def _grad_at(model, loss_fn, batch, vec: ParamVector) -> np.ndarray:
     load_vector(model.params, vec)
-    zero_gradients(model.params)
     loss = loss_fn(model, batch[0], batch[1])
     gmap = gradients(loss, model.params)
     return np.concatenate([gmap[name].reshape(-1) for name, _, _ in vec.layout])
 
 
-def hvp(model, loss_fn, batch, v: np.ndarray,
-        h: float = DEFAULT_FD_STEP) -> np.ndarray:
+def hvp(model, loss_fn, batch, v: np.ndarray) -> np.ndarray:
     """Hessian-vector product by central differences of the gradient.
 
-    Uses the normalized direction internally and rescales, so the step size
-    is meaningful regardless of |v|. A zero direction returns zeros.
+    Steps DEFAULT_FD_STEP along the normalized direction and rescales, so the
+    step size is meaningful regardless of |v|. A zero direction returns zeros.
     """
     theta = params_to_vector(model.params)
     v = np.asarray(v, dtype=np.float64)
@@ -51,19 +49,16 @@ def hvp(model, loss_fn, batch, v: np.ndarray,
     if norm == 0.0:
         return np.zeros_like(theta.data)
     try:
-        unit = v / norm
-        g_plus = _grad_at(model, loss_fn, batch,
-                          ParamVector(theta.data + h * unit, theta.layout))
-        g_minus = _grad_at(model, loss_fn, batch,
-                           ParamVector(theta.data - h * unit, theta.layout))
-        return (g_plus - g_minus) * (norm / (2.0 * h))
+        step = DEFAULT_FD_STEP * (v / norm)
+        g_plus = _grad_at(model, loss_fn, batch, ParamVector(theta.data + step, theta.layout))
+        g_minus = _grad_at(model, loss_fn, batch, ParamVector(theta.data - step, theta.layout))
+        return (g_plus - g_minus) * (norm / (2.0 * DEFAULT_FD_STEP))
     finally:
         load_vector(model.params, theta)
 
 
 def top_eigenpairs(model, loss_fn, batch, k: int = 1, iters: int = 100,
-                   tol: float = 1e-4, seed: int = 0,
-                   h: float = DEFAULT_FD_STEP):
+                   tol: float = 1e-4, seed: int = 0):
     """Leading Hessian eigenvalues (by magnitude, signed) and eigenvectors.
 
     Power iteration on the finite-difference operator; already-found pairs
@@ -84,7 +79,7 @@ def top_eigenpairs(model, loss_fn, batch, k: int = 1, iters: int = 100,
         lam = 0.0
         ok = False
         for _ in range(iters):
-            w = hvp(model, loss_fn, batch, v, h=h)
+            w = hvp(model, loss_fn, batch, v)
             for lam_j, v_j in zip(values, vectors):
                 w = w - lam_j * float(v_j @ v) * v_j
             new_lam = float(v @ w)
@@ -104,8 +99,7 @@ def top_eigenpairs(model, loss_fn, batch, k: int = 1, iters: int = 100,
     return values, vectors, converged
 
 
-def hessian_diagonal(model, loss_fn, batch, num_probes: int = 100, seed: int = 0,
-                     h: float = DEFAULT_FD_STEP
+def hessian_diagonal(model, loss_fn, batch, num_probes: int = 100, seed: int = 0
                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Diagonal estimate E[v * Hv] over Rademacher probes, with std errors.
 
@@ -123,7 +117,7 @@ def hessian_diagonal(model, loss_fn, batch, num_probes: int = 100, seed: int = 0
     totals = np.empty(num_probes)
     for i in range(num_probes):
         v = rng.integers(0, 2, size=n) * 2.0 - 1.0
-        sample = v * hvp(model, loss_fn, batch, v, h=h)
+        sample = v * hvp(model, loss_fn, batch, v)
         totals[i] = sample.sum()
         delta = sample - mean
         mean += delta / (i + 1)
@@ -173,10 +167,8 @@ class HessianReport:
 
 
 def hessian_report(model, loss_fn, batch, k: int = 2, num_probes: int = 100,
-                   iters: int = 100, tol: float = 1e-4,
                    seed: int = 0) -> HessianReport:
-    values, vectors, converged = top_eigenpairs(model, loss_fn, batch, k=k,
-                                                iters=iters, tol=tol, seed=seed)
+    values, vectors, converged = top_eigenpairs(model, loss_fn, batch, k=k, seed=seed)
     diag, diag_se, totals = hessian_diagonal(model, loss_fn, batch,
                                              num_probes=num_probes, seed=seed)
     trace, trace_se = hutchinson_trace(totals)

@@ -37,7 +37,7 @@ from .models import (BlockNet, BlockNetSpec, block_cost, keep_probability,
 from .tensor import (ParamVector, Tensor, adaptive_avg_pool2d, clamp_min,
                      clip_grad_norm, exp, gradients, load_vector, log, log_softmax,
                      matmul, mse, params_to_vector, softmax_cross_entropy, sgd_step,
-                     sqrt, zero_gradients)
+                     sqrt)
 
 
 # -- configs ------------------------------------------------------------------
@@ -131,8 +131,6 @@ class MethodConfig(ConfigFields):
     n_subnets: int = 2          # gradaug subnetworks per step
     omega_S: float = 0.25       # fedalign sub-block width
     tau: float = 0.5            # moon temperature
-    power_iters: int = 20       # spectral norm iterations during training
-    lip_epsilon: float = 1e-8   # guard below which the alignment term is skipped
 
     def __post_init__(self):
         if self.method not in METHOD_TABLE:
@@ -152,8 +150,6 @@ class MethodConfig(ConfigFields):
             raise ValueError("n_subnets must be non-negative")
         if self.tau <= 0:
             raise ValueError("tau must be positive")
-        if self.power_iters < 1:
-            raise ValueError("power_iters must be positive")
 
     @property
     def record(self) -> Method:
@@ -317,9 +313,13 @@ def transmitting_matrices(f_prev: Tensor, f_last: Tensor,
     return x_full, x_sub
 
 
-def spectral_norm(x: Tensor, power_iters: int = 20,
-                  rng: np.random.Generator | None = None) -> Tensor:
-    """Largest singular value by power iteration.
+POWER_ITERS = 20     # spectral-norm power iterations per fedalign step
+LIP_EPSILON = 1e-8   # alignment terms below this are skipped
+
+
+def spectral_norm(x: Tensor, rng: np.random.Generator,
+                  power_iters: int = POWER_ITERS) -> Tensor:
+    """Largest singular value by power iteration from a start drawn from rng.
 
     The singular-vector estimates are built from detached values, so the
     result differentiates through x as u^T x v with u, v held constant (the
@@ -333,7 +333,6 @@ def spectral_norm(x: Tensor, power_iters: int = 20,
     a = x.data
     if not np.any(a):
         return Tensor(0.0) * x.sum()  # keeps the zero on the graph with zero grad
-    rng = rng if rng is not None else np.random.default_rng(0)
     v = rng.standard_normal(a.shape[1])
     v /= math.sqrt(v @ v)  # numpy's 1-D norm, bit for bit, without its dispatch
     for _ in range(power_iters):
@@ -363,11 +362,11 @@ def loss_fedalign(net: BlockNet, x: np.ndarray, y: np.ndarray,
         return base, logits
     f_sub = net.forward_final_subblock(f_prev, config.omega_S)
     x_full, x_sub = transmitting_matrices(f_prev, f_last, f_sub)
-    k_full = spectral_norm(x_full, config.power_iters, rng)
-    k_sub = spectral_norm(x_sub, config.power_iters, rng)
+    k_full = spectral_norm(x_full, rng)
+    k_sub = spectral_norm(x_sub, rng)
     lip = mse(k_sub, k_full)
     lip_value = lip.item()
-    if lip_value < config.lip_epsilon:
+    if lip_value < LIP_EPSILON:
         return base, logits
     scale = config.mu * base.item() / lip_value
     return base + scale * lip, logits
@@ -581,7 +580,6 @@ def client_update(task: ClientTask) -> tuple[ParamVector, list[dict]]:
         for idx in _batched_indices(len(task.inputs), task.batch_size, task.data_rng):
             xb, yb = task.inputs[idx], task.labels[idx]
             loss, acc = method.step(net, task, xb, yb, shadows)
-            zero_gradients(net.params)
             grads = gradients(loss, net.params)
             grads, _ = clip_grad_norm(grads, task.clip_norm)
             sgd_step(net.params, grads, velocity, task.learning_rate, task.momentum)

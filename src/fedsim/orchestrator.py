@@ -25,7 +25,7 @@ from .methods import (ClientTask, ConfigError, ConfigFields, MethodConfig,
 from .models import BlockNet, BlockNetSpec
 from .tensor import ParamVector, load_vector, params_to_vector, softmax_cross_entropy
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 # substream tags so independent draws never share a generator
 _DATA, _SPLIT, _PARTITION, _INIT, _SAMPLE, _CLIENT_DATA, _CLIENT_METHOD = range(7)
@@ -392,10 +392,22 @@ def _array_table(client_ids: list[int], size: int) -> list[dict]:
             for i, n in enumerate(names)]
 
 
+def _digest(manifest: dict, payload) -> str:
+    """sha256 of the manifest line without its digest, then the payload
+    buffers; hashed piece by piece so the payload is never joined."""
+    h = hashlib.sha256(json.dumps(manifest).encode() + b"\n")
+    for buf in payload:
+        h.update(buf)
+    return h.hexdigest()
+
+
 def save_checkpoint(path: str, state: ExperimentState) -> None:
     """Single-file container: one JSON manifest line, then raw little-endian
-    float64 arrays at the offsets the manifest declares."""
+    float64 arrays at the offsets the manifest declares. The manifest's last
+    key, sha256, is the _digest of everything else in the file."""
     ids = sorted(state.prev_client_vectors)
+    payload = [np.ascontiguousarray(vec.data, dtype="<f8") for vec in
+               [state.global_vector] + [state.prev_client_vectors[c] for c in ids]]
     manifest = {
         "version": CHECKPOINT_VERSION,
         "round": state.round_idx,
@@ -405,11 +417,12 @@ def save_checkpoint(path: str, state: ExperimentState) -> None:
         "comm_bits": state.comm_bits,
         "flops": state.flops,
     }
+    manifest["sha256"] = _digest(manifest, payload)
     tmp = path + ".tmp"
     with open(tmp, "wb") as f:
         f.write(json.dumps(manifest).encode() + b"\n")
-        for vec in [state.global_vector] + [state.prev_client_vectors[c] for c in ids]:
-            f.write(np.ascontiguousarray(vec.data, dtype="<f8").tobytes())
+        for buf in payload:
+            f.write(buf)
     os.replace(tmp, path)
 
 
@@ -418,8 +431,8 @@ _PREV_ARRAY = re.compile(r"prev_client_(0|[1-9][0-9]*)")
 
 def load_checkpoint(path: str, config: ExperimentConfig) -> ExperimentState:
     """Rebuild run state from a checkpoint; everything else is re-derived
-    deterministically from the config. A file that is not laid out exactly
-    as save_checkpoint writes it raises CheckpointError."""
+    deterministically from the config. A file that is not byte for byte one
+    that save_checkpoint writes, by its digest, raises CheckpointError."""
     try:
         with open(path, "rb") as f:
             header = f.readline()
@@ -428,17 +441,17 @@ def load_checkpoint(path: str, config: ExperimentConfig) -> ExperimentState:
         raise CheckpointError(f"cannot read checkpoint: {e}") from e
     try:
         manifest = json.loads(header.decode())
-        version, round_idx, digest = (manifest["version"], manifest["round"],
-                                      manifest["config_hash"])
+        if manifest["version"] != CHECKPOINT_VERSION:
+            raise CheckpointError(f"checkpoint version {manifest['version']!r} is not "
+                                  f"supported (expected {CHECKPOINT_VERSION})")
+        sha = manifest.pop("sha256")
+        round_idx, config_hash = manifest["round"], manifest["config_hash"]
         declared = tuple((n, tuple(s), o) for n, s, o in manifest["layout"])
         ids = [int(_PREV_ARRAY.fullmatch(e["name"])[1]) for e in manifest["arrays"][1:]]
         comm_bits, flops = float(manifest["comm_bits"]), float(manifest["flops"])
     except (ValueError, TypeError, KeyError) as e:  # a UnicodeDecodeError is a ValueError
         raise CheckpointError(f"checkpoint manifest is corrupt: {e!r}") from e
-    if version != CHECKPOINT_VERSION:
-        raise CheckpointError(f"checkpoint version {version!r} is not supported "
-                              f"(expected {CHECKPOINT_VERSION})")
-    if digest != config.trajectory_hash():
+    if config_hash != config.trajectory_hash():
         raise CheckpointError("checkpoint was produced by a different config")
     if type(round_idx) is not int or round_idx < 0:
         raise CheckpointError(f"checkpoint round {round_idx!r} is not a count")
@@ -454,6 +467,10 @@ def load_checkpoint(path: str, config: ExperimentConfig) -> ExperimentState:
     if len(blob) != want:
         raise CheckpointError(f"checkpoint {'truncated' if len(blob) < want else 'too long'}:"
                               f" {len(blob)} payload bytes, not {want}")
+    # the digest covers the manifest as re-dumped, so the line must be that dump
+    if (header != json.dumps({**manifest, "sha256": sha}).encode() + b"\n"
+            or sha != _digest(manifest, [blob])):
+        raise CheckpointError("checkpoint contents do not match their sha256")
     vectors = [ParamVector(np.frombuffer(blob[i:i + step], dtype="<f8").astype(np.float64),
                            layout) for i in range(0, want, step)]
     state.global_vector = vectors[0]

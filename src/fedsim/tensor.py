@@ -442,9 +442,11 @@ def log_softmax(logits: Tensor) -> Tensor:
 def gradients(loss: Tensor, params: dict[str, Tensor]) -> dict[str, Array]:
     """Backward from `loss` and return {name: grad} for every parameter.
 
-    Parameters not reachable from the loss get zero gradients rather than an
-    error. Accumulates into existing .grad slots like backward() does.
+    Clears the parameters' .grad slots first, so each call returns the
+    gradient of this loss alone. Parameters not reachable from the loss get
+    zero gradients rather than an error.
     """
+    zero_gradients(params)
     loss.backward()
     out = {}
     for name, p in params.items():

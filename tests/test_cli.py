@@ -112,6 +112,7 @@ def test_run_error_exit_codes(tmp_path, capsys):
     "dataset.dims=[2]",  # fewer dims than the 3 classes
     "dataset.dims=[4,4]", "dataset.dims=[2,2,2,2]",  # neither features nor (C, H, W)
     "learning_rate=NaN", "dataset.separation=NaN", "clip_norm=Infinity",
+    "method.power_iters=20", "method.lip_epsilon=1e-8",  # constants, no longer keys
 ])
 def test_run_rejects_bad_values_before_any_output(tmp_path, capsys, override):
     out = tmp_path / "out"
@@ -170,6 +171,29 @@ def test_resume_rejects_a_malformed_checkpoint(tmp_path, capsys, method, corrupt
     assert main(["run", "--config", cfg, "--resume", bad]) == 3
     err = capsys.readouterr().err
     assert err.startswith("i/o error:") and "checkpoint" in err
+
+
+def test_resume_rejects_a_flipped_or_v1_checkpoint(tmp_path, capsys):
+    out = str(tmp_path / "out")
+    cfg = _write_cfg(tmp_path, "a.json", rounds=1, output_dir=out)
+    assert main(["run", "--config", cfg]) == 0
+    with open(os.path.join(out, "checkpoints", "round_0001.ckpt"), "rb") as f:
+        raw = f.read()
+    bad = tmp_path / "bad.ckpt"
+    flipped = bytearray(raw)
+    flipped[-5] ^= 0x01  # one bit of the last payload value
+    bad.write_bytes(bytes(flipped))
+    capsys.readouterr()
+    assert main(["run", "--config", cfg, "--resume", str(bad)]) == 3
+    assert "sha256" in capsys.readouterr().err
+
+    header, payload = raw.split(b"\n", 1)
+    manifest = json.loads(header)
+    del manifest["sha256"]
+    manifest["version"] = 1
+    bad.write_bytes(json.dumps(manifest).encode() + b"\n" + payload)
+    assert main(["run", "--config", cfg, "--resume", str(bad)]) == 3
+    assert "version 1 is not supported" in capsys.readouterr().err
 
 
 def test_usage_errors_exit_one(capsys):

@@ -300,7 +300,7 @@ def test_spectral_norm_gradient_is_rank_one():
 
 def test_spectral_norm_zero_matrix():
     x = Tensor(np.zeros((3, 3)), requires_grad=True)
-    s = spectral_norm(x)
+    s = spectral_norm(x, np.random.default_rng(0))
     assert s.item() == 0.0
     s.backward()
     assert np.array_equal(x.grad, np.zeros((3, 3)))
@@ -308,9 +308,9 @@ def test_spectral_norm_zero_matrix():
 
 def test_spectral_norm_validation():
     with pytest.raises(ValueError):
-        spectral_norm(Tensor(np.zeros(3)))
+        spectral_norm(Tensor(np.zeros(3)), np.random.default_rng(0))
     with pytest.raises(ValueError):
-        spectral_norm(Tensor(np.zeros((2, 2))), power_iters=0)
+        spectral_norm(Tensor(np.zeros((2, 2))), np.random.default_rng(0), power_iters=0)
 
 
 # -- fedalign -----------------------------------------------------------------------

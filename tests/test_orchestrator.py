@@ -5,6 +5,7 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fedsim import orchestrator
 from fedsim.methods import MethodConfig
@@ -313,6 +314,52 @@ def test_checkpoint_corruption_detected(tmp_path):
 
     with pytest.raises(CheckpointError, match="cannot read"):
         load_checkpoint(str(tmp_path / "missing.ckpt"), cfg)
+
+
+@pytest.fixture(scope="module")
+def moon_checkpoint(tmp_path_factory):
+    """(config, scratch path, bytes) of a 2-round moon checkpoint."""
+    cfg = _cfg(method=MethodConfig(method="moon"))
+    path = str(tmp_path_factory.mktemp("fuzz") / "r2.ckpt")
+    save_checkpoint(path, _run_rounds(cfg, 2))
+    with open(path, "rb") as f:
+        return cfg, path, f.read()
+
+
+def _assert_refused(moon_checkpoint, raw: bytes) -> None:
+    cfg, path, _ = moon_checkpoint
+    with open(path, "wb") as f:
+        f.write(raw)
+    with pytest.raises(CheckpointError):
+        load_checkpoint(path, cfg)
+
+
+# no example database on disk, and the same cases on every run
+_fuzz = settings(database=None, derandomize=True, deadline=None)
+
+
+@_fuzz
+@given(data=st.data())
+def test_checkpoint_refuses_any_changed_byte(moon_checkpoint, data):
+    raw = moon_checkpoint[2]
+    payload_start = raw.index(b"\n") + 1  # half the cases in the small manifest line
+    i = data.draw(st.one_of(st.integers(0, payload_start - 1),
+                            st.integers(payload_start, len(raw) - 1)), label="offset")
+    byte = data.draw(st.integers(0, 255).filter(lambda b: b != raw[i]), label="byte")
+    _assert_refused(moon_checkpoint, raw[:i] + bytes([byte]) + raw[i + 1:])
+
+
+@_fuzz
+@given(data=st.data())
+def test_checkpoint_refuses_truncation(moon_checkpoint, data):
+    raw = moon_checkpoint[2]
+    _assert_refused(moon_checkpoint, raw[:data.draw(st.integers(0, len(raw) - 1))])
+
+
+@_fuzz
+@given(tail=st.binary(min_size=1, max_size=64))
+def test_checkpoint_refuses_appended_bytes(moon_checkpoint, tail):
+    _assert_refused(moon_checkpoint, moon_checkpoint[2] + tail)
 
 
 def test_resume_is_bitwise_equal(tmp_path):

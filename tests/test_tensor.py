@@ -385,6 +385,10 @@ def test_gradients_fills_zeros_for_unreachable():
     out = gradients(a * 3.0, {"a": a, "b": b})
     assert out["a"] == 3.0
     assert np.array_equal(out["b"], np.zeros(3))
+    # a second loss gets its own gradient, not one added to the first
+    out = gradients(a * 5.0, {"a": a, "b": b})
+    assert out["a"] == 5.0
+    assert np.array_equal(out["b"], np.zeros(3))
 
 
 def test_zero_gradients_clears():

@@ -2,6 +2,7 @@
 every trajectory must leave byte-identical.
 
     python3 tools/golden.py OUT_DIR
+    python3 tools/golden.py --compare A B
 
 OUT_DIR must be new or empty. Every run goes through the fedsim command line
 with OUT_DIR as the working directory, so the paths inside the outputs are
@@ -29,6 +30,13 @@ metrics.csv, config_echo.json, checkpoints/), `<name>.run.txt` and
 The diagnosis leaves `c9-fedavg-diagnose/` (diagnostics/*.json,
 landscape.csv) and `c9-fedavg-diagnose.txt` (stdout).
 The program is imported from src/ of the checkout this file sits in.
+
+--compare lists the files of two such sets that differ or exist on one side
+only, and exits 1 if there is any. For a differing checkpoint it says whether
+the payload after the manifest line is identical and which manifest keys
+were added, removed or changed; for a differing JSON object, which dotted
+keys. A change that is meant to move only those keys shows here that nothing
+else moved.
 """
 import contextlib
 import io
@@ -98,7 +106,66 @@ def write_config(name: str, config: dict) -> str:
     return path
 
 
+def _leaves(d: dict, prefix: str = "") -> dict:
+    """Dotted key -> value for every non-object value of a JSON object."""
+    out = {}
+    for k, v in d.items():
+        if isinstance(v, dict):
+            out.update(_leaves(v, f"{prefix}{k}."))
+        else:
+            out[prefix + k] = v
+    return out
+
+
+def _key_changes(a: dict, b: dict) -> str:
+    la, lb = _leaves(a), _leaves(b)
+    changes = {"added": sorted(lb.keys() - la.keys()),
+               "removed": sorted(la.keys() - lb.keys()),
+               "changed": sorted(k for k in la.keys() & lb.keys() if la[k] != lb[k])}
+    return ", ".join(f"{what} {keys}" for what, keys in changes.items() if keys) or "none"
+
+
+def _describe(a: bytes, b: bytes, name: str) -> str:
+    """How two differing files of one name differ."""
+    if name.endswith(".ckpt"):
+        (ha, pa), (hb, pb) = a.split(b"\n", 1), b.split(b"\n", 1)
+        payload = "identical" if pa == pb else "differs"
+        return (f"payload {payload}; manifest keys "
+                f"{_key_changes(json.loads(ha), json.loads(hb))}")
+    if name.endswith(".json"):
+        ja, jb = json.loads(a), json.loads(b)
+        if isinstance(ja, dict) and isinstance(jb, dict):
+            return f"keys {_key_changes(ja, jb)}"
+    return "differs"
+
+
+def compare(a_dir: str, b_dir: str) -> int:
+    """Print how two golden sets differ; 0 if they are identical, else 1."""
+    def files(root):
+        return {os.path.relpath(os.path.join(d, f), root)
+                for d, _, names in os.walk(root) for f in names}
+
+    in_a, in_b = files(a_dir), files(b_dir)
+    differ = 0
+    for rel in sorted(in_a | in_b):
+        if rel not in in_b or rel not in in_a:
+            print(f"{rel}: only in {a_dir if rel in in_a else b_dir}")
+            differ += 1
+            continue
+        with open(os.path.join(a_dir, rel), "rb") as f:
+            a = f.read()
+        with open(os.path.join(b_dir, rel), "rb") as f:
+            b = f.read()
+        if a != b:
+            print(f"{rel}: {_describe(a, b, rel)}")
+            differ += 1
+    print(f"{differ} of {len(in_a | in_b)} files differ")
+    return 1 if differ else 0
+
+
 def main() -> int:
+    if len(sys.argv) == 4 and sys.argv[1] == "--compare":
+        return compare(sys.argv[2], sys.argv[3])
     if len(sys.argv) != 2:
         sys.exit(__doc__)
     out = sys.argv[1]
