@@ -26,8 +26,8 @@ from math import ceil
 
 import numpy as np
 
-from .tensor import (Tensor, adaptive_avg_pool2d, conv2d, matmul, relu,
-                     slice_axis, sqrt)
+from .tensor import (Tensor, adaptive_avg_pool2d, add_relu, conv2d, matmul,
+                     normalize, relu, slice_axis)
 
 NORM_EPS = 1e-5
 
@@ -174,17 +174,12 @@ class BlockNet:
 
     # -- forward pieces -----------------------------------------------------
 
-    def _norm(self, x: Tensor, prefix: str, k: int) -> Tensor:
-        """Per-sample normalization over the k active channels (and space)."""
+    def _norm(self, x: Tensor, prefix: str, k: int, relu: bool = False) -> Tensor:
+        """Per-sample normalization over the k active channels (and space),
+        then a ReLU when relu is set."""
         scale = _prefix(self.params[f"{prefix}.scale"], 0, k)
         shift = _prefix(self.params[f"{prefix}.shift"], 0, k)
-        axes = tuple(range(1, x.ndim))
-        mu = x.mean(axis=axes, keepdims=True)
-        d = x - mu
-        var = (d * d).mean(axis=axes, keepdims=True)
-        y = d / sqrt(var + NORM_EPS)
-        shape = (1, k) + (1,) * (x.ndim - 2)
-        return y * scale.reshape(shape) + shift.reshape(shape)
+        return normalize(x, scale, shift, NORM_EPS, relu=relu)
 
     def _layer(self, x: Tensor, name: str, in_k: int, out_k: int,
                stride: int, padding: int) -> Tensor:
@@ -210,7 +205,7 @@ class BlockNet:
         in_k = x.shape[1]
         s = self.spec.block_strides()[i]
         h = self._layer(x, f"{p}.{self._kind}1.w", in_k, out_k, s, 1)
-        h = relu(self._norm(h, f"{p}.norm1", out_k))
+        h = self._norm(h, f"{p}.norm1", out_k, relu=True)
         h = self._layer(h, f"{p}.{self._kind}2.w", out_k, out_k, 1, 1)
         h = self._norm(h, f"{p}.norm2", out_k)
         if self.spec.projects_skip(i):
@@ -219,7 +214,7 @@ class BlockNet:
             skip = _prefix(x, 1, out_k)
         if drop is not None:
             h = h * drop
-        return relu(h + skip)
+        return add_relu(h, skip)
 
     def _pool_flatten(self, f: Tensor) -> Tensor:
         if self.spec.is_conv:

@@ -259,8 +259,16 @@ def comm_cost(param_count: int, rounds_completed: int,
 
 
 def evaluate(model: BlockNet, ds: LabeledDataset) -> tuple[float, float]:
-    """(accuracy, mean cross-entropy) over a dataset, single batch."""
-    logits = model.forward(ds.inputs)
+    """(accuracy, mean cross-entropy) over a dataset, single batch.
+
+    Runs a gradient-free BlockNet that shares model's weight arrays, so the
+    forward builds no autodiff graph of the dataset.
+    """
+    frozen = BlockNet(model.spec, with_projection=model.with_projection,
+                      requires_grad=False)
+    for name, p in frozen.params.items():
+        p.data = model.params[name].data
+    logits = frozen.forward(ds.inputs)
     loss = softmax_cross_entropy(logits, ds.labels)
     acc = float((logits.data.argmax(axis=1) == ds.labels).mean())
     return acc, loss.item()

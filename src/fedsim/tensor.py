@@ -12,6 +12,16 @@ matmul, 2-d convolution, elementwise arithmetic, relu/tanh/exp/log/sqrt,
 clamping from below, reductions, slicing and axis permutation, adaptive
 average pooling, fused softmax cross-entropy, and mean squared error.
 
+Two fused ops serve BlockNet's blocks: normalize (per-sample normalization
+with its per-channel affine, optionally followed by a ReLU) and add_relu
+(the residual sum, then a ReLU). Each is one node that runs the numpy steps
+of its composed graph in that graph's order, so its output and gradient
+bits equal the composed form's (tests/helpers.py keeps those forms).
+
+A ReLU mask (which inputs pass the gradient) is computed in exactly four
+places: relu, clamp_min, normalize with relu=True, and add_relu. Anything
+that must see or fix every activation pattern has to cover all four.
+
 The module also carries the optimizer-side helpers that operate on parameter
 dicts: SGD with classic momentum, global gradient-norm clipping, and the one
 flattening pair, params_to_vector and load_vector, through which weights
@@ -277,6 +287,87 @@ def relu(x: Tensor) -> Tensor:
     mask = x.data > 0
     return Tensor._op(np.where(mask, x.data, 0.0), (x,),
                       lambda g: (np.where(mask, g, 0.0),))
+
+
+def add_relu(a: Tensor, b: Tensor) -> Tensor:
+    """relu(a + b) for two tensors of one shape, as one node.
+
+    The same bits as the composed relu(a + b): a's and b's gradients are
+    both the masked upstream gradient, and parents (a, b) keep the composed
+    sum's depth-first order.
+    """
+    a, b = Tensor._wrap(a), Tensor._wrap(b)
+    if a.data.shape != b.data.shape:
+        raise ValueError(f"add_relu needs one shape, got {a.data.shape} "
+                         f"and {b.data.shape}")
+    s = a.data + b.data
+    mask = s > 0
+
+    def back(g):
+        gs = np.where(mask, g, 0.0)
+        return (gs if a.requires_grad else None, gs if b.requires_grad else None)
+
+    return Tensor._op(np.where(mask, s, 0.0), (a, b), back)
+
+
+def normalize(x: Tensor, scale: Tensor, shift: Tensor, eps: float,
+              relu: bool = False) -> Tensor:
+    """Per-sample normalization of x over every axis but the first, then a
+    per-channel affine; with relu=True, a ReLU on the result.
+
+    x is (B, C, ...) and scale and shift are (C,). The output is
+    y * scale + shift with d = x - mean(x), y = d / sqrt(mean(d * d) + eps),
+    each mean over axes 1 and up. This one node gives the bits of the
+    composed graph (x.mean, -, (d * d).mean, + eps, sqrt, /, scale and shift
+    reshaped to (1, C, 1, ...), *, +, then relu) by running its numpy steps
+    in its order: d's gradient sums the division's contribution, then the
+    square's two; x's gradient is the subtraction's, plus the mean's
+    broadcast. The composed graph adds those two in x's gradient slot, so
+    the bits agree only when x has no other consumer, as in BlockNet.
+    Parents (x, scale, shift) make backward's depth-first search reach them
+    in the composed graph's order.
+    """
+    x, scale, shift = Tensor._wrap(x), Tensor._wrap(scale), Tensor._wrap(shift)
+    xd = x.data
+    axes = tuple(range(1, xd.ndim))
+    k = xd.shape[1]
+    shape = (1, k) + (1,) * (xd.ndim - 2)
+    s1 = xd.sum(axis=axes, keepdims=True)
+    inv_n = 1.0 / (xd.size / s1.size)  # as Tensor.mean computes it
+    d = xd - s1 * inv_n
+    r = np.sqrt((d * d).sum(axis=axes, keepdims=True) * inv_n + eps)
+    y = d / r
+    sc = scale.data.reshape(shape)
+    out = y * sc + shift.data.reshape(shape)
+    mask = None
+    if relu:
+        mask = out > 0
+        out = np.where(mask, out, 0.0)
+    # the axes _unbroadcast sums to reach a (B, 1, ...) statistic and a
+    # (1, C, 1, ...) affine parameter
+    stat_axes = tuple(i for i in axes if xd.shape[i] != 1)
+    param_axes = tuple(i for i, n in enumerate(shape) if n == 1 and xd.shape[i] != 1)
+
+    def to_param(g):
+        return (g.sum(axis=param_axes) if param_axes else g).reshape(k)
+
+    def to_stat(g):
+        return g.sum(axis=stat_axes, keepdims=True) if stat_axes else g
+
+    def back(g):
+        if mask is not None:
+            g = np.where(mask, g, 0.0)
+        gshift = to_param(g) if shift.requires_grad else None
+        gscale = to_param(g * y) if scale.requires_grad else None
+        if not x.requires_grad:
+            return (None, gscale, gshift)
+        gy = g * sc
+        gr = to_stat(-gy * d / (r * r))
+        t = (gr * 0.5 / r * inv_n) * d
+        gd = gy / r + t + t
+        return (gd + to_stat(-gd) * inv_n, gscale, gshift)
+
+    return Tensor._op(out, (x, scale, shift), back)
 
 
 def tanh(x: Tensor) -> Tensor:

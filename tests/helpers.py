@@ -8,11 +8,13 @@ finite-difference comparison use tanh activations, which are smooth
 everywhere; relu paths are checked separately at points safely away from the
 kink. reference_gradients is backward's bookkeeping kept in its
 id()-keyed dict form, so tests can require the library to sum every
-gradient in the same order, bit for bit.
+gradient in the same order, bit for bit; composed_normalize and
+composed_add_relu are the graphs of primitive ops that tensor.normalize and
+tensor.add_relu fuse, kept for the same kind of comparison.
 """
 import numpy as np
 
-from fedsim.tensor import Tensor, matmul, params_to_vector, tanh
+from fedsim.tensor import Tensor, matmul, params_to_vector, relu, sqrt, tanh
 
 
 class TanhMLP:
@@ -104,6 +106,24 @@ def reference_gradients(loss, params):
                 grads[id(p)] = pg
     return {name: leaves[id(p)] if id(p) in leaves else np.zeros_like(p.data)
             for name, p in params.items()}
+
+
+def composed_normalize(x, scale, shift, eps, relu_after=False):
+    """tensor.normalize built from primitive ops, as BlockNet._norm (and the
+    ReLU after its first normalization) ran before the fusion."""
+    axes = tuple(range(1, x.ndim))
+    mu = x.mean(axis=axes, keepdims=True)
+    d = x - mu
+    var = (d * d).mean(axis=axes, keepdims=True)
+    y = d / sqrt(var + eps)
+    shape = (1, x.shape[1]) + (1,) * (x.ndim - 2)
+    out = y * scale.reshape(shape) + shift.reshape(shape)
+    return relu(out) if relu_after else out
+
+
+def composed_add_relu(a, b):
+    """tensor.add_relu built from primitive ops: BlockNet's old block tail."""
+    return relu(a + b)
 
 
 def numeric_grad(loss_builder, params, eps=1e-6):

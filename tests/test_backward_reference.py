@@ -3,7 +3,8 @@
 Gradients summed in another order differ in their last bits, and criterion
 9's trajectories amplify that. Each case builds one graph, runs the
 reference bookkeeping on it (tests/helpers.py), then tensor.gradients, and
-requires every gradient byte to agree.
+requires every gradient byte to agree. The fused block ops (normalize,
+add_relu) are also held to the bytes of their composed forms.
 """
 import itertools
 
@@ -13,10 +14,10 @@ import pytest
 from fedsim.methods import METHOD_TABLE, ClientTask, MethodConfig, _model
 from fedsim.models import BlockNet, BlockNetSpec
 from fedsim.orchestrator import DatasetConfig, ExperimentConfig, ModelConfig, build_state
-from fedsim.tensor import (Tensor, gradients, params_to_vector, sqrt,
-                           zero_gradients)
+from fedsim.tensor import (Tensor, add_relu, gradients, normalize,
+                           params_to_vector, slice_axis, sqrt, zero_gradients)
 
-from helpers import reference_gradients
+from helpers import composed_add_relu, composed_normalize, reference_gradients
 
 # criterion 9's dense model and its batch size
 C9_DATASET = DatasetConfig(num_classes=8, dims=(16,), samples_per_class=80,
@@ -105,3 +106,86 @@ def test_normalization_difference_with_three_consumers():
     y = d / sqrt(var + 1e-5)
     loss = ((y * scale) * (y * scale)).mean()
     _assert_bitwise(loss, {"x": x, "scale": scale})
+
+
+# (x shape, width of scale and shift); x's channel count below the width
+# takes scale and shift through slice_axis, as a slimmed block does
+NORM_CASES = {
+    "dense": ((16, 16), 16),
+    "dense-narrowed": ((16, 10), 16),
+    "dense-batch-1": ((1, 12), 16),
+    "conv": ((4, 8, 5, 5), 8),
+    "conv-narrowed": ((4, 6, 5, 5), 8),
+    "conv-1x1-map": ((3, 5, 1, 1), 8),
+}
+
+
+def _inputs(kind, shape, rng):
+    if kind == "constant":
+        return np.full(shape, 3.25)
+    # a large common offset makes every reordered sum or product show
+    return rng.normal(size=shape) * 1e3 + 1e5
+
+
+def _assert_fused_matches_composed(fused, composed, leaves, rng):
+    """Forward bytes, then reference_gradients bytes of one scalar loss on
+    each output, then the library's backward on the fused graph."""
+    assert fused.data.tobytes() == composed.data.tobytes()
+    u = Tensor(rng.normal(size=fused.shape) * 1e2)
+    losses = [(out * u).sum() + (out * out).mean() for out in (fused, composed)]
+    got = reference_gradients(losses[0], leaves)
+    want = reference_gradients(losses[1], leaves)
+    for name in want:
+        assert got[name].tobytes() == want[name].tobytes(), name
+    _assert_bitwise(losses[0], leaves)
+
+
+@pytest.mark.parametrize("relu", [False, True])
+@pytest.mark.parametrize("kind", ["offset", "constant"])
+@pytest.mark.parametrize("case", list(NORM_CASES))
+def test_normalize_matches_composed_form(case, kind, relu):
+    shape, width = NORM_CASES[case]
+    rng = np.random.default_rng(11)
+    x = Tensor(_inputs(kind, shape, rng), requires_grad=True)
+    scale_p = Tensor(rng.normal(size=width), requires_grad=True)
+    shift_p = Tensor(rng.normal(size=width), requires_grad=True)
+    k = shape[1]
+    scale, shift = ((scale_p, shift_p) if k == width else
+                    (slice_axis(scale_p, 0, 0, k), slice_axis(shift_p, 0, 0, k)))
+    fused = normalize(x, scale, shift, 1e-5, relu=relu)
+    composed = composed_normalize(x, scale, shift, 1e-5, relu_after=relu)
+    _assert_fused_matches_composed(
+        fused, composed, {"x": x, "scale": scale_p, "shift": shift_p}, rng)
+
+
+@pytest.mark.parametrize("relu", [False, True])
+def test_normalize_gives_no_gradient_to_a_constant_parent(relu):
+    rng = np.random.default_rng(12)
+    x = Tensor(_inputs("offset", (8, 6, 3, 3), rng))
+    scale = Tensor(rng.normal(size=6), requires_grad=True)
+    shift = Tensor(rng.normal(size=6))
+    fused = normalize(x, scale, shift, 1e-5, relu=relu)
+    composed = composed_normalize(x, scale, shift, 1e-5, relu_after=relu)
+    assert fused._backward(np.ones(fused.shape))[::2] == (None, None)
+    _assert_fused_matches_composed(fused, composed, {"scale": scale}, rng)
+    frozen = normalize(x, shift, shift, 1e-5, relu=relu)
+    assert not frozen.requires_grad and frozen._backward is None
+
+
+@pytest.mark.parametrize("kind", ["offset", "constant"])
+@pytest.mark.parametrize("shape", [(16, 16), (4, 8, 5, 5)])
+def test_add_relu_matches_composed_form(shape, kind):
+    rng = np.random.default_rng(13)
+    x = Tensor(_inputs(kind, shape, rng), requires_grad=True)
+    w = Tensor(rng.normal(size=shape), requires_grad=True)
+    # the skip is x itself, which also feeds h, as in a block of one width
+    h = x * w - x * 1.5
+    for skip in (x, Tensor(-x.data)):
+        fused = add_relu(h, skip)
+        composed = composed_add_relu(h, skip)
+        _assert_fused_matches_composed(fused, composed, {"x": x, "w": w}, rng)
+
+
+def test_add_relu_rejects_broadcasting():
+    with pytest.raises(ValueError, match="one shape"):
+        add_relu(Tensor(np.ones((4, 3))), Tensor(np.ones(3)))

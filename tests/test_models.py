@@ -6,7 +6,8 @@ from fedsim import models
 from fedsim.models import (BlockNet, BlockNetSpec, keep_probability, layer_cost,
                            model_params, slim_width)
 from fedsim.methods import MethodConfig, count_cost
-from fedsim.tensor import ParamVector, Tensor, load_vector, params_to_vector
+from fedsim.tensor import (ParamVector, Tensor, gradients, load_vector,
+                           params_to_vector, softmax_cross_entropy)
 
 DENSE_SPEC = BlockNetSpec(input_shape=(16,), num_classes=4, widths=(8, 8))
 CONV_SPEC = BlockNetSpec(input_shape=(2, 8, 8), num_classes=4, widths=(4, 8))
@@ -182,6 +183,27 @@ def test_slices_only_narrowed_axes(monkeypatch):
             w = net.params[name]
             assert [axis for t, axis, _ in calls if t is w] == [out_axis]
         calls.clear()
+
+
+def test_dense_step_builds_fourteen_nodes(monkeypatch):
+    # criterion 9's model: the input, then per block two layers, the fused
+    # normalize (with relu) and normalize, and add_relu, then the head's
+    # matmul and bias, then the loss. Undoing a fusion adds nodes here.
+    spec = BlockNetSpec(input_shape=(16,), num_classes=8, widths=(16, 16))
+    net = BlockNet(spec, rng=np.random.default_rng(0))
+    rng = np.random.default_rng(1)
+    x, y = rng.normal(size=(16, 16)), rng.integers(0, 8, size=16)
+    built = []
+    real = Tensor.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(Tensor, "__init__", counting)
+    logits = net.forward_with_features(x)[2]
+    gradients(softmax_cross_entropy(logits, y), net.params)
+    assert len(built) == 1 + 2 * 5 + 2 + 1
 
 
 def test_final_subblock_full_width_matches_last_feature():

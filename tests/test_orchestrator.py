@@ -197,6 +197,21 @@ def test_evaluate_uniform_logits():
     assert acc == float((state.test.labels == 0).mean())
 
 
+def test_evaluate_builds_no_autodiff_graph(monkeypatch):
+    state = build_state(_cfg())
+    scored = []
+    real = orchestrator.softmax_cross_entropy
+
+    def recording(logits, labels):
+        scored.append(logits)
+        return real(logits, labels)
+
+    monkeypatch.setattr(orchestrator, "softmax_cross_entropy", recording)
+    evaluate(state.model, state.test)
+    assert not scored[0].requires_grad
+    assert scored[0].data.tobytes() == state.model.forward(state.test.inputs).data.tobytes()
+
+
 def test_run_round_accounting():
     state = build_state(_cfg(eval_every=1))
     m = run_round(state)
