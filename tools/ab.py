@@ -1,7 +1,6 @@
 """Paired A/B benchmark runs of the working tree against a base revision.
 
-    python3 tools/ab.py --out BENCH_<n>.json [--base HEAD] [--pairs 10]
-                        [--seed 1] [--workload NAME ...]
+    python3 tools/ab.py --out BENCH_<n>.json [--base HEAD]
 
 The change is the checkout this file sits in, as it stands on disk; the
 base is a git revision (default HEAD, so run this before committing, or pass
@@ -11,9 +10,10 @@ base is a git revision (default HEAD, so run this before committing, or pass
    at exit, and no worktree entry is left in .git if the run is cut short);
 2. writes the golden file set (tools/golden.py) of both sides and records
    whether `tools/golden.py --compare` finds no difference;
-3. for each workload, runs perfbench/run.py of each side in --pairs
-   alternating pairs (base first in even pairs, change first in odd ones),
-   each run its own process with the benchmark's settings;
+3. for every workload in BENCHMARK.json, runs perfbench/run.py of each
+   side in PAIRS alternating pairs (base first in even pairs, change first
+   in odd ones) at seed SEED, each run its own process with the
+   benchmark's settings;
 4. makes one traced run per side and workload for the per-layer counts
    (tensor.nodes, hessian.hvp.calls, models.build.calls, ...), which repeat
    exactly from run to run;
@@ -39,6 +39,8 @@ import tempfile
 import numpy as np
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+PAIRS = 10  # the fewest alternating pairs a gain claim may rest on
+SEED = 1
 
 
 def git(*args: str) -> str:
@@ -74,10 +76,10 @@ def golden(base: str, change: str, tmp: str) -> dict:
             "differing": lines[:-1]}
 
 
-def bench(root: str, workload: str, seed: int, seconds: float, trace: bool) -> dict:
+def bench(root: str, workload: str, seconds: float, trace: bool) -> dict:
     """One perfbench/run.py process; its result line."""
     cmd = [sys.executable, os.path.join(root, "perfbench", "run.py"),
-           "--workload", workload, "--seed", str(seed), "--seconds", str(seconds),
+           "--workload", workload, "--seed", str(SEED), "--seconds", str(seconds),
            "--trace", "1" if trace else "0"]
     out = subprocess.run(cmd, check=True, capture_output=True, text=True).stdout
     return json.loads(out.strip().splitlines()[-1])
@@ -101,20 +103,9 @@ def main() -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--out", required=True, help="JSON file to write")
     p.add_argument("--base", default="HEAD", help="git revision to compare against")
-    p.add_argument("--pairs", type=int, default=10)
-    p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--workload", action="append",
-                   help="workload to run (repeatable; default every workload)")
     args = p.parse_args()
-    if args.pairs < 2:
-        p.error("--pairs must be at least 2")
     with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
         spec = json.load(f)
-    names = [w["name"] for w in spec["workloads"]]
-    workloads = args.workload or names
-    unknown = sorted(set(workloads) - set(names))
-    if unknown:
-        p.error(f"unknown workload(s) {unknown}; choose from {names}")
     bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
     counts = [m["name"] for m in spec["per_layer"] if m["unit"] == "count"]
 
@@ -123,7 +114,7 @@ def main() -> int:
               "change": git("rev-parse", "HEAD") + (" plus uncommitted edits" if dirty else ""),
               "cores": os.cpu_count(), "usable_cores": len(os.sched_getaffinity(0)),
               "numpy": np.__version__, "python": platform.python_version(),
-              "pairs": args.pairs, "seed": args.seed, "seconds": spec["run_seconds"],
+              "pairs": PAIRS, "seed": SEED, "seconds": spec["run_seconds"],
               "workloads": {}}
     with tempfile.TemporaryDirectory(prefix="fedsim-ab-") as tmp:
         base = os.path.join(tmp, "base")
@@ -131,14 +122,14 @@ def main() -> int:
         report["golden"] = golden(base, ROOT, tmp)
         print(report["golden"]["summary"], file=sys.stderr)
         roots = {"base": base, "change": ROOT}
-        for wl in workloads:
+        for wl in (w["name"] for w in spec["workloads"]):
             runs = {"base": [], "change": []}
-            for i in range(args.pairs):
+            for i in range(PAIRS):
                 for side in (("base", "change") if i % 2 == 0 else ("change", "base")):
-                    runs[side].append(bench(roots[side], wl, args.seed,
-                                            spec["run_seconds"], trace=False))
-                print(f"{wl}: pair {i + 1}/{args.pairs}", file=sys.stderr)
-            traced = {side: bench(roots[side], wl, args.seed, spec["run_seconds"], trace=True)
+                    runs[side].append(bench(roots[side], wl, spec["run_seconds"],
+                                            trace=False))
+                print(f"{wl}: pair {i + 1}/{PAIRS}", file=sys.stderr)
+            traced = {side: bench(roots[side], wl, spec["run_seconds"], trace=True)
                       for side in roots}
             row = {side: {"failed": sum(r["failed"] for r in rs),
                           "attempted": sum(r["attempted"] for r in rs),
