@@ -64,6 +64,7 @@ from .orchestrator import (
     DatasetConfig,
     ExperimentConfig,
     ExperimentState,
+    MetricsError,
     ModelConfig,
     RoundMetrics,
     aggregate,

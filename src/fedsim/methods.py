@@ -15,9 +15,10 @@ The update loop, the round loop and the cost model read the record and
 nothing else, so adding a method is adding one entry.
 
 One client's local training is one ClientTask, built by the round loop;
-client_update builds the model from it, trains it one step(net, task, xb,
-yb, shadows) at a time and returns the trained ParamVector. shadows are
-moon's frozen received and previous-round models, which run no classifier.
+client_update loads it into the models this process keeps for the task's
+shape (process_models), trains one step(net, task, xb, yb, shadows) at a
+time and returns the trained ParamVector. shadows are moon's frozen
+received and previous-round models, which run no classifier.
 
 Also here: the field-derived (de)serialization that every config class
 shares, and the ConfigError it raises.
@@ -542,21 +543,34 @@ def _batched_indices(n: int, batch_size: int,
     return [order[i:i + batch_size] for i in range(0, n, batch_size)]
 
 
-def _model(task: ClientTask, weights: ParamVector,
-           requires_grad: bool = True) -> BlockNet:
-    net = BlockNet(task.spec, rng=None, with_projection=task.method.needs_projection,
-                   requires_grad=requires_grad)
-    load_vector(net.params, weights)
-    return net
+# The models of the last task shape, (spec, with_projection), this process
+# trained: the trainable one, then two gradient-free ones (moon's shadows).
+# Kept per process because a pool worker receives nothing but its task.
+# Reuse keeps no state between tasks: load_vector rebinds every parameter to
+# a fresh copy, gradients() clears .grad, and the velocity is the task's own.
+_MODELS: dict[tuple[BlockNetSpec, bool], tuple[BlockNet, BlockNet, BlockNet]] = {}
+
+
+def process_models(spec: BlockNetSpec,
+                   with_projection: bool) -> tuple[BlockNet, BlockNet, BlockNet]:
+    """(trainable, frozen, frozen) BlockNets of this shape, built once per
+    process and shape; whoever uses one loads its weights first."""
+    key = (spec, with_projection)
+    if key not in _MODELS:
+        _MODELS.clear()
+        _MODELS[key] = (BlockNet(spec, with_projection=with_projection),
+                        *(BlockNet(spec, with_projection=with_projection,
+                                   requires_grad=False) for _ in range(2)))
+    return _MODELS[key]
 
 
 def client_update(task: ClientTask) -> tuple[ParamVector, list[dict]]:
     """Run local epochs of clipped momentum SGD under the task's method.
 
-    Builds the model from the received weights (and, for a contrastive
-    method, frozen copies of the received and previous-round models), trains
-    it, and returns its trained weights and per-epoch stats. Zero epochs
-    return the received weights.
+    Loads the received weights (and, for a contrastive method, frozen copies
+    of the received and previous-round models) into this process's models of
+    the task's shape, trains, and returns the trained weights and per-epoch
+    stats. Zero epochs return the received weights.
     """
     if task.epochs < 0:
         raise ValueError("epochs must be non-negative")
@@ -568,11 +582,13 @@ def client_update(task: ClientTask) -> tuple[ParamVector, list[dict]]:
     method = config.record
     if method.contrastive and task.prev is None:
         raise ValueError(f"{config.method} needs the client's previous-round weights")
-    net = _model(task, task.received)
+    net, received, prev = process_models(task.spec, config.needs_projection)
+    load_vector(net.params, task.received)
     shadows = None
     if method.contrastive and config.mu != 0.0:
-        shadows = (_model(task, task.received, requires_grad=False),
-                   _model(task, task.prev, requires_grad=False))
+        load_vector(received.params, task.received)
+        load_vector(prev.params, task.prev)
+        shadows = (received, prev)
     velocity = {}
     stats = []
     for _ in range(task.epochs):

@@ -8,6 +8,7 @@ trajectory of an uninterrupted one.
 """
 from __future__ import annotations
 
+import bisect
 import hashlib
 import json
 import os
@@ -21,7 +22,7 @@ import numpy as np
 from .data import LabeledDataset, Partition, dirichlet_partition, \
     make_synthetic_mixture, num_test_samples, train_test_split
 from .methods import (ClientTask, ConfigError, ConfigFields, MethodConfig,
-                      client_update, count_cost)
+                      client_update, count_cost, process_models)
 from .models import BlockNet, BlockNetSpec
 from .tensor import ParamVector, load_vector, params_to_vector, softmax_cross_entropy
 
@@ -261,11 +262,11 @@ def comm_cost(param_count: int, rounds_completed: int,
 def evaluate(model: BlockNet, ds: LabeledDataset) -> tuple[float, float]:
     """(accuracy, mean cross-entropy) over a dataset, single batch.
 
-    Runs a gradient-free BlockNet that shares model's weight arrays, so the
-    forward builds no autodiff graph of the dataset.
+    Runs this process's gradient-free BlockNet of model's shape
+    (methods.process_models) on model's weight arrays, so the forward builds
+    no autodiff graph of the dataset.
     """
-    frozen = BlockNet(model.spec, with_projection=model.with_projection,
-                      requires_grad=False)
+    frozen = process_models(model.spec, model.with_projection)[1]
     for name, p in frozen.params.items():
         p.data = model.params[name].data
     logits = frozen.forward(ds.inputs)
@@ -491,25 +492,96 @@ def load_checkpoint(path: str, config: ExperimentConfig) -> ExperimentState:
 # -- metrics files ----------------------------------------------------------------
 
 
-def emit_metrics(metrics: list[RoundMetrics], out_dir: str) -> None:
-    """Append new rows to metrics.csv and keep metrics.json an exact mirror.
+class MetricsError(IOError):
+    """An output directory's metrics.json is unreadable or is not a list of
+    round records in strictly ascending round order."""
 
-    Appending is keyed on round numbers already present, so a resumed run
-    extends the files without duplicating the header or earlier rows.
+
+def _render(record: dict) -> str:
+    """One record exactly as json.dump(records, f, indent=1) writes a list item."""
+    return " " + json.dumps(record, indent=1).replace("\n", "\n ")
+
+
+def _render_file(items: list[str]) -> str:
+    """The file json.dump(records, f, indent=1) writes, from rendered records."""
+    return "[\n" + ",\n".join(items) + "\n]" if items else "[]"
+
+
+@dataclass
+class MetricsLog:
+    """What an output directory's metrics.json holds: its rounds, ascending,
+    and each record as rendered. stale means the file's bytes are not
+    _render_file(items), so the next write replaces the file whole."""
+
+    rounds: list[int] = field(default_factory=list)
+    items: list[str] = field(default_factory=list)
+    stale: bool = False
+
+
+def read_metrics_log(out_dir: str) -> MetricsLog:
+    """The records of out_dir's metrics.json; none when there is no file.
+
+    MetricsError unless the file is a JSON list of records that RoundMetrics
+    reads, with non-negative integer rounds in strictly ascending order.
+    """
+    path = os.path.join(out_dir, "metrics.json")
+    try:
+        with open(path, "rb") as f:
+            raw = f.read()
+    except FileNotFoundError:
+        return MetricsLog()
+    except OSError as e:
+        raise MetricsError(f"cannot read {path}: {e}") from e
+    try:
+        records = json.loads(raw.decode())  # a UnicodeDecodeError is a ValueError
+        if not isinstance(records, list):
+            raise TypeError(f"a JSON {type(records).__name__}, not a list")
+        for d in records:
+            RoundMetrics.from_dict(d)
+        rounds = [d["round"] for d in records]
+    except (ValueError, TypeError, KeyError, AttributeError) as e:
+        raise MetricsError(f"{path} is not a list of round records: {e!r}") from e
+    if (not all(type(r) is int and r >= 0 for r in rounds)
+            or any(a >= b for a, b in zip(rounds, rounds[1:]))):
+        raise MetricsError(f"{path} rounds {rounds} are not non-negative integers "
+                           f"in strictly ascending order")
+    items = [_render(d) for d in records]
+    return MetricsLog(rounds, items, stale=raw != _render_file(items).encode())
+
+
+def emit_metrics(metrics: list[RoundMetrics], out_dir: str, log: MetricsLog) -> None:
+    """Add the rounds not yet written to metrics.csv and metrics.json.
+
+    log is what metrics.json holds (read_metrics_log), kept up to date here,
+    so a run reads the file once however many rounds it emits. A round
+    already in the files is skipped, so a resumed run extends them without
+    duplicating the header or earlier rows. Records after the last one are
+    appended in place; a record before it (a resume into a directory holding
+    later rounds) rewrites the file. Either way metrics.json stays byte for
+    byte json.dump(records in round order, f, indent=1).
     """
     os.makedirs(out_dir, exist_ok=True)
-    csv_path = os.path.join(out_dir, "metrics.csv")
     json_path = os.path.join(out_dir, "metrics.json")
-    existing: list[dict] = []
-    if os.path.exists(json_path):
-        with open(json_path) as f:
-            existing = json.load(f)
-    have = {int(d["round"]) for d in existing}
-    new = [m for m in metrics if m.round not in have]
-    all_records = existing + [m.to_dict() for m in new]
-    all_records.sort(key=lambda d: d["round"])
-    with open(json_path, "w") as f:
-        json.dump(all_records, f, indent=1)
+    rewrite = log.stale or not log.rounds
+    new = []
+    for m in metrics:
+        i = bisect.bisect_left(log.rounds, m.round)
+        if i < len(log.rounds) and log.rounds[i] == m.round:
+            continue
+        rewrite = rewrite or i < len(log.rounds)
+        log.rounds.insert(i, m.round)
+        log.items.insert(i, _render(m.to_dict()))
+        new.append(m)
+    if rewrite:
+        with open(json_path, "w") as f:
+            f.write(_render_file(log.items))
+        log.stale = False
+    elif new:
+        with open(json_path, "r+b") as f:
+            f.seek(-2, os.SEEK_END)  # before the closing "\n]"
+            f.write("".join(",\n" + item for item in log.items[-len(new):]).encode()
+                    + b"\n]")
+    csv_path = os.path.join(out_dir, "metrics.csv")
     write_header = not os.path.exists(csv_path)
     with open(csv_path, "a") as f:
         if write_header:
@@ -532,12 +604,15 @@ def run_experiment(config: ExperimentConfig,
 
     With an output_dir set, persists config echo, checkpoints every
     eval_every rounds plus at completion, and metrics after every round.
+    An existing metrics.json there is read once, before anything trains;
+    MetricsError if it is malformed.
     """
+    out = config.output_dir
+    log = read_metrics_log(out) if out is not None else None
     if resume_from is not None:
         state = load_checkpoint(resume_from, config)
     else:
         state = build_state(config)
-    out = config.output_dir
     if out is not None:
         os.makedirs(os.path.join(out, "checkpoints"), exist_ok=True)
         with open(os.path.join(out, "config_echo.json"), "w") as f:
@@ -545,13 +620,16 @@ def run_experiment(config: ExperimentConfig,
     pool = None
     metrics: list[RoundMetrics] = []
     try:
-        if config.workers > 1:
-            pool = ProcessPoolExecutor(max_workers=config.workers)
+        # a round has no more tasks than the clients it samples
+        workers = min(config.workers,
+                      clients_per_round(config.num_clients, config.sample_fraction))
+        if workers > 1:
+            pool = ProcessPoolExecutor(max_workers=workers)
         while state.round_idx < config.rounds:
             m = run_round(state, pool)
             metrics.append(m)
             if out is not None:
-                emit_metrics([m], out)
+                emit_metrics([m], out, log)
                 last = state.round_idx == config.rounds
                 if state.round_idx % config.eval_every == 0 or last:
                     save_checkpoint(

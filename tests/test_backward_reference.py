@@ -11,10 +11,10 @@ import itertools
 import numpy as np
 import pytest
 
-from fedsim.methods import METHOD_TABLE, ClientTask, MethodConfig, _model
+from fedsim.methods import METHOD_TABLE, ClientTask, MethodConfig
 from fedsim.models import BlockNet, BlockNetSpec
 from fedsim.orchestrator import DatasetConfig, ExperimentConfig, ModelConfig, build_state
-from fedsim.tensor import (Tensor, add_relu, gradients, normalize,
+from fedsim.tensor import (Tensor, add_relu, gradients, load_vector, normalize,
                            params_to_vector, slice_axis, sqrt, zero_gradients)
 
 from helpers import composed_add_relu, composed_normalize, reference_gradients
@@ -50,8 +50,10 @@ def _one_step_loss(method, model, x, y, seed=5):
     rec = METHOD_TABLE[method]
     shadows = None
     if rec.contrastive:
-        shadows = (_model(task, vec, requires_grad=False),
-                   _model(task, vec, requires_grad=False))
+        shadows = tuple(BlockNet(model.spec, with_projection=True, requires_grad=False)
+                        for _ in range(2))
+        for shadow in shadows:
+            load_vector(shadow.params, vec)
     loss, _ = rec.step(model, task, x, y, shadows)
     return loss
 

@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from fedsim import methods
 from fedsim.methods import (ClientTask, METHODS, MethodConfig,
                             _kd_divergence, _np_softmax, client_update,
                             loss_ce, loss_fedalign, loss_fedprox, loss_gradaug,
@@ -436,3 +437,60 @@ def test_every_method_trains_without_error():
         _, stats = client_update(_task(net, x, y, seed=48,
                                        method=MethodConfig(method=m), with_prev=True))
         assert np.isfinite(stats[0]["loss"]), m
+
+
+# -- the per-process model store ---------------------------------------------------
+
+
+def _store_task(kind: str, **kw) -> ClientTask:
+    """A fresh task (its generators unused) of one of three shapes and methods."""
+    if kind == "moon":
+        net, spec = _net(seed=50, with_projection=True), SPEC
+        prev = params_to_vector(_net(seed=51, with_projection=True).params)
+        kw = {"method": MethodConfig(method="moon"), **kw}
+    elif kind == "conv":
+        net, spec, prev = BlockNet(CONV_SPEC, rng=np.random.default_rng(52)), CONV_SPEC, None
+        kw = {"method": MethodConfig(method="fedalign"), **kw}
+    else:
+        net, spec, prev = _net(seed=53), SPEC, None
+        kw = {"method": MethodConfig(method="gradaug"), **kw}
+    x, y = _batch(seed=54, n=10, spec=spec)
+    task = _task(net, x, y, seed=55, epochs=2, **kw)
+    task.prev = prev
+    return task
+
+
+def _on_fresh_models(task: ClientTask):
+    methods._MODELS.clear()
+    return client_update(task)
+
+
+def _same_result(got, want) -> bool:
+    (vec, stats), (want_vec, want_stats) = got, want
+    return (vec.layout == want_vec.layout and vec.data.tobytes() == want_vec.data.tobytes()
+            and stats == want_stats)
+
+
+def test_reused_models_match_fresh_ones_bitwise():
+    kinds = ["moon", "conv", "dense", "moon", "moon", "dense", "conv"]
+    want = {k: _on_fresh_models(_store_task(k)) for k in dict.fromkeys(kinds)}
+    methods._MODELS.clear()
+    for kind in kinds:
+        assert _same_result(client_update(_store_task(kind)), want[kind]), kind
+
+
+def _failing_task() -> ClientTask:
+    """A moon task with one infinite sample, reached at its fourth step."""
+    task = _store_task("moon", batch_size=1)
+    order = np.random.default_rng([55, 0]).permutation(len(task.inputs))  # its data_rng
+    task.inputs = task.inputs.copy()
+    task.inputs[order[3]] = np.inf
+    return task
+
+
+def test_failed_task_leaves_no_trace_in_the_next():
+    for after in ("moon", "dense"):
+        want = _on_fresh_models(_store_task(after))
+        with np.errstate(all="ignore"), pytest.raises(FloatingPointError):
+            client_update(_failing_task())
+        assert _same_result(client_update(_store_task(after)), want), after

@@ -1,5 +1,7 @@
-"""Server-side algebra, checkpoint format, resume and determinism laws."""
+"""Server-side algebra, checkpoint and metrics formats, resume and determinism laws."""
+import contextlib
 import dataclasses
+import io
 import json
 import os
 
@@ -7,13 +9,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fedsim import orchestrator
+from fedsim import cli, orchestrator
 from fedsim.methods import MethodConfig
 from fedsim.orchestrator import (CheckpointError, ConfigError, DatasetConfig,
                                  ExperimentConfig, ModelConfig, RoundMetrics,
                                  aggregate, build_state, comm_cost, evaluate,
                                  emit_metrics, load_checkpoint, read_metrics,
-                                 run_experiment, run_round, sample_clients,
+                                 read_metrics_log, run_experiment, run_round, sample_clients,
                                  save_checkpoint)
 from fedsim.tensor import ParamVector, load_vector
 
@@ -418,13 +420,209 @@ def test_moon_previous_round_fallback_is_initial_model():
 def test_emit_metrics_appends_without_duplicates(tmp_path):
     out = str(tmp_path)
     rows = [RoundMetrics(r, 0.5, 1.0, 32.0 * (r + 1), 10.0, [0]) for r in range(3)]
-    emit_metrics(rows[:2], out)
-    emit_metrics(rows[1:], out)
+    emit_metrics(rows[:2], out, read_metrics_log(out))
+    emit_metrics(rows[1:], out, read_metrics_log(out))
     got = read_metrics(out)
     assert [m.round for m in got] == [0, 1, 2]
     lines = open(os.path.join(out, "metrics.csv")).read().splitlines()
     assert lines[0] == RoundMetrics.CSV_HEADER
     assert len(lines) == 4
+
+
+def test_emit_metrics_appends_in_place_and_renders_like_json_dump(tmp_path):
+    out = str(tmp_path)
+    rows = [RoundMetrics(r, None if r == 1 else 0.5, float("nan"), 32.0 * (r + 1),
+                         1e20, [0, r], {0: 1.5, r: float("inf")}) for r in range(4)]
+    log = read_metrics_log(out)
+    for m in rows:
+        emit_metrics([m], out, log)
+    emit_metrics(rows[1:3], out, log)  # rounds on disk are skipped
+    _assert_pinned(out, rows)
+
+
+def test_emit_metrics_rewrites_a_file_it_did_not_render(tmp_path):
+    out = str(tmp_path)
+    rows = [RoundMetrics(r, 0.5, 1.0, 32.0 * (r + 1), 10.0, [0]) for r in range(3)]
+    with open(os.path.join(out, "metrics.json"), "w") as f:
+        json.dump([rows[0].to_dict()], f)  # valid, but not as emit_metrics writes it
+    emit_metrics(rows[1:], out, read_metrics_log(out))
+    assert open(os.path.join(out, "metrics.json")).read() == json.dumps(
+        [m.to_dict() for m in rows], indent=1)
+
+
+def _assert_pinned(out: str, metrics: list) -> None:
+    """metrics.json is json.dump of the rounds' records in round order, byte for
+    byte, and metrics.csv holds one row per round."""
+    records = [m.to_dict() for m in sorted(metrics, key=lambda m: m.round)]
+    with open(os.path.join(out, "metrics.json")) as f:
+        assert f.read() == json.dumps(records, indent=1)
+    with open(os.path.join(out, "metrics.csv")) as f:
+        lines = f.read().splitlines()
+    assert lines[0] == RoundMetrics.CSV_HEADER
+    assert sorted(int(row.split(",")[0]) for row in lines[1:]) == [d["round"] for d in records]
+
+
+@pytest.fixture(scope="module")
+def five_rounds(tmp_path_factory):
+    """(config, metrics, run directory) of a 5-round run checkpointed every round."""
+    out = str(tmp_path_factory.mktemp("straight") / "run")
+    cfg = _cfg(rounds=5, eval_every=1, output_dir=out)
+    return cfg, run_experiment(cfg)[1], out
+
+
+def _checkpoint(run_dir: str, r: int) -> str:
+    return os.path.join(run_dir, "checkpoints", f"round_{r:04d}.ckpt")
+
+
+def test_metrics_files_of_a_fresh_run_are_pinned(five_rounds):
+    _, metrics, out = five_rounds
+    assert [m.round for m in metrics] == list(range(5))
+    _assert_pinned(out, metrics)
+
+
+def test_metrics_files_after_an_overlapping_resume_are_pinned(five_rounds, tmp_path):
+    cfg, metrics, straight = five_rounds
+    out = str(tmp_path / "run")
+    run_experiment(dataclasses.replace(cfg, rounds=3, output_dir=out))
+    # rounds 2 to 4 run again; round 2 is on disk already
+    run_experiment(dataclasses.replace(cfg, output_dir=out),
+                   resume_from=_checkpoint(straight, 2))
+    _assert_pinned(out, metrics)
+
+
+def test_metrics_files_after_a_resume_into_a_gap_are_pinned(five_rounds, tmp_path):
+    cfg, metrics, straight = five_rounds
+    out = str(tmp_path / "run")
+    run_experiment(dataclasses.replace(cfg, rounds=2, output_dir=out))
+    run_experiment(dataclasses.replace(cfg, output_dir=out),
+                   resume_from=_checkpoint(straight, 4))
+    assert [m.round for m in read_metrics(out)] == [0, 1, 4]
+    run_experiment(dataclasses.replace(cfg, output_dir=out),  # rounds 2 and 3 fill the gap
+                   resume_from=_checkpoint(straight, 2))
+    _assert_pinned(out, metrics)
+
+
+def test_a_run_reads_metrics_json_once(five_rounds, tmp_path, monkeypatch):
+    cfg, _, straight = five_rounds
+    out = str(tmp_path / "run")
+    run_experiment(dataclasses.replace(cfg, rounds=2, output_dir=out))
+    reads = []
+    real = orchestrator.read_metrics_log
+
+    def counting(out_dir):
+        reads.append(out_dir)
+        return real(out_dir)
+
+    monkeypatch.setattr(orchestrator, "read_metrics_log", counting)
+    run_experiment(dataclasses.replace(cfg, output_dir=out),
+                   resume_from=_checkpoint(straight, 1))
+    assert reads == [out]
+
+
+# -- a malformed metrics.json -----------------------------------------------------------
+
+
+def _write_run_config(path: str, cfg: ExperimentConfig) -> str:
+    with open(path, "w") as f:
+        json.dump(cfg.to_dict(), f)
+    return path
+
+
+@pytest.mark.parametrize("raw", [b'[{"round": 0', b'{"a": 1}', b"", b"\xff[]",
+                                 b'[{"round": 1}]', b"[5]"])
+def test_malformed_metrics_exits_3_before_any_round(tmp_path, capsys, monkeypatch, raw):
+    out = tmp_path / "run"
+    out.mkdir()
+    (out / "metrics.json").write_bytes(raw)
+    path = _write_run_config(str(tmp_path / "cfg.json"), _cfg(output_dir=str(out)))
+    monkeypatch.setattr(orchestrator, "run_round",
+                        lambda *args: pytest.fail("a round trained"))
+    assert cli.main(["run", "--config", path]) == 3
+    assert "i/o error" in capsys.readouterr().err
+    assert (out / "metrics.json").read_bytes() == raw
+
+
+@pytest.fixture(scope="module")
+def finished_run(tmp_path_factory):
+    """(config path, run directory, final checkpoint, metrics.json bytes) of a
+    3-round run; resuming from its checkpoint trains no round."""
+    root = tmp_path_factory.mktemp("metrics-fuzz")
+    out = str(root / "run")
+    cfg = _cfg(rounds=3, eval_every=1, output_dir=out)
+    run_experiment(cfg)
+    with open(os.path.join(out, "metrics.json"), "rb") as f:
+        raw = f.read()
+    return _write_run_config(str(root / "cfg.json"), cfg), out, _checkpoint(out, 3), raw
+
+
+def _resume_with(finished_run, raw: bytes) -> int:
+    """Exit code of resuming the finished run with metrics.json set to raw."""
+    path, out, checkpoint, _ = finished_run
+    with open(os.path.join(out, "metrics.json"), "wb") as f:
+        f.write(raw)
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return cli.main(["run", "--config", path, "--resume", checkpoint])
+
+
+def test_resume_with_intact_metrics_exits_0(finished_run):
+    assert _resume_with(finished_run, finished_run[3]) == 0
+
+
+@_fuzz
+@given(data=st.data())
+def test_truncated_metrics_exit_3(finished_run, data):
+    raw = finished_run[3]
+    assert _resume_with(finished_run, raw[:data.draw(st.integers(0, len(raw) - 1))]) == 3
+
+
+@_fuzz
+@given(data=st.data())
+def test_flipped_metrics_byte_never_exits_2(finished_run, data):
+    raw = finished_run[3]
+    i = data.draw(st.integers(0, len(raw) - 1), label="offset")
+    byte = data.draw(st.integers(0, 255).filter(lambda b: b != raw[i]), label="byte")
+    flipped = raw[:i] + bytes([byte]) + raw[i + 1:]
+    try:
+        json.loads(flipped.decode())
+        parses = True
+    except ValueError:
+        parses = False
+    # a flip inside a number or a name may leave a valid file, and that resumes
+    assert _resume_with(finished_run, flipped) in ((0, 3) if parses else (3,))
+
+
+# values RoundMetrics.from_dict cannot read, by key
+_BAD_VALUES = {
+    "round": [None, "1", 1.0, True, -1, [1]],
+    "comm_bits_cum": [None, "x", [1.0], {}],
+    "flops_cum": [None, "x", [1.0], {}],
+    "sampled_ids": [None, 5, [None], ["x"], [[1]]],
+    "train_loss": [[], 5, "x", {"x": 1.0}, {"1": None}, {"1": "x"}],
+}
+
+
+@_fuzz
+@given(data=st.data())
+def test_edited_metrics_exit_3(finished_run, data):
+    records = json.loads(finished_run[3])
+    i = data.draw(st.integers(0, len(records) - 1), label="record")
+    edit = data.draw(st.sampled_from(["value", "missing", "record", "order", "top"]))
+    if edit == "value":
+        key = data.draw(st.sampled_from(sorted(_BAD_VALUES)), label="key")
+        records[i][key] = data.draw(st.sampled_from(_BAD_VALUES[key]), label="value")
+    elif edit == "missing":
+        del records[i][data.draw(st.sampled_from(
+            ["round", "test_acc", "test_loss", "comm_bits_cum", "flops_cum",
+             "sampled_ids"]), label="key")]
+    elif edit == "record":
+        records[i] = data.draw(st.sampled_from([None, 5, "x", [], [records[i]]]))
+    elif edit == "order":  # an earlier record's round: repeated or descending
+        i = max(i, 1)
+        records[i]["round"] = records[data.draw(st.integers(0, i - 1))]["round"]
+    else:
+        records = data.draw(st.sampled_from([{"a": 1}, 5, "x", None,
+                                             {"round": 0}]))
+    assert _resume_with(finished_run, json.dumps(records, indent=1).encode()) == 3
 
 
 def test_run_experiment_outputs(tmp_path):
@@ -458,3 +656,25 @@ def test_parallel_matches_serial_bitwise(method):
     s_par, m_par = run_experiment(cfg_par)
     assert np.array_equal(s_serial.global_vector.data, s_par.global_vector.data)
     assert [m.to_dict() for m in m_serial] == [m.to_dict() for m in m_par]
+
+
+@pytest.mark.parametrize("workers,fraction,started", [
+    (64, 1.0, [3]), (2, 1.0, [2]), (64, 0.5, [2]), (64, 0.3, [])])
+def test_pool_is_capped_at_the_clients_sampled_per_round(monkeypatch, workers,
+                                                         fraction, started):
+    # 3 clients; a fraction of 0.3 samples one a round, which trains in process
+    pools = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+        def shutdown(self):
+            pass
+
+    monkeypatch.setattr(orchestrator, "ProcessPoolExecutor", RecordingPool)
+    run_experiment(_cfg(rounds=1, workers=workers, sample_fraction=fraction))
+    assert pools == started

@@ -17,7 +17,9 @@ base is a git revision (default HEAD, so run this before committing, or pass
 4. makes one traced run per side and workload for the per-layer counts
    (tensor.nodes, hessian.hvp.calls, models.build.calls, ...), which repeat
    exactly from run to run;
-5. writes --out: per workload and end-to-end metric, every run of each
+5. writes --out: per workload, each side's failed and attempted
+   operations and the failed share, with more_failed set when the change's
+   share is larger; per end-to-end metric, every run of each
    side, the medians and quartiles, the pairs the change won (lower is
    better, ties count for neither), whether that is a gain by the rule
    "at least 9 in 10 pairs won and a median gap wider than the base's
@@ -131,10 +133,16 @@ def main() -> int:
                 print(f"{wl}: pair {i + 1}/{PAIRS}", file=sys.stderr)
             traced = {side: bench(roots[side], wl, spec["run_seconds"], trace=True)
                       for side in roots}
-            row = {side: {"failed": sum(r["failed"] for r in rs),
-                          "attempted": sum(r["attempted"] for r in rs),
-                          "all_correct": all(r["correct"] for r in rs)}
-                   for side, rs in runs.items()}
+            row = {}
+            for side, rs in runs.items():
+                failed, attempted = (sum(r[k] for r in rs) for k in ("failed", "attempted"))
+                row[side] = {"failed": failed, "attempted": attempted,
+                             "failed_share": failed / attempted if attempted else 0.0,
+                             "all_correct": all(r["correct"] for r in rs)}
+            row["more_failed"] = row["change"]["failed_share"] > row["base"]["failed_share"]
+            if row["more_failed"]:
+                print(f"{wl}: a larger share of operations fails in the change",
+                      file=sys.stderr)
             for metric, bound in bounds.items():
                 row[metric] = summarize(
                     [r["metrics"][metric]["value"] for r in runs["base"]],
