@@ -14,7 +14,6 @@ from .tensor import (
     params_to_vector,
     sgd_step,
     softmax_cross_entropy,
-    zero_gradients,
 )
 from .models import (
     BlockNet,

@@ -169,10 +169,12 @@ def _load_labels(spec: str) -> np.ndarray:
         else:
             arr = np.loadtxt(spec, ndmin=1)
         arr = np.asarray(arr).ravel()
-    except ValueError as e:  # unparsable, ragged or not an array
+    except (ValueError, RecursionError) as e:  # unparsable, too deep, ragged or not an array
         raise ConfigError(f"cannot read labels from {spec}: {e}") from e
     if arr.size == 0:
         raise ConfigError("labels file is empty")
+    if arr.dtype.kind not in "biuf":  # strings, nulls, objects
+        raise ConfigError(f"labels must be numbers, not {arr.dtype} values")
     as_int = arr.astype(np.int64)
     if not np.all(as_int == arr) or as_int.min() < 0:
         raise ConfigError("labels must be non-negative integers")

@@ -547,7 +547,8 @@ def _batched_indices(n: int, batch_size: int,
 # trained: the trainable one, then two gradient-free ones (moon's shadows).
 # Kept per process because a pool worker receives nothing but its task.
 # Reuse keeps no state between tasks: load_vector rebinds every parameter to
-# a fresh copy, gradients() clears .grad, and the velocity is the task's own.
+# a fresh copy, gradients() leaves no state on any tensor, and the velocity
+# is the task's own.
 _MODELS: dict[tuple[BlockNetSpec, bool], tuple[BlockNet, BlockNet, BlockNet]] = {}
 
 

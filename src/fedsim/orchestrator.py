@@ -127,8 +127,8 @@ class ExperimentConfig(ConfigFields):
         try:
             with open(path, encoding="utf-8") as f:
                 d = json.load(f)
-        except (UnicodeDecodeError, json.JSONDecodeError) as e:
-            raise ConfigError(f"config is not valid UTF-8 JSON: {e}") from e
+        except (ValueError, RecursionError) as e:  # bad UTF-8 or JSON, too long or deep
+            raise ConfigError(f"config is not readable UTF-8 JSON: {e}") from e
         if not isinstance(d, dict):
             raise ConfigError("config must be a JSON object")
         for spec in overrides:
@@ -166,6 +166,8 @@ def _apply_override(d: dict, spec: str) -> None:
         value = json.loads(raw)
     except json.JSONDecodeError:
         value = raw  # bare strings stay strings
+    except (ValueError, RecursionError) as e:  # too long a number, too deep a nesting
+        raise ConfigError(f"override {key!r} value is not readable JSON: {e}") from e
     parts = key.split(".")
     cur = d
     for p in parts[:-1]:
@@ -458,7 +460,7 @@ def load_checkpoint(path: str, config: ExperimentConfig) -> ExperimentState:
         declared = tuple((n, tuple(s), o) for n, s, o in manifest["layout"])
         ids = [int(_PREV_ARRAY.fullmatch(e["name"])[1]) for e in manifest["arrays"][1:]]
         comm_bits, flops = float(manifest["comm_bits"]), float(manifest["flops"])
-    except (ValueError, TypeError, KeyError) as e:  # a UnicodeDecodeError is a ValueError
+    except (ValueError, TypeError, KeyError, RecursionError) as e:  # UnicodeDecodeError too
         raise CheckpointError(f"checkpoint manifest is corrupt: {e!r}") from e
     if config_hash != config.trajectory_hash():
         raise CheckpointError("checkpoint was produced by a different config")
@@ -510,11 +512,13 @@ def _render_file(items: list[str]) -> str:
 @dataclass
 class MetricsLog:
     """What an output directory's metrics.json holds: its rounds, ascending,
-    and each record as rendered. stale means the file's bytes are not
-    _render_file(items), so the next write replaces the file whole."""
+    each record as rendered and each as its metrics.csv row. stale means the
+    file's bytes are not _render_file(items), so the next write replaces the
+    file whole."""
 
     rounds: list[int] = field(default_factory=list)
     items: list[str] = field(default_factory=list)
+    rows: list[str] = field(default_factory=list)
     stale: bool = False
 
 
@@ -536,17 +540,16 @@ def read_metrics_log(out_dir: str) -> MetricsLog:
         records = json.loads(raw.decode())  # a UnicodeDecodeError is a ValueError
         if not isinstance(records, list):
             raise TypeError(f"a JSON {type(records).__name__}, not a list")
-        for d in records:
-            RoundMetrics.from_dict(d)
+        rows = [RoundMetrics.from_dict(d).csv_row() for d in records]
         rounds = [d["round"] for d in records]
-    except (ValueError, TypeError, KeyError, AttributeError) as e:
+    except (ValueError, TypeError, KeyError, AttributeError, RecursionError) as e:
         raise MetricsError(f"{path} is not a list of round records: {e!r}") from e
     if (not all(type(r) is int and r >= 0 for r in rounds)
             or any(a >= b for a, b in zip(rounds, rounds[1:]))):
         raise MetricsError(f"{path} rounds {rounds} are not non-negative integers "
                            f"in strictly ascending order")
     items = [_render(d) for d in records]
-    return MetricsLog(rounds, items, stale=raw != _render_file(items).encode())
+    return MetricsLog(rounds, items, rows, stale=raw != _render_file(items).encode())
 
 
 def emit_metrics(metrics: list[RoundMetrics], out_dir: str, log: MetricsLog) -> None:
@@ -558,7 +561,9 @@ def emit_metrics(metrics: list[RoundMetrics], out_dir: str, log: MetricsLog) -> 
     duplicating the header or earlier rows. Records after the last one are
     appended in place; a record before it (a resume into a directory holding
     later rounds) rewrites the file. Either way metrics.json stays byte for
-    byte json.dump(records in round order, f, indent=1).
+    byte json.dump(records in round order, f, indent=1). metrics.csv follows
+    it: the header, then one row per record in round order, written whole
+    when metrics.json is rewritten or the CSV is missing, else appended.
     """
     os.makedirs(out_dir, exist_ok=True)
     json_path = os.path.join(out_dir, "metrics.json")
@@ -571,6 +576,7 @@ def emit_metrics(metrics: list[RoundMetrics], out_dir: str, log: MetricsLog) -> 
         rewrite = rewrite or i < len(log.rounds)
         log.rounds.insert(i, m.round)
         log.items.insert(i, _render(m.to_dict()))
+        log.rows.insert(i, m.csv_row())
         new.append(m)
     if rewrite:
         with open(json_path, "w") as f:
@@ -582,12 +588,12 @@ def emit_metrics(metrics: list[RoundMetrics], out_dir: str, log: MetricsLog) -> 
             f.write("".join(",\n" + item for item in log.items[-len(new):]).encode()
                     + b"\n]")
     csv_path = os.path.join(out_dir, "metrics.csv")
-    write_header = not os.path.exists(csv_path)
-    with open(csv_path, "a") as f:
-        if write_header:
-            f.write(RoundMetrics.CSV_HEADER + "\n")
-        for m in new:
-            f.write(m.csv_row() + "\n")
+    if rewrite or not os.path.exists(csv_path):
+        with open(csv_path, "w") as f:
+            f.write("".join(row + "\n" for row in [RoundMetrics.CSV_HEADER] + log.rows))
+    elif new:
+        with open(csv_path, "a") as f:
+            f.write("".join(row + "\n" for row in log.rows[-len(new):]))
 
 
 def read_metrics(out_dir: str) -> list[RoundMetrics]:

@@ -1,9 +1,10 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
 Every value in the simulator flows through the Tensor type below. Ops build a
-DAG as they run; backward() walks it once in reverse topological order and
-accumulates gradients into leaf tensors. Two rules fix every gradient bit:
-a node's incoming contributions are summed in the post-order of backward's
+DAG as they run; gradients(loss, params) walks it once in reverse
+topological order and returns {name: gradient} for a parameter dict, keeping
+nothing on any tensor once it returns. Two rules fix every gradient bit:
+a node's incoming contributions are summed in the post-order of the walk's
 depth-first search (first contribution, then `slot + next`), and an op's
 backward closure returns None for a parent that requires no gradient
 instead of computing a value that would be dropped. The op set is
@@ -63,20 +64,19 @@ class Tensor:
     that changes a parameter (sgd_step, load_vector) binds a new array to
     `.data` instead of writing into the old one.
 
-    backward() keeps its per-call state on the nodes themselves: `_mark`
-    holds the call's visit mark and `_g` the gradient flowing into the node.
-    Both are None outside a backward call. Contributions into `_g` are summed
-    in the post-order of backward's depth-first search, and an op's closure
-    returns None for each parent that requires no gradient.
+    A tensor holds no gradient. gradients() keeps its per-call state on the
+    nodes themselves: `_mark` holds the call's visit mark and `_g` the
+    gradient flowing into the node. Both are None outside a gradients() call.
+    Contributions into `_g` are summed in the post-order of the walk's
+    depth-first search, and an op's closure (`_backward`) returns None for
+    each parent that requires no gradient.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward",
-                 "_g", "_mark")
+    __slots__ = ("data", "requires_grad", "_parents", "_backward", "_g", "_mark")
 
     def __init__(self, data, requires_grad: bool = False):
         # an ndarray that is already float64 is what np.asarray would return
         self.data = data if type(data) is np.ndarray and data.dtype is _F64 else _f64(data)
-        self.grad: Array | None = None
         self.requires_grad = bool(requires_grad)
         self._parents: tuple[Tensor, ...] = ()
         self._backward = None
@@ -110,65 +110,8 @@ class Tensor:
     def detach(self) -> "Tensor":
         return Tensor(self.data)
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
-
-    # -- autodiff ---------------------------------------------------------
-
-    def backward(self) -> None:
-        """Backpropagate from this scalar; gradients accumulate into .grad.
-
-        Repeated calls keep accumulating until zero_grad() clears a leaf,
-        which is what makes backward linear in the loss. If a closure raises,
-        every visited node's `_g` and `_mark` is cleared before the error
-        propagates, so no partial gradient leaks into a later call.
-        """
-        if self.data.shape != ():
-            raise ValueError("backward() requires a scalar tensor")
-        if not self.requires_grad:
-            return
-        mark = object()  # fresh per call: a stale mark never matches
-        topo: list[Tensor] = []
-        stack: list[tuple[Tensor, bool]] = [(self, False)]
-        try:
-            while stack:
-                node, expanded = stack.pop()
-                if expanded:
-                    topo.append(node)
-                    continue
-                if node._mark is mark:
-                    continue
-                node._mark = mark
-                stack.append((node, True))
-                for p in node._parents:
-                    if p.requires_grad and p._mark is not mark:
-                        stack.append((p, False))
-
-            self._g = np.ones((), dtype=np.float64)
-            for node in reversed(topo):
-                g = node._g
-                node._g = None
-                node._mark = None
-                if g is None:
-                    continue
-                if node._backward is None:
-                    node.grad = g if node.grad is None else node.grad + g
-                    continue
-                for p, pg in zip(node._parents, node._backward(g)):
-                    if pg is None or not p.requires_grad:
-                        continue
-                    slot = p._g
-                    p._g = pg if slot is None else slot + pg
-        except BaseException:
-            # marked nodes are in topo or still on the stack awaiting expansion
-            for node in topo + [n for n, expanded in stack if expanded]:
-                node._g = None
-                node._mark = None
-            raise
-        # leaves collected above; interior nodes with no _backward cannot occur
 
     # -- arithmetic -------------------------------------------------------
 
@@ -324,8 +267,8 @@ def normalize(x: Tensor, scale: Tensor, shift: Tensor, eps: float,
     square's two; x's gradient is the subtraction's, plus the mean's
     broadcast. The composed graph adds those two in x's gradient slot, so
     the bits agree only when x has no other consumer, as in BlockNet.
-    Parents (x, scale, shift) make backward's depth-first search reach them
-    in the composed graph's order.
+    Parents (x, scale, shift) make gradients()' depth-first search reach
+    them in the composed graph's order.
     """
     x, scale, shift = Tensor._wrap(x), Tensor._wrap(scale), Tensor._wrap(shift)
     xd = x.data
@@ -531,23 +474,65 @@ def log_softmax(logits: Tensor) -> Tensor:
 
 
 def gradients(loss: Tensor, params: dict[str, Tensor]) -> dict[str, Array]:
-    """Backward from `loss` and return {name: grad} for every parameter.
+    """Backward from the scalar `loss`; {name: gradient} for every parameter.
 
-    Clears the parameters' .grad slots first, so each call returns the
-    gradient of this loss alone. Parameters not reachable from the loss get
-    zero gradients rather than an error.
+    One depth-first search from `loss` orders the graph, and its reversed
+    post-order hands each node's summed `_g` to its closure after every
+    consumer has added to it. A leaf is visited after all of its consumers,
+    so it keeps its full sum in `_g` until the parameters are read; then
+    every visited node's `_g` and `_mark` is None again, also when a closure
+    raises. Parameters not reachable from the loss get zero gradients rather
+    than an error.
     """
-    zero_gradients(params)
-    loss.backward()
-    out = {}
-    for name, p in params.items():
-        out[name] = p.grad if p.grad is not None else np.zeros_like(p.data)
-    return out
+    if loss.data.shape != ():
+        raise ValueError("gradients() requires a scalar loss")
+    mark = object()  # fresh per call: a stale mark never matches
+    topo: list[Tensor] = []
+    stack: list[tuple[Tensor, bool]] = [(loss, False)] if loss.requires_grad else []
+    try:
+        while stack:
+            node, expanded = stack.pop()
+            if expanded:
+                topo.append(node)
+                continue
+            if node._mark is mark:
+                continue
+            node._mark = mark
+            stack.append((node, True))
+            for p in node._parents:
+                if p.requires_grad and p._mark is not mark:
+                    stack.append((p, False))
+
+        if topo:
+            loss._g = np.ones((), dtype=np.float64)
+        for node in reversed(topo):
+            if node._backward is None:
+                continue  # a leaf keeps its sum in _g until read below
+            g = node._g
+            node._g = None
+            if g is None:
+                continue
+            for p, pg in zip(node._parents, node._backward(g)):
+                if pg is None or not p.requires_grad:
+                    continue
+                slot = p._g
+                p._g = pg if slot is None else slot + pg
+        return {name: p._g if p._g is not None else np.zeros_like(p.data)
+                for name, p in params.items()}
+    finally:
+        # marked nodes are in topo or, if a closure raised, still on the
+        # stack awaiting expansion
+        for node in topo + [n for n, expanded in stack if expanded]:
+            node._g = None
+            node._mark = None
 
 
 def zero_gradients(params: dict[str, Tensor]) -> None:
-    for p in params.values():
-        p.grad = None
+    """Does nothing: gradients() keeps no state between calls.
+
+    Kept only for perfbench/workloads.py (ConvTrain.check_gradient), which
+    still calls it around its gradients() call; it goes once those calls do.
+    """
 
 
 def clip_grad_norm(grads: dict[str, Array], max_norm: float) -> tuple[dict[str, Array], float]:

@@ -6,7 +6,7 @@ backward pass: they perturb parameters and difference loss (or gradient)
 values, so agreement is evidence rather than tautology. Networks built for
 finite-difference comparison use tanh activations, which are smooth
 everywhere; relu paths are checked separately at points safely away from the
-kink. reference_gradients is backward's bookkeeping kept in its
+kink. reference_gradients is tensor.gradients' bookkeeping kept in its
 id()-keyed dict form, so tests can require the library to sum every
 gradient in the same order, bit for bit; composed_normalize and
 composed_add_relu are the graphs of primitive ops that tensor.normalize and
@@ -67,9 +67,9 @@ def reference_gradients(loss, params):
     """{name: gradient} of `loss`, from an id()-keyed depth-first backward.
 
     The same DFS and the same `slot + contribution` order as
-    Tensor.backward, with every gradient kept in dicts instead of on the
+    tensor.gradients, with every gradient kept in dicts instead of on the
     nodes. Calls the graph's backward closures but writes no tensor field,
-    so the library's backward can run on the same graph afterwards.
+    so tensor.gradients can run on the same graph afterwards.
     Unreached parameters get zeros, as tensor.gradients gives them.
     """
     topo = []

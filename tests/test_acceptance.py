@@ -20,7 +20,7 @@ from fedsim.orchestrator import (DatasetConfig, ExperimentConfig, ModelConfig,
                                  aggregate, comm_cost, run_experiment,
                                  save_checkpoint)
 from fedsim.tensor import (ParamVector, Tensor, gradients, params_to_vector,
-                           softmax_cross_entropy, zero_gradients)
+                           softmax_cross_entropy)
 
 from helpers import (TanhMLP, matrix_with_spectrum, max_rel_err, numeric_grad,
                      numeric_hessian)
@@ -50,7 +50,6 @@ def test_criterion_01_gradient_oracle(capsys):
         model = TanhMLP(tuple(dims), rng)
         x = rng.normal(size=(5, dims[0]))
         y = rng.integers(0, dims[-1], size=5)
-        zero_gradients(model.params)
         got = gradients(softmax_cross_entropy(model.forward(x), y), model.params)
         want = numeric_grad(lambda: softmax_cross_entropy(model.forward(x), y),
                             model.params)
@@ -178,9 +177,7 @@ def test_criterion_05_objective_identities(capsys):
     y = rng.integers(0, 3, size=10)
     anchor = {k: v.data + 0.1 for k, v in net.params.items()}
     mu = 0.37
-    zero_gradients(net.params)
     ce = gradients(loss_ce(net.forward(x), y), net.params)
-    zero_gradients(net.params)
     base = loss_ce(net.forward(x), y)
     anchor_vec = params_to_vector({k: Tensor(a) for k, a in anchor.items()})
     prox = gradients(loss_fedprox(base, net.params, anchor_vec, mu), net.params)

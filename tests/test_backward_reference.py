@@ -1,4 +1,4 @@
-"""Tensor.backward against the id()-keyed reference backward, bit for bit.
+"""tensor.gradients against the id()-keyed reference backward, bit for bit.
 
 Gradients summed in another order differ in their last bits, and criterion
 9's trajectories amplify that. Each case builds one graph, runs the
@@ -15,7 +15,7 @@ from fedsim.methods import METHOD_TABLE, ClientTask, MethodConfig
 from fedsim.models import BlockNet, BlockNetSpec
 from fedsim.orchestrator import DatasetConfig, ExperimentConfig, ModelConfig, build_state
 from fedsim.tensor import (Tensor, add_relu, gradients, load_vector, normalize,
-                           params_to_vector, slice_axis, sqrt, zero_gradients)
+                           params_to_vector, slice_axis, sqrt)
 
 from helpers import composed_add_relu, composed_normalize, reference_gradients
 
@@ -30,7 +30,6 @@ CONV_SPEC = BlockNetSpec(input_shape=(3, 12, 12), num_classes=8, widths=(8, 16),
 
 def _assert_bitwise(loss, params):
     want = reference_gradients(loss, params)
-    zero_gradients(params)
     got = gradients(loss, params)
     assert sorted(got) == sorted(want)
     for name in want:

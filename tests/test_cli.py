@@ -94,6 +94,14 @@ def test_run_error_exit_codes(tmp_path, capsys):
     not_object.write_text("[1, 2]")
     assert main(["run", "--config", str(not_object)]) == 1
 
+    # json raises RecursionError and a plain ValueError for these
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200_000 + "]" * 200_000)
+    assert main(["run", "--config", str(deep)]) == 1
+    long_int = tmp_path / "long.json"
+    long_int.write_text('{"seed": ' + "1" * 5000 + "}")
+    assert main(["run", "--config", str(long_int)]) == 1
+
     unknown = _write_cfg(tmp_path, "unknown.json", zzz=1)
     assert main(["run", "--config", unknown]) == 1
 
@@ -113,6 +121,8 @@ def test_run_error_exit_codes(tmp_path, capsys):
     "dataset.dims=[4,4]", "dataset.dims=[2,2,2,2]",  # neither features nor (C, H, W)
     "learning_rate=NaN", "dataset.separation=NaN", "clip_norm=Infinity",
     "method.power_iters=20", "method.lip_epsilon=1e-8",  # constants, no longer keys
+    pytest.param("rounds=" + "[" * 20_000, id="rounds=deeply-nested"),
+    pytest.param("seed=" + "1" * 5000, id="seed=5000-digits"),
 ])
 def test_run_rejects_bad_values_before_any_output(tmp_path, capsys, override):
     out = tmp_path / "out"
@@ -424,9 +434,13 @@ def test_partition_error_exit_codes(tmp_path, capsys):
                  "--alpha", "1", "--seed", "0"]) == 1
     assert main(["partition", "--labels", "synthetic:3x10", "--clients", "0",
                  "--alpha", "1", "--seed", "0"]) == 1
-    # unparsable text, truncated or ragged JSON, and a .npy that is no array
+    # unparsable text, truncated, ragged, too deep or non-numeric JSON, and a
+    # .npy that is no array
     for name, content in (("abc.txt", "abc\n"), ("cut.json", "[1, 2"),
-                          ("ragged.json", "[[0,1],[2]]"), ("junk.npy", "garbage")):
+                          ("ragged.json", "[[0,1],[2]]"), ("junk.npy", "garbage"),
+                          ("deep.json", "[" * 200_000 + "]" * 200_000),
+                          ("object.json", '{"a": 1}'), ("strings.json", '["a", "b"]'),
+                          ("null.json", "[null, 1]")):
         path = str(tmp_path / name)
         with open(path, "w") as f:
             f.write(content)

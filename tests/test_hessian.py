@@ -5,8 +5,7 @@ import pytest
 from fedsim.hessian import (DEFAULT_FD_STEP, ce_loss_fn, cross_client_metrics,
                             hessian_diagonal, hessian_report, hutchinson_trace,
                             hvp, landscape_slice, top_eigenpairs)
-from fedsim.tensor import (ParamVector, gradients, load_vector, params_to_vector,
-                           zero_gradients)
+from fedsim.tensor import ParamVector, gradients, load_vector, params_to_vector
 from fedsim.models import BlockNet, BlockNetSpec
 
 from helpers import QuadraticModel, TanhMLP, numeric_hessian, random_orthogonal
@@ -69,7 +68,6 @@ def _reference_hvp(model, loss_fn, batch, v, h=DEFAULT_FD_STEP):
 
     def grad_at(vec):
         load_vector(model.params, ParamVector(data=vec, layout=pv.layout))
-        zero_gradients(model.params)
         gmap = gradients(loss_fn(model, batch[0], batch[1]), model.params)
         return np.concatenate([gmap[name].reshape(-1) for name, _, _ in pv.layout])
 

@@ -329,6 +329,12 @@ def test_checkpoint_corruption_detected(tmp_path):
     with pytest.raises(CheckpointError, match="version"):
         load_checkpoint(versioned, cfg)
 
+    deep = str(tmp_path / "deep.ckpt")  # json raises RecursionError on this line
+    with open(deep, "wb") as f:
+        f.write(b"[" * 200_000 + b"]" * 200_000 + b"\n" + blob)
+    with pytest.raises(CheckpointError, match="corrupt"):
+        load_checkpoint(deep, cfg)
+
     with pytest.raises(CheckpointError, match="cannot read"):
         load_checkpoint(str(tmp_path / "missing.ckpt"), cfg)
 
@@ -452,14 +458,13 @@ def test_emit_metrics_rewrites_a_file_it_did_not_render(tmp_path):
 
 def _assert_pinned(out: str, metrics: list) -> None:
     """metrics.json is json.dump of the rounds' records in round order, byte for
-    byte, and metrics.csv holds one row per round."""
-    records = [m.to_dict() for m in sorted(metrics, key=lambda m: m.round)]
+    byte, and metrics.csv is the header, then one row per round in round order."""
+    ordered = sorted(metrics, key=lambda m: m.round)
     with open(os.path.join(out, "metrics.json")) as f:
-        assert f.read() == json.dumps(records, indent=1)
+        assert f.read() == json.dumps([m.to_dict() for m in ordered], indent=1)
     with open(os.path.join(out, "metrics.csv")) as f:
-        lines = f.read().splitlines()
-    assert lines[0] == RoundMetrics.CSV_HEADER
-    assert sorted(int(row.split(",")[0]) for row in lines[1:]) == [d["round"] for d in records]
+        assert f.read() == "".join(row + "\n" for row in
+                                   [RoundMetrics.CSV_HEADER] + [m.csv_row() for m in ordered])
 
 
 @pytest.fixture(scope="module")
@@ -502,6 +507,15 @@ def test_metrics_files_after_a_resume_into_a_gap_are_pinned(five_rounds, tmp_pat
     _assert_pinned(out, metrics)
 
 
+def test_metrics_csv_without_metrics_json_is_rewritten(five_rounds, tmp_path):
+    cfg, metrics, _ = five_rounds
+    out = str(tmp_path / "run")
+    run_experiment(dataclasses.replace(cfg, rounds=2, output_dir=out))
+    os.remove(os.path.join(out, "metrics.json"))
+    run_experiment(dataclasses.replace(cfg, output_dir=out))
+    _assert_pinned(out, metrics)
+
+
 def test_a_run_reads_metrics_json_once(five_rounds, tmp_path, monkeypatch):
     cfg, _, straight = five_rounds
     out = str(tmp_path / "run")
@@ -529,7 +543,9 @@ def _write_run_config(path: str, cfg: ExperimentConfig) -> str:
 
 
 @pytest.mark.parametrize("raw", [b'[{"round": 0', b'{"a": 1}', b"", b"\xff[]",
-                                 b'[{"round": 1}]', b"[5]"])
+                                 b'[{"round": 1}]', b"[5]",
+                                 pytest.param(b"[" * 200_000 + b"]" * 200_000,
+                                              id="deeply-nested")])
 def test_malformed_metrics_exits_3_before_any_round(tmp_path, capsys, monkeypatch, raw):
     out = tmp_path / "run"
     out.mkdir()
@@ -623,6 +639,45 @@ def test_edited_metrics_exit_3(finished_run, data):
         records = data.draw(st.sampled_from([{"a": 1}, 5, "x", None,
                                              {"round": 0}]))
     assert _resume_with(finished_run, json.dumps(records, indent=1).encode()) == 3
+
+
+# -- --override strings ------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def config_path(tmp_path_factory):
+    return _write_run_config(str(tmp_path_factory.mktemp("override") / "cfg.json"), _cfg())
+
+
+def _config_or_config_error(path: str, spec: str) -> None:
+    """from_json_file with one override returns a config or raises ConfigError;
+    any other exception fails the test."""
+    try:
+        assert isinstance(ExperimentConfig.from_json_file(path, [spec]), ExperimentConfig)
+    except ConfigError:
+        pass
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.floats() | st.text(max_size=8)
+    | st.integers() | st.sampled_from([10 ** 400, -(10 ** 400)]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(
+        st.text(max_size=8), inner, max_size=3),
+    max_leaves=6)
+
+
+@_fuzz
+@given(spec=st.text())
+def test_any_override_text_gives_a_config_or_a_config_error(config_path, spec):
+    _config_or_config_error(config_path, spec)
+
+
+@_fuzz
+@given(key=st.sampled_from(sorted(_config_keys(_cfg()) | {"method", "dataset", "model"})),
+       value=_JSON_VALUES)
+def test_any_json_value_of_a_config_key_gives_a_config_or_a_config_error(
+        config_path, key, value):
+    _config_or_config_error(config_path, f"{key}={json.dumps(value)}")
 
 
 def test_run_experiment_outputs(tmp_path):

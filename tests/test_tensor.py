@@ -6,20 +6,17 @@ from fedsim.tensor import (ParamVector, Tensor, adaptive_avg_pool2d,
                            clamp_min, clip_grad_norm, conv2d, exp, gradients,
                            load_vector, log, log_softmax, matmul, mse,
                            params_to_vector, relu, sgd_step, slice_axis,
-                           softmax_cross_entropy, sqrt, tanh, zero_gradients)
+                           softmax_cross_entropy, sqrt, tanh)
 
 from helpers import max_rel_err, numeric_grad
 
 
 def _fd_check(build, params, tol=1e-6, eps=1e-6):
-    """Backward pass vs central differences on every parameter."""
-    for p in params.values():
-        p.grad = None
-    build().backward()
+    """gradients() vs central differences on every parameter."""
+    got = gradients(build(), params)
     want = numeric_grad(build, params, eps=eps)
-    for name, p in params.items():
-        got = p.grad if p.grad is not None else np.zeros_like(p.data)
-        assert max_rel_err(got, want[name]) < tol, name
+    for name in params:
+        assert max_rel_err(got[name], want[name]) < tol, name
 
 
 # -- arithmetic and broadcasting ------------------------------------------------
@@ -100,10 +97,9 @@ def test_slice_axis_backward_zero_pads():
     x = Tensor(np.arange(12.0).reshape(3, 4), requires_grad=True)
     y = slice_axis(x, 1, 1, 3)
     assert np.array_equal(y.data, x.data[:, 1:3])
-    y.sum().backward()
     want = np.zeros((3, 4))
     want[:, 1:3] = 1.0
-    assert np.array_equal(x.grad, want)
+    assert np.array_equal(gradients(y.sum(), {"x": x})["x"], want)
 
 
 def test_sum_mean_axes_fd():
@@ -125,8 +121,7 @@ def test_relu_values_and_safe_gradient():
     x = Tensor([-2.0, -0.5, 0.5, 3.0], requires_grad=True)
     y = relu(x)
     assert np.array_equal(y.data, [0.0, 0.0, 0.5, 3.0])
-    y.sum().backward()
-    assert np.array_equal(x.grad, [0.0, 0.0, 1.0, 1.0])
+    assert np.array_equal(gradients(y.sum(), {"x": x})["x"], [0.0, 0.0, 1.0, 1.0])
     # FD agreement holds when every preactivation sits away from the kink
     params = {"x": Tensor([-1.0, -0.3, 0.4, 2.0], requires_grad=True)}
     _fd_check(lambda: (relu(params["x"]) * Tensor([1.0, 2.0, 3.0, 4.0])).sum(),
@@ -137,9 +132,9 @@ def test_clamp_min_values_and_gradient():
     x = Tensor([-1.0, 0.0, 1e-16, 2.0], requires_grad=True)
     y = clamp_min(x, 1e-16)
     assert np.array_equal(y.data, [1e-16, 1e-16, 1e-16, 2.0])
-    (y * Tensor([1.0, 2.0, 3.0, 4.0])).sum().backward()
+    grad = gradients((y * Tensor([1.0, 2.0, 3.0, 4.0])).sum(), {"x": x})["x"]
     # the gradient passes only strictly above the floor
-    assert np.array_equal(x.grad, [0.0, 0.0, 0.0, 4.0])
+    assert np.array_equal(grad, [0.0, 0.0, 0.0, 4.0])
 
 
 def test_tanh_fd():
@@ -229,11 +224,11 @@ def test_softmax_ce_gradient_formula():
     z = rng.normal(size=(3, 4))
     y = np.array([1, 3, 0])
     logits = Tensor(z, requires_grad=True)
-    softmax_cross_entropy(logits, y).backward()
+    grad = gradients(softmax_cross_entropy(logits, y), {"z": logits})["z"]
     p = np.exp(z - z.max(axis=1, keepdims=True))
     p /= p.sum(axis=1, keepdims=True)
     p[np.arange(3), y] -= 1.0
-    assert np.allclose(logits.grad, p / 3.0, atol=1e-12)
+    assert np.allclose(grad, p / 3.0, atol=1e-12)
 
 
 def test_softmax_ce_fd():
@@ -279,17 +274,12 @@ def test_log_softmax_matches_numpy_and_fd():
 def test_backward_requires_scalar():
     x = Tensor(np.ones(3), requires_grad=True)
     with pytest.raises(ValueError):
-        (x * 2).backward()
+        gradients(x * 2, {"x": x})
 
 
-def test_backward_accumulates_and_zero_grad():
-    x = Tensor(2.0, requires_grad=True)
-    (x * x).backward()
-    assert x.grad == 4.0
-    (x * x).backward()
-    assert x.grad == 8.0  # second call adds on top
-    x.zero_grad()
-    assert x.grad is None
+def test_tensor_keeps_no_gradient_state():
+    for name in ("grad", "zero_grad", "backward"):
+        assert not hasattr(Tensor, name), name
 
 
 def _graph_nodes(root):
@@ -315,8 +305,6 @@ def test_backward_that_raises_leaves_no_partial_gradient():
         return (w * 2.0).sum() + (h * h).sum()
 
     want = gradients(build(), {"x": x, "w": w})
-    want = {k: g.copy() for k, g in want.items()}
-    zero_gradients({"x": x, "w": w})
 
     partial = []
 
@@ -326,11 +314,10 @@ def test_backward_that_raises_leaves_no_partial_gradient():
 
     loss = build(boom)
     with pytest.raises(RuntimeError, match="boom"):
-        loss.backward()
+        gradients(loss, {"x": x, "w": w})
     assert partial == [True]
     assert all(n._g is None and n._mark is None for n in _graph_nodes(loss))
 
-    zero_gradients({"x": x, "w": w})
     got = gradients(build(), {"x": x, "w": w})
     for k in want:
         assert got[k].tobytes() == want[k].tobytes(), k
@@ -338,10 +325,13 @@ def test_backward_that_raises_leaves_no_partial_gradient():
 
 def test_backward_clears_its_node_state():
     x = Tensor(np.arange(3.0), requires_grad=True)
+    w = Tensor(2.0, requires_grad=True)  # a leaf the caller asks nothing of
     y = x * x
-    loss = (y + y * 3.0).sum()
-    loss.backward()
-    assert all(n._g is None and n._mark is None for n in _graph_nodes(loss))
+    loss = (y + y * w).sum()
+    assert np.array_equal(gradients(loss, {"x": x})["x"], [0.0, 6.0, 12.0])
+    nodes = _graph_nodes(loss)
+    assert all(n._g is None and n._mark is None for n in nodes)
+    assert {id(n) for n in nodes if not n._parents} >= {id(x), id(w)}
 
 
 def test_binary_ops_skip_the_gradient_of_a_constant():
@@ -369,14 +359,12 @@ def test_wrapping_a_float64_array_keeps_it():
 def test_shared_subexpression_gradient():
     x = Tensor(3.0, requires_grad=True)
     y = x * x
-    (y + y).backward()  # d/dx 2x^2 = 4x
-    assert x.grad == 12.0
+    assert gradients(y + y, {"x": x})["x"] == 12.0  # d/dx 2x^2 = 4x
 
 
 def test_detach_blocks_gradient():
     x = Tensor(2.0, requires_grad=True)
-    (x.detach() * x).backward()  # treated as c*x with c = 2
-    assert x.grad == 2.0
+    assert gradients(x.detach() * x, {"x": x})["x"] == 2.0  # c*x with c = 2
 
 
 def test_gradients_fills_zeros_for_unreachable():
@@ -389,13 +377,6 @@ def test_gradients_fills_zeros_for_unreachable():
     out = gradients(a * 5.0, {"a": a, "b": b})
     assert out["a"] == 5.0
     assert np.array_equal(out["b"], np.zeros(3))
-
-
-def test_zero_gradients_clears():
-    a = Tensor(1.0, requires_grad=True)
-    (a * a).backward()
-    zero_gradients({"a": a})
-    assert a.grad is None
 
 
 # -- optimizer helpers ---------------------------------------------------------------
