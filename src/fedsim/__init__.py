@@ -48,6 +48,7 @@ from .methods import (
 from .hessian import (
     CrossClientReport,
     HessianReport,
+    Linearization,
     ce_loss_fn,
     cross_client_metrics,
     hessian_diagonal,
@@ -55,6 +56,7 @@ from .hessian import (
     hutchinson_trace,
     hvp,
     landscape_slice,
+    linearize,
     top_eigenpairs,
 )
 from .orchestrator import (

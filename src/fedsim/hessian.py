@@ -1,14 +1,20 @@
 """Matrix-free curvature diagnostics over the flat parameter vector.
 
-Hessian-vector products come from central finite differences of the gradient
-(two gradient evaluations per product, step h = DEFAULT_FD_STEP = 1e-4 along
-the normalized direction, so the truncation error is O(h^2) and float64
-round-off stays around 1e-8 for desk-scale losses). On top of that: power
-iteration with deflation for leading eigenvalues, one pass of Rademacher
-(Hutchinson) probes that gives both the diagonal, E[v * Hv], and the trace,
-E[v^T H v], from the same products (so the trace equals the diagonal's sum),
-pairwise cross-client curvature comparisons, and a 2-d loss landscape slice,
-which takes a report's eigenvectors as its directions.
+Hessian-vector products are forward differences of the gradient around a
+linearization point. linearize(model, loss_fn, batch) makes one forward at
+theta, recording its ReLU masks on a tensor.mask_tape, and one gradient g0.
+hvp(lin, v) then costs one gradient: g at theta + h * v/|v| with the masks
+replayed, and (g - g0) * |v|/h, with h = DEFAULT_FD_STEP = 1e-6. Replaying
+the masks keeps every unit on its base-point branch, so the product is that
+of the a.e. Hessian (the one double backprop gives) even where a step would
+cross a ReLU kink, and a one-sided difference is safe; the step is the
+smallest at which float64 round-off stays near 1e-8 on desk-scale losses.
+On top of that: power iteration with deflation for leading eigenvalues, one
+pass of Rademacher (Hutchinson) probes that gives both the diagonal,
+E[v * Hv], and the trace, E[v^T H v], from the same products (so the trace
+equals the diagonal's sum), pairwise cross-client curvature comparisons, and
+a 2-d loss landscape slice of the true loss (no masks replayed), which takes
+a report's eigenvectors as its directions.
 
 A model is anything with a `params` dict of Tensors. Every routine reads
 theta with tensor.params_to_vector, moves the model with tensor.load_vector,
@@ -22,54 +28,89 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tensor import (ParamVector, Tensor, gradients, load_vector, params_to_vector,
-                     softmax_cross_entropy)
+from .tensor import (ParamVector, Tensor, gradients, load_vector, mask_tape,
+                     params_to_vector, softmax_cross_entropy)
 
-DEFAULT_FD_STEP = 1e-4
+DEFAULT_FD_STEP = 1e-6
 
 
-def _grad_at(model, loss_fn, batch, vec: ParamVector) -> np.ndarray:
-    load_vector(model.params, vec)
-    loss = loss_fn(model, batch[0], batch[1])
+@dataclass(frozen=True)
+class Linearization:
+    """A loss at theta: its ReLU masks and gradient, for hvp to difference."""
+
+    model: object
+    loss_fn: object
+    batch: tuple
+    theta: ParamVector
+    masks: list[np.ndarray]  # the forward's ReLU masks at theta, in order
+    grad: np.ndarray  # the gradient at theta, in theta's layout order
+
+
+def _grad(model, loss_fn, batch, layout, masks=None) -> tuple[np.ndarray, list]:
+    """The flat gradient at the model's parameters and the forward's masks:
+    recorded when masks is None, replayed otherwise."""
+    with mask_tape(masks) as tape:
+        loss = loss_fn(model, batch[0], batch[1])
     gmap = gradients(loss, model.params)
-    return np.concatenate([gmap[name].reshape(-1) for name, _, _ in vec.layout])
+    return np.concatenate([gmap[name].reshape(-1) for name, _, _ in layout]), tape.masks
 
 
-def hvp(model, loss_fn, batch, v: np.ndarray) -> np.ndarray:
-    """Hessian-vector product by central differences of the gradient.
+def linearize(model, loss_fn, batch) -> Linearization:
+    """One recording forward and one gradient at the current parameters."""
+    theta = params_to_vector(model.params)
+    grad, masks = _grad(model, loss_fn, batch, theta.layout)
+    return Linearization(model, loss_fn, batch, theta, masks, grad)
+
+
+def hvp(lin: Linearization, v: np.ndarray) -> np.ndarray:
+    """Hessian-vector product at lin's point by a forward difference of the
+    gradient with lin's ReLU masks replayed: one gradient evaluation.
 
     Steps DEFAULT_FD_STEP along the normalized direction and rescales, so the
-    step size is meaningful regardless of |v|. A zero direction returns zeros.
+    step size is meaningful regardless of |v|. A zero direction returns
+    zeros. The model's parameters are left at lin.theta.
     """
-    theta = params_to_vector(model.params)
+    theta = lin.theta
     v = np.asarray(v, dtype=np.float64)
     if v.shape != theta.data.shape:
         raise ValueError("direction length does not match parameter count")
     norm = math.sqrt(v @ v)  # numpy's 1-D norm, bit for bit
     if norm == 0.0:
         return np.zeros_like(theta.data)
+    params = lin.model.params
     try:
-        step = DEFAULT_FD_STEP * (v / norm)
-        g_plus = _grad_at(model, loss_fn, batch, ParamVector(theta.data + step, theta.layout))
-        g_minus = _grad_at(model, loss_fn, batch, ParamVector(theta.data - step, theta.layout))
-        return (g_plus - g_minus) * (norm / (2.0 * DEFAULT_FD_STEP))
+        load_vector(params, ParamVector(theta.data + DEFAULT_FD_STEP * (v / norm),
+                                        theta.layout))
+        g, _ = _grad(lin.model, lin.loss_fn, lin.batch, theta.layout, lin.masks)
+        return (g - lin.grad) * (norm / DEFAULT_FD_STEP)
     finally:
-        load_vector(model.params, theta)
+        load_vector(params, theta)
+
+
+def _linearization(model, loss_fn, batch, lin: Linearization | None) -> Linearization:
+    """lin if it linearizes this (model, loss_fn, batch), else a new one."""
+    if lin is None:
+        return linearize(model, loss_fn, batch)
+    if lin.model is not model or lin.loss_fn is not loss_fn or lin.batch is not batch:
+        raise ValueError("lin linearizes another model, loss or batch")
+    return lin
 
 
 def top_eigenpairs(model, loss_fn, batch, k: int = 1, iters: int = 100,
-                   tol: float = 1e-4, seed: int = 0):
+                   tol: float = 1e-4, seed: int = 0, *, lin: Linearization | None = None):
     """Leading Hessian eigenvalues (by magnitude, signed) and eigenvectors.
 
-    Power iteration on the finite-difference operator; already-found pairs
-    are deflated by subtracting their lambda * v v^T projections. A pair
-    whose Rayleigh quotient moves by less than tol (relatively) is converged;
-    otherwise the best estimate is returned and flagged.
+    Power iteration on the finite-difference operator at one linearization
+    (lin, if given, else a new one); already-found pairs are deflated by
+    subtracting their lambda * v v^T projections. A pair whose Rayleigh
+    quotient moves by less than tol (relatively) is converged; otherwise the
+    best estimate is returned and flagged.
     """
     if k < 1:
         raise ValueError("k must be positive")
+    lin = _linearization(model, loss_fn, batch, lin)
     rng = np.random.default_rng([seed, 0x5EED])
-    n = params_to_vector(model.params).size
+    n = lin.theta.size
     values: list[float] = []
     vectors: list[np.ndarray] = []
     converged: list[bool] = []
@@ -79,7 +120,7 @@ def top_eigenpairs(model, loss_fn, batch, k: int = 1, iters: int = 100,
         lam = 0.0
         ok = False
         for _ in range(iters):
-            w = hvp(model, loss_fn, batch, v)
+            w = hvp(lin, v)
             for lam_j, v_j in zip(values, vectors):
                 w = w - lam_j * float(v_j @ v) * v_j
             new_lam = float(v @ w)
@@ -99,25 +140,28 @@ def top_eigenpairs(model, loss_fn, batch, k: int = 1, iters: int = 100,
     return values, vectors, converged
 
 
-def hessian_diagonal(model, loss_fn, batch, num_probes: int = 100, seed: int = 0
+def hessian_diagonal(model, loss_fn, batch, num_probes: int = 100, seed: int = 0,
+                     *, lin: Linearization | None = None
                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Diagonal estimate E[v * Hv] over Rademacher probes, with std errors.
 
     Also returns each probe's total v^T H v, the sum of its v * Hv, which
     hutchinson_trace reduces to the trace; one float per probe is kept.
     Exact in expectation; for a diagonal Hessian each probe is already exact
-    because v * (diag * v) = diag when v has unit-magnitude entries.
+    because v * (diag * v) = diag when v has unit-magnitude entries. The
+    products share one linearization: lin, if given, else a new one.
     """
     if num_probes < 1:
         raise ValueError("need at least one probe")
+    lin = _linearization(model, loss_fn, batch, lin)
     rng = np.random.default_rng([seed, 0xD1A6])
-    n = params_to_vector(model.params).size
+    n = lin.theta.size
     mean = np.zeros(n)
     m2 = np.zeros(n)
     totals = np.empty(num_probes)
     for i in range(num_probes):
         v = rng.integers(0, 2, size=n) * 2.0 - 1.0
-        sample = v * hvp(model, loss_fn, batch, v)
+        sample = v * hvp(lin, v)
         totals[i] = sample.sum()
         delta = sample - mean
         mean += delta / (i + 1)
@@ -168,9 +212,13 @@ class HessianReport:
 
 def hessian_report(model, loss_fn, batch, k: int = 2, num_probes: int = 100,
                    seed: int = 0) -> HessianReport:
-    values, vectors, converged = top_eigenpairs(model, loss_fn, batch, k=k, seed=seed)
-    diag, diag_se, totals = hessian_diagonal(model, loss_fn, batch,
-                                             num_probes=num_probes, seed=seed)
+    """A k-pair eigen solve and a num_probes probe pass, both at one
+    linearization of the loss."""
+    lin = linearize(model, loss_fn, batch)
+    values, vectors, converged = top_eigenpairs(model, loss_fn, batch, k=k, seed=seed,
+                                                lin=lin)
+    diag, diag_se, totals = hessian_diagonal(model, loss_fn, batch, num_probes=num_probes,
+                                             seed=seed, lin=lin)
     trace, trace_se = hutchinson_trace(totals)
     return HessianReport(values, converged, trace, trace_se, diag, diag_se,
                          num_probes, seed, vectors)

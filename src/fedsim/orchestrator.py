@@ -15,7 +15,7 @@ import os
 import re
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from math import ceil, prod
+from math import ceil, isfinite, prod
 
 import numpy as np
 
@@ -178,6 +178,14 @@ def _apply_override(d: dict, spec: str) -> None:
     cur[parts[-1]] = value
 
 
+def _score(record: dict, key: str) -> float | None:
+    """record[key] if it is a finite number (not a bool) or None; else ValueError."""
+    value = record[key]
+    if value is None or (type(value) in (int, float) and isfinite(value)):
+        return value
+    raise ValueError(f"{key} {value!r} is not a finite number or null")
+
+
 @dataclass
 class RoundMetrics:
     round: int
@@ -207,8 +215,8 @@ class RoundMetrics:
     @staticmethod
     def from_dict(d: dict) -> "RoundMetrics":
         return RoundMetrics(
-            round=int(d["round"]), test_acc=d["test_acc"],
-            test_loss=d["test_loss"], comm_bits_cum=float(d["comm_bits_cum"]),
+            round=int(d["round"]), test_acc=_score(d, "test_acc"),
+            test_loss=_score(d, "test_loss"), comm_bits_cum=float(d["comm_bits_cum"]),
             flops_cum=float(d["flops_cum"]),
             sampled_ids=[int(i) for i in d["sampled_ids"]],
             train_loss={int(k): float(v) for k, v in d.get("train_loss", {}).items()},

@@ -19,9 +19,14 @@ with its per-channel affine, optionally followed by a ReLU) and add_relu
 of its composed graph in that graph's order, so its output and gradient
 bits equal the composed form's (tests/helpers.py keeps those forms).
 
-A ReLU mask (which inputs pass the gradient) is computed in exactly four
-places: relu, clamp_min, normalize with relu=True, and add_relu. Anything
-that must see or fix every activation pattern has to cover all four.
+A ReLU mask (which inputs pass, to the output and to the gradient) is
+computed in exactly four places: relu, clamp_min, normalize with relu=True,
+and add_relu. Each asks the active mask tape, if any, for its mask. Under
+`with mask_tape() as tape:` a forward records its masks in order in
+`tape.masks`; under `with mask_tape(masks):` a forward replays them, so the
+output and the gradient take the recorded pattern even where an input has
+since crossed zero (hessian.py freezes the base point's activation pattern
+this way). With no tape active, every op computes what it always has.
 
 The module also carries the optimizer-side helpers that operate on parameter
 dicts: SGD with classic momentum, global gradient-norm clipping, and the one
@@ -30,6 +35,7 @@ leave and enter a parameter dict as a ParamVector.
 """
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,6 +46,60 @@ _F64 = np.dtype(np.float64)
 
 def _f64(x) -> Array:
     return np.asarray(x, dtype=np.float64)
+
+
+class MaskTape:
+    """The ReLU masks of one forward, recorded in order or replayed.
+
+    With masks=None the tape records: mask() appends each mask it is given
+    and returns it. Given a list, it replays: mask() returns the next
+    recorded mask in place of the one computed, and raises ValueError when
+    the forward asks for more masks than were recorded or for a mask of
+    another shape.
+    """
+
+    def __init__(self, masks: list[Array] | None = None):
+        self.recording = masks is None
+        self.masks: list[Array] = [] if masks is None else masks
+        self.used = 0
+
+    def mask(self, computed: Array) -> Array:
+        if self.recording:
+            self.masks.append(computed)
+            return computed
+        if self.used == len(self.masks):
+            raise ValueError(f"the forward asks for more than the {len(self.masks)} "
+                             f"recorded ReLU masks")
+        recorded = self.masks[self.used]
+        if recorded.shape != computed.shape:
+            raise ValueError(f"ReLU mask {self.used} has shape {computed.shape}, "
+                             f"recorded {recorded.shape}")
+        self.used += 1
+        return recorded
+
+
+_tape: MaskTape | None = None  # the active tape, set only by mask_tape
+
+
+@contextmanager
+def mask_tape(masks: list[Array] | None = None):
+    """Record (masks=None) or replay (a recorded list) the ReLU masks of the
+    forward run inside the block; yields the MaskTape.
+
+    The tape is cleared on exit, also when the forward raises. A replay that
+    leaves a recorded mask unused raises ValueError on a normal exit.
+    """
+    global _tape
+    if _tape is not None:
+        raise RuntimeError("a mask tape is already active")
+    tape = _tape = MaskTape(masks)
+    try:
+        yield tape
+    finally:
+        _tape = None
+    if not tape.recording and tape.used != len(tape.masks):
+        raise ValueError(f"the forward used {tape.used} of the {len(tape.masks)} "
+                         f"recorded ReLU masks")
 
 
 def _unbroadcast(grad: Array, shape: tuple[int, ...]) -> Array:
@@ -228,6 +288,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 def relu(x: Tensor) -> Tensor:
     x = Tensor._wrap(x)
     mask = x.data > 0
+    if _tape is not None:
+        mask = _tape.mask(mask)
     return Tensor._op(np.where(mask, x.data, 0.0), (x,),
                       lambda g: (np.where(mask, g, 0.0),))
 
@@ -245,6 +307,8 @@ def add_relu(a: Tensor, b: Tensor) -> Tensor:
                          f"and {b.data.shape}")
     s = a.data + b.data
     mask = s > 0
+    if _tape is not None:
+        mask = _tape.mask(mask)
 
     def back(g):
         gs = np.where(mask, g, 0.0)
@@ -285,6 +349,8 @@ def normalize(x: Tensor, scale: Tensor, shift: Tensor, eps: float,
     mask = None
     if relu:
         mask = out > 0
+        if _tape is not None:
+            mask = _tape.mask(mask)
         out = np.where(mask, out, 0.0)
     # the axes _unbroadcast sums to reach a (B, 1, ...) statistic and a
     # (1, C, 1, ...) affine parameter
@@ -337,11 +403,19 @@ def sqrt(x: Tensor) -> Tensor:
 
 
 def clamp_min(x: Tensor, floor: float) -> Tensor:
-    """max(x, floor) elementwise; the gradient passes only where x > floor."""
+    """max(x, floor) elementwise; the gradient passes only where x > floor.
+
+    Under a mask tape, x passes where the tape's mask says and floor stands
+    elsewhere.
+    """
     x = Tensor._wrap(x)
     mask = x.data > floor
-    return Tensor._op(np.maximum(x.data, floor), (x,),
-                      lambda g: (np.where(mask, g, 0.0),))
+    if _tape is None:
+        out = np.maximum(x.data, floor)
+    else:
+        mask = _tape.mask(mask)
+        out = np.where(mask, x.data, floor)
+    return Tensor._op(out, (x,), lambda g: (np.where(mask, g, 0.0),))
 
 
 def slice_axis(x: Tensor, axis: int, start: int, stop: int) -> Tensor:

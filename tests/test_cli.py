@@ -266,14 +266,19 @@ def test_diagnose_all_clients(finished_run, tmp_path, capsys):
 def test_diagnose_does_each_curvature_solve_once(finished_run, tmp_path,
                                                 monkeypatch, capsys):
     cfg, ckpt, _ = finished_run
-    counts = {"solves": 0, "hvps": 0, "hvps_in_solves": 0}
-    real_hvp, real_solve = hessian.hvp, hessian.top_eigenpairs
+    counts = {"solves": 0, "hvps": 0, "hvps_in_solves": 0, "gradients": 0}
+    real_hvp, real_solve, real_gradients = (hessian.hvp, hessian.top_eigenpairs,
+                                            hessian.gradients)
     solving = []
 
     def counting_hvp(*args, **kwargs):
         counts["hvps"] += 1
         counts["hvps_in_solves"] += bool(solving)
         return real_hvp(*args, **kwargs)
+
+    def counting_gradients(*args, **kwargs):
+        counts["gradients"] += 1
+        return real_gradients(*args, **kwargs)
 
     def counting_solve(*args, **kwargs):
         counts["solves"] += 1
@@ -285,6 +290,7 @@ def test_diagnose_does_each_curvature_solve_once(finished_run, tmp_path,
 
     monkeypatch.setattr(hessian, "hvp", counting_hvp)
     monkeypatch.setattr(hessian, "top_eigenpairs", counting_solve)
+    monkeypatch.setattr(hessian, "gradients", counting_gradients)
     assert main(["diagnose", "--checkpoint", ckpt, "--config", cfg,
                  "--out", str(tmp_path / "counted"), "--probes", "8",
                  "--grid", "3"]) == 0
@@ -294,6 +300,8 @@ def test_diagnose_does_each_curvature_solve_once(finished_run, tmp_path,
     assert counts["solves"] == reports
     # one probe pass per report gives both the diagonal and the trace
     assert counts["hvps"] - counts["hvps_in_solves"] == reports * 8
+    # one gradient per product, plus the one linearization each report shares
+    assert counts["gradients"] == counts["hvps"] + reports
 
 
 def test_diagnose_outputs_agree_with_direct_calls(finished_run, tmp_path, capsys):

@@ -4,9 +4,10 @@ import pytest
 
 from fedsim.hessian import (DEFAULT_FD_STEP, ce_loss_fn, cross_client_metrics,
                             hessian_diagonal, hessian_report, hutchinson_trace,
-                            hvp, landscape_slice, top_eigenpairs)
-from fedsim.tensor import ParamVector, gradients, load_vector, params_to_vector
-from fedsim.models import BlockNet, BlockNetSpec
+                            hvp, landscape_slice, linearize, top_eigenpairs)
+from fedsim.tensor import (ParamVector, gradients, load_vector, mask_tape, matmul,
+                           normalize, params_to_vector)
+from fedsim.models import NORM_EPS, BlockNet, BlockNetSpec
 
 from helpers import QuadraticModel, TanhMLP, numeric_hessian, random_orthogonal
 
@@ -32,9 +33,10 @@ def test_hvp_exact_on_quadratic():
     rng = np.random.default_rng(1)
     theta0 = rng.normal(size=6)
     model.params["theta"].data[:] = theta0
+    lin = linearize(model, loss_fn, batch)
     for _ in range(5):
         v = rng.normal(size=6)
-        got = hvp(model, loss_fn, batch, v)
+        got = hvp(lin, v)
         assert np.max(np.abs(got - a @ v)) < 1e-8
     # parameters restored bitwise after probing
     assert np.array_equal(model.params["theta"].data, theta0)
@@ -42,9 +44,12 @@ def test_hvp_exact_on_quadratic():
 
 def test_hvp_zero_direction_and_validation():
     model, loss_fn, batch = _quad(np.eye(3))
-    assert np.array_equal(hvp(model, loss_fn, batch, np.zeros(3)), np.zeros(3))
+    lin = linearize(model, loss_fn, batch)
+    assert np.array_equal(hvp(lin, np.zeros(3)), np.zeros(3))
     with pytest.raises(ValueError):
-        hvp(model, loss_fn, batch, np.zeros(4))
+        hvp(lin, np.zeros(4))
+    with pytest.raises(ValueError, match="another model"):
+        top_eigenpairs(model, lambda *args: loss_fn(*args), batch, lin=lin)
 
 
 def test_hvp_matches_double_fd_hessian_on_mlp():
@@ -55,26 +60,31 @@ def test_hvp_matches_double_fd_hessian_on_mlp():
     h_dense = numeric_hessian(lambda: ce_loss_fn(model, x, y), model.params)
     n = h_dense.shape[0]
     v = rng.normal(size=n)
-    got = hvp(model, ce_loss_fn, (x, y), v)
+    got = hvp(linearize(model, ce_loss_fn, (x, y)), v)
     denom = max(np.max(np.abs(h_dense @ v)), 1e-8)
     assert np.max(np.abs(got - h_dense @ v)) / denom < 1e-4
 
 
+def _flat_grad(model, loss_fn, batch, layout, masks=None):
+    """The gradient in layout order, with the forward's ReLU masks recorded
+    (masks=None) or replayed, through the public helpers."""
+    with mask_tape(masks) as tape:
+        loss = loss_fn(model, batch[0], batch[1])
+    gmap = gradients(loss, model.params)
+    return np.concatenate([gmap[name].reshape(-1) for name, _, _ in layout]), tape.masks
+
+
 def _reference_hvp(model, loss_fn, batch, v, h=DEFAULT_FD_STEP):
-    """The same central difference through the public flat-vector helpers."""
+    """The frozen-mask forward difference: the gradient at theta + h v/|v|
+    with theta's ReLU masks replayed, minus the gradient at theta."""
     pv = params_to_vector(model.params)
     theta = pv.data.copy()
     norm = float(np.linalg.norm(v))
-
-    def grad_at(vec):
-        load_vector(model.params, ParamVector(data=vec, layout=pv.layout))
-        gmap = gradients(loss_fn(model, batch[0], batch[1]), model.params)
-        return np.concatenate([gmap[name].reshape(-1) for name, _, _ in pv.layout])
-
-    g_plus = grad_at(theta + h * (v / norm))
-    g_minus = grad_at(theta - h * (v / norm))
+    g0, masks = _flat_grad(model, loss_fn, batch, pv.layout)
+    load_vector(model.params, ParamVector(data=theta + h * (v / norm), layout=pv.layout))
+    g, _ = _flat_grad(model, loss_fn, batch, pv.layout, masks)
     load_vector(model.params, ParamVector(data=theta, layout=pv.layout))
-    return (g_plus - g_minus) * (norm / (2.0 * h))
+    return (g - g0) * (norm / h)
 
 
 def test_hvp_bitwise_matches_flat_vector_reference_on_blocknet():
@@ -84,12 +94,52 @@ def test_hvp_bitwise_matches_flat_vector_reference_on_blocknet():
     x = rng.normal(size=(9, 6))
     y = rng.integers(0, 4, size=9)
     before = {name: p.data.copy() for name, p in net.params.items()}
+    lin = linearize(net, ce_loss_fn, (x, y))
     for _ in range(3):
         v = rng.normal(size=params_to_vector(net.params).data.size)
-        got = hvp(net, ce_loss_fn, (x, y), v)
+        got = hvp(lin, v)
         for name, p in net.params.items():
             assert p.data.tobytes() == before[name].tobytes(), name
         assert got.tobytes() == _reference_hvp(net, ce_loss_fn, (x, y), v).tobytes()
+
+
+def _unfrozen_central_hvp(model, loss_fn, batch, v, h=1e-4):
+    """The central difference without replayed masks, which crosses kinks."""
+    pv = params_to_vector(model.params)
+    u = h * v / np.linalg.norm(v)
+    grads = []
+    for sign in (1.0, -1.0):
+        load_vector(model.params, ParamVector(pv.data + sign * u, pv.layout))
+        grads.append(_flat_grad(model, loss_fn, batch, pv.layout)[0])
+    load_vector(model.params, pv)
+    return (grads[0] - grads[1]) * (np.linalg.norm(v) / (2.0 * h))
+
+
+def test_dense_hessian_is_symmetric_next_to_a_relu_kink():
+    spec = BlockNetSpec(input_shape=(4,), num_classes=3, widths=(3, 3))
+    net = BlockNet(spec, rng=np.random.default_rng(0))
+    rng = np.random.default_rng(1)
+    x = rng.normal(size=(6, 4))
+    y = rng.integers(0, 3, size=6)
+    # move block 0's first normalization so sample 0, channel 1 sits 3e-7
+    # above its ReLU kink, well inside a step of 1e-4
+    pre = normalize(matmul(x, net.params["block0.fc1.w"]), net.params["block0.norm1.scale"],
+                    net.params["block0.norm1.shift"], NORM_EPS)
+    shift = net.params["block0.norm1.shift"].data.copy()
+    shift[1] += 3e-7 - pre.data[0, 1]
+    net.params["block0.norm1.shift"].data = shift
+    lin = linearize(net, ce_loss_fn, (x, y))
+    eye = np.eye(lin.theta.size)
+
+    def asymmetry(columns):
+        dense = np.stack(columns, axis=1)
+        return np.max(np.abs(dense - dense.T)) / np.max(np.abs(dense))
+
+    assert asymmetry([hvp(lin, e) for e in eye]) < 1e-4
+    # the same point without replayed masks is visibly asymmetric
+    assert asymmetry([_unfrozen_central_hvp(net, ce_loss_fn, (x, y), e)
+                      for e in eye]) > 0.1
+    assert params_to_vector(net.params).data.tobytes() == lin.theta.data.tobytes()
 
 
 # -- leading eigenvalues --------------------------------------------------------------

@@ -542,8 +542,16 @@ def _write_run_config(path: str, cfg: ExperimentConfig) -> str:
     return path
 
 
+def _record(**values) -> bytes:
+    """A one-record metrics.json with values in place of a valid record's."""
+    record = {"round": 0, "test_acc": 0.5, "test_loss": 1.0, "comm_bits_cum": 64.0,
+              "flops_cum": 10.0, "sampled_ids": [0], "train_loss": {}}
+    return json.dumps([{**record, **values}]).encode()
+
+
 @pytest.mark.parametrize("raw", [b'[{"round": 0', b'{"a": 1}', b"", b"\xff[]",
                                  b'[{"round": 1}]', b"[5]",
+                                 _record(test_acc="x"), _record(test_loss=[1]),
                                  pytest.param(b"[" * 200_000 + b"]" * 200_000,
                                               id="deeply-nested")])
 def test_malformed_metrics_exits_3_before_any_round(tmp_path, capsys, monkeypatch, raw):
@@ -610,6 +618,8 @@ def test_flipped_metrics_byte_never_exits_2(finished_run, data):
 # values RoundMetrics.from_dict cannot read, by key
 _BAD_VALUES = {
     "round": [None, "1", 1.0, True, -1, [1]],
+    "test_acc": ["x", [1], {}, True, float("nan"), float("inf")],
+    "test_loss": ["x", [1], {}, False, float("nan"), float("-inf")],
     "comm_bits_cum": [None, "x", [1.0], {}],
     "flops_cum": [None, "x", [1.0], {}],
     "sampled_ids": [None, 5, [None], ["x"], [[1]]],

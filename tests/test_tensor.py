@@ -2,10 +2,12 @@
 import numpy as np
 import pytest
 
-from fedsim.tensor import (ParamVector, Tensor, adaptive_avg_pool2d,
+from fedsim import tensor
+from fedsim.models import BlockNet, BlockNetSpec
+from fedsim.tensor import (ParamVector, Tensor, adaptive_avg_pool2d, add_relu,
                            clamp_min, clip_grad_norm, conv2d, exp, gradients,
-                           load_vector, log, log_softmax, matmul, mse,
-                           params_to_vector, relu, sgd_step, slice_axis,
+                           load_vector, log, log_softmax, mask_tape, matmul, mse,
+                           normalize, params_to_vector, relu, sgd_step, slice_axis,
                            softmax_cross_entropy, sqrt, tanh)
 
 from helpers import max_rel_err, numeric_grad
@@ -135,6 +137,97 @@ def test_clamp_min_values_and_gradient():
     grad = gradients((y * Tensor([1.0, 2.0, 3.0, 4.0])).sum(), {"x": x})["x"]
     # the gradient passes only strictly above the floor
     assert np.array_equal(grad, [0.0, 0.0, 0.0, 4.0])
+
+
+# -- ReLU mask tape ---------------------------------------------------------------
+
+_B = Tensor(np.random.default_rng(30).normal(size=(4, 3)))
+_SCALE = Tensor(np.array([1.0, 0.5, 2.0]))
+_SHIFT = Tensor(np.array([0.1, -0.2, 0.3]))
+
+# each mask site: (op, the input its mask compares, the floor it compares to)
+_MASK_SITES = {
+    "relu": (relu, lambda x: x, 0.0),
+    "clamp_min": (lambda x: clamp_min(x, 0.25), lambda x: x, 0.25),
+    "add_relu": (lambda x: add_relu(x, _B), lambda x: x + _B, 0.0),
+    "normalize": (lambda x: normalize(x, _SCALE, _SHIFT, 1e-5, relu=True),
+                  lambda x: normalize(x, _SCALE, _SHIFT, 1e-5), 0.0),
+}
+
+
+@pytest.mark.parametrize("site", sorted(_MASK_SITES))
+def test_replayed_mask_keeps_the_base_pattern(site):
+    op, pre, floor = _MASK_SITES[site]
+    x0 = np.random.default_rng(31).normal(size=(4, 3))
+    with mask_tape() as tape:
+        base = op(Tensor(x0))
+    mask0 = pre(Tensor(x0)).data > floor
+    assert len(tape.masks) == 1 and np.array_equal(tape.masks[0], mask0)
+    assert base.data.tobytes() == op(Tensor(x0)).data.tobytes()
+    x1 = Tensor(-x0, requires_grad=True)
+    assert np.any((pre(x1).data > floor) != mask0)  # some inputs crossed
+    with mask_tape(tape.masks) as replay:
+        out = op(x1)
+    assert replay.used == 1
+    # the output and the gradient follow x0's pattern, not x1's
+    assert np.array_equal(out.data, np.where(mask0, pre(x1).data, floor))
+    got = gradients(out.sum(), {"x": x1})["x"]
+    want = gradients((pre(x1) * Tensor(mask0 * 1.0)).sum(), {"x": x1})["x"]
+    assert np.array_equal(got, want)
+
+
+def test_mask_replay_rejects_a_forward_that_does_not_fit():
+    x = Tensor(np.array([[-1.0, 2.0], [3.0, -4.0]]))
+    with mask_tape() as tape:
+        relu(x)
+    with pytest.raises(ValueError, match="more than the 1 recorded"):
+        with mask_tape(tape.masks):
+            relu(relu(x))
+    with pytest.raises(ValueError, match="used 0 of the 1 recorded"):
+        with mask_tape(tape.masks):
+            x * 2.0
+    with pytest.raises(ValueError, match="shape"):
+        with mask_tape(tape.masks):
+            relu(Tensor(np.ones((1, 2))))
+    assert tensor._tape is None
+
+
+def test_mask_tape_is_cleared_when_the_forward_raises():
+    with pytest.raises(ZeroDivisionError):
+        with mask_tape():
+            relu(Tensor(np.ones(2)))
+            raise ZeroDivisionError
+    assert tensor._tape is None
+    with pytest.raises(RuntimeError):
+        with mask_tape():
+            with mask_tape():
+                pass
+    assert tensor._tape is None
+    assert np.array_equal(clamp_min(Tensor([np.nan, -1.0]), 0.0).data, [np.nan, 0.0],
+                          equal_nan=True)  # no tape: np.maximum, NaN and all
+
+
+def test_taping_at_the_base_point_moves_no_bit():
+    spec = BlockNetSpec(input_shape=(6,), num_classes=4, widths=(5, 3))
+    net = BlockNet(spec, rng=np.random.default_rng(32))
+    x = np.random.default_rng(33).normal(size=(7, 6))
+    y = np.arange(7) % 4
+
+    def run(masks=None, taped=True):
+        if not taped:
+            loss = softmax_cross_entropy(net.forward(x), y)
+            return loss.data.tobytes(), gradients(loss, net.params), None
+        with mask_tape(masks) as tape:
+            loss = softmax_cross_entropy(net.forward(x), y)
+        return loss.data.tobytes(), gradients(loss, net.params), tape.masks
+
+    plain_loss, plain_grads, _ = run(taped=False)
+    rec_loss, rec_grads, masks = run()
+    assert len(masks) == 4  # two blocks: each a normalization ReLU and a tail
+    rep_loss, rep_grads, _ = run(masks)
+    assert plain_loss == rec_loss == rep_loss
+    for name, g in plain_grads.items():
+        assert g.tobytes() == rec_grads[name].tobytes() == rep_grads[name].tobytes(), name
 
 
 def test_tanh_fd():
