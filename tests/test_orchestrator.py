@@ -551,7 +551,8 @@ def _record(**values) -> bytes:
 
 @pytest.mark.parametrize("raw", [b'[{"round": 0', b'{"a": 1}', b"", b"\xff[]",
                                  b'[{"round": 1}]', b"[5]",
-                                 _record(test_acc="x"), _record(test_loss=[1]),
+                                 pytest.param(_record(test_acc="x"), id="test_acc-text"),
+                                 pytest.param(_record(test_loss=[1]), id="test_loss-list"),
                                  pytest.param(b"[" * 200_000 + b"]" * 200_000,
                                               id="deeply-nested")])
 def test_malformed_metrics_exits_3_before_any_round(tmp_path, capsys, monkeypatch, raw):
