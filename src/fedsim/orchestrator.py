@@ -178,12 +178,18 @@ def _apply_override(d: dict, spec: str) -> None:
     cur[parts[-1]] = value
 
 
-def _score(record: dict, key: str) -> float | None:
-    """record[key] if it is a finite number (not a bool) or None; else ValueError."""
-    value = record[key]
-    if value is None or (type(value) in (int, float) and isfinite(value)):
+def _number(value, what: str, finite: bool = True) -> float:
+    """value as a float if it is an int in the float range or a float,
+    finite when finite is set; else ValueError. A bool (JSON's true and
+    false) is not a number here."""
+    if type(value) is int:
+        try:
+            return float(value)
+        except OverflowError:
+            pass
+    elif type(value) is float and (isfinite(value) or not finite):
         return value
-    raise ValueError(f"{key} {value!r} is not a finite number or null")
+    raise ValueError(f"{what} {value!r} is not a {'finite ' if finite else ''}number")
 
 
 @dataclass
@@ -214,12 +220,20 @@ class RoundMetrics:
 
     @staticmethod
     def from_dict(d: dict) -> "RoundMetrics":
+        def score(key):
+            return None if d[key] is None else _number(d[key], key)
+
+        ids = d["sampled_ids"]
+        if type(ids) is not list or any(type(i) is not int for i in ids):
+            raise ValueError(f"sampled_ids {ids!r} is not a list of integers")
         return RoundMetrics(
-            round=int(d["round"]), test_acc=_score(d, "test_acc"),
-            test_loss=_score(d, "test_loss"), comm_bits_cum=float(d["comm_bits_cum"]),
-            flops_cum=float(d["flops_cum"]),
-            sampled_ids=[int(i) for i in d["sampled_ids"]],
-            train_loss={int(k): float(v) for k, v in d.get("train_loss", {}).items()},
+            round=int(d["round"]), test_acc=score("test_acc"),
+            test_loss=score("test_loss"),
+            comm_bits_cum=_number(d["comm_bits_cum"], "comm_bits_cum"),
+            flops_cum=_number(d["flops_cum"], "flops_cum"), sampled_ids=list(ids),
+            # NaN is a legal loss: a round of zero epochs records it
+            train_loss={int(k): _number(v, "train_loss", finite=False)
+                        for k, v in d.get("train_loss", {}).items()},
         )
 
 
@@ -560,6 +574,15 @@ def read_metrics_log(out_dir: str) -> MetricsLog:
     return MetricsLog(rounds, items, rows, stale=raw != _render_file(items).encode())
 
 
+def _replace_file(path: str, text: str) -> None:
+    """Write text to path.tmp, then rename it over path, so a write that fails
+    leaves the file at path as it was."""
+    tmp = path + ".tmp"
+    with open(tmp, "w") as f:
+        f.write(text)
+    os.replace(tmp, path)
+
+
 def emit_metrics(metrics: list[RoundMetrics], out_dir: str, log: MetricsLog) -> None:
     """Add the rounds not yet written to metrics.csv and metrics.json.
 
@@ -571,7 +594,8 @@ def emit_metrics(metrics: list[RoundMetrics], out_dir: str, log: MetricsLog) -> 
     later rounds) rewrites the file. Either way metrics.json stays byte for
     byte json.dump(records in round order, f, indent=1). metrics.csv follows
     it: the header, then one row per record in round order, written whole
-    when metrics.json is rewritten or the CSV is missing, else appended.
+    when metrics.json is rewritten or the CSV is missing, else appended. A
+    whole write replaces the file only once it is complete.
     """
     os.makedirs(out_dir, exist_ok=True)
     json_path = os.path.join(out_dir, "metrics.json")
@@ -587,8 +611,7 @@ def emit_metrics(metrics: list[RoundMetrics], out_dir: str, log: MetricsLog) -> 
         log.rows.insert(i, m.csv_row())
         new.append(m)
     if rewrite:
-        with open(json_path, "w") as f:
-            f.write(_render_file(log.items))
+        _replace_file(json_path, _render_file(log.items))
         log.stale = False
     elif new:
         with open(json_path, "r+b") as f:
@@ -597,8 +620,8 @@ def emit_metrics(metrics: list[RoundMetrics], out_dir: str, log: MetricsLog) -> 
                     + b"\n]")
     csv_path = os.path.join(out_dir, "metrics.csv")
     if rewrite or not os.path.exists(csv_path):
-        with open(csv_path, "w") as f:
-            f.write("".join(row + "\n" for row in [RoundMetrics.CSV_HEADER] + log.rows))
+        _replace_file(csv_path, "".join(row + "\n" for row in
+                                        [RoundMetrics.CSV_HEADER] + log.rows))
     elif new:
         with open(csv_path, "a") as f:
             f.write("".join(row + "\n" for row in log.rows[-len(new):]))

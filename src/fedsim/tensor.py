@@ -434,46 +434,73 @@ def slice_axis(x: Tensor, axis: int, start: int, stop: int) -> Tensor:
     return Tensor._op(data, (x,), back)
 
 
+def _pad(a: Array, p: int) -> Array:
+    """a with p zeros on each side of both spatial axes; p < 0 crops -p."""
+    if p <= 0:
+        return a[:, :, -p:a.shape[2] + p, -p:a.shape[3] + p]
+    out = np.zeros(a.shape[:2] + (a.shape[2] + 2 * p, a.shape[3] + 2 * p))
+    out[:, :, p:-p, p:-p] = a
+    return out
+
+
+def _windows(a: Array, k: int, stride: int) -> Array:
+    """The k x k windows of a (B, C, H, W) at the stride as (B, C * k * k,
+    Hout * Wout) columns, kernel offsets before positions: one copy, or a
+    view of a when the columns are a itself (k = stride = 1)."""
+    v = np.lib.stride_tricks.sliding_window_view(a, (k, k), axis=(2, 3))
+    v = v[:, :, ::stride, ::stride]
+    B, C, hout, wout = v.shape[:4]
+    return v.transpose(0, 1, 4, 5, 2, 3).reshape(B, C * k * k, hout * wout)
+
+
 def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 1) -> Tensor:
     """2-d convolution, NCHW layout, square kernel, no bias.
 
-    x: (B, Cin, H, W), w: (Cout, Cin, k, k). Implemented by gathering kernel
-    offsets into columns; desk-scale sizes keep this cheap.
+    x: (B, Cin, H, W), w: (Cout, Cin, k, k). Each product is one window
+    gather and one BLAS matmul (im2col):
+    - forward: the zero-padded input's k x k windows, copied once into
+      (Cin k k, Hout Wout) columns per sample, times the (Cout, Cin k k)
+      kernel;
+    - weight gradient: the upstream gradient times the transposed columns
+      per sample, summed over the batch;
+    - input gradient, stride 1: the transposed-convolution identity, a
+      stride-1 correlation of the upstream gradient, padded by k-1-padding
+      (cropped where that is negative), with the kernel flipped in both
+      spatial axes and its channel axes swapped;
+    - input gradient, larger strides: the kernel's transpose times the
+      upstream gradient, scattered back onto the k x k offsets, which
+      measured faster than the identity on a zero-dilated gradient.
+    The forward's bits are those of a per-offset gather into the same
+    columns; the backward's float sums run in BLAS order.
     """
     x, w = Tensor._wrap(x), Tensor._wrap(w)
     B, Cin, H, W = x.data.shape
     Cout, Cin2, k, k2 = w.data.shape
     if Cin != Cin2 or k != k2:
         raise ValueError("kernel shape does not match input channels")
+    cols2 = _windows(_pad(x.data, padding), k, stride)
     Hout = (H + 2 * padding - k) // stride + 1
     Wout = (W + 2 * padding - k) // stride + 1
-    xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    cols = np.empty((B, Cin, k, k, Hout, Wout), dtype=np.float64)
-    for i in range(k):
-        for j in range(k):
-            cols[:, :, i, j] = xp[:, :, i:i + stride * Hout:stride,
-                                  j:j + stride * Wout:stride]
-    cols2 = cols.reshape(B, Cin * k * k, Hout * Wout)
     w2 = w.data.reshape(Cout, Cin * k * k)
     out = (w2 @ cols2).reshape(B, Cout, Hout, Wout)
 
     def back(g):
         g2 = g.reshape(B, Cout, Hout * Wout)
-        dw = (np.einsum("bol,bcl->oc", g2, cols2).reshape(w.data.shape)
+        dw = (np.add.reduce(g2 @ cols2.transpose(0, 2, 1), 0).reshape(w.data.shape)
               if w.requires_grad else None)
         if not x.requires_grad:
             return (None, dw)
+        if stride == 1:
+            wf = w.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(Cin, Cout * k * k)
+            gcols = _windows(_pad(g, k - 1 - padding), k, 1)
+            return ((wf @ gcols).reshape(B, Cin, H, W), dw)
         dcols = (w2.T @ g2).reshape(B, Cin, k, k, Hout, Wout)
-        dxp = np.zeros_like(xp)
+        dxp = np.zeros((B, Cin, H + 2 * padding, W + 2 * padding))
         for i in range(k):
             for j in range(k):
                 dxp[:, :, i:i + stride * Hout:stride,
                     j:j + stride * Wout:stride] += dcols[:, :, i, j]
-        if padding:
-            dx = dxp[:, :, padding:-padding, padding:-padding]
-        else:
-            dx = dxp
-        return (dx, dw)
+        return (_pad(dxp, -padding), dw)
 
     return Tensor._op(out, (x, w), back)
 

@@ -10,7 +10,9 @@ kink. reference_gradients is tensor.gradients' bookkeeping kept in its
 id()-keyed dict form, so tests can require the library to sum every
 gradient in the same order, bit for bit; composed_normalize and
 composed_add_relu are the graphs of primitive ops that tensor.normalize and
-tensor.add_relu fuse, kept for the same kind of comparison.
+tensor.add_relu fuse, kept for the same kind of comparison, and
+gathered_conv2d is tensor.conv2d's forward as a pad and a per-offset gather
+loop, whose output bytes the window-view gather must keep.
 """
 import numpy as np
 
@@ -124,6 +126,22 @@ def composed_normalize(x, scale, shift, eps, relu_after=False):
 def composed_add_relu(a, b):
     """tensor.add_relu built from primitive ops: BlockNet's old block tail."""
     return relu(a + b)
+
+
+def gathered_conv2d(x, w, stride, padding):
+    """conv2d's output from np.pad and one strided copy per kernel offset
+    into (B, Cin k k, Hout Wout) columns, then the same (Cout, Cin k k) matmul."""
+    b, cin, hh, ww = x.shape
+    cout, _, k, _ = w.shape
+    ho = (hh + 2 * padding - k) // stride + 1
+    wo = (ww + 2 * padding - k) // stride + 1
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    cols = np.empty((b, cin, k, k, ho, wo))
+    for i in range(k):
+        for j in range(k):
+            cols[:, :, i, j] = xp[:, :, i:i + stride * ho:stride, j:j + stride * wo:stride]
+    out = w.reshape(cout, cin * k * k) @ cols.reshape(b, cin * k * k, ho * wo)
+    return out.reshape(b, cout, ho, wo)
 
 
 def numeric_grad(loss_builder, params, eps=1e-6):

@@ -1,6 +1,7 @@
 """Server-side algebra, checkpoint and metrics formats, resume and determinism laws."""
 import contextlib
 import dataclasses
+import errno
 import io
 import json
 import os
@@ -456,6 +457,42 @@ def test_emit_metrics_rewrites_a_file_it_did_not_render(tmp_path):
         [m.to_dict() for m in rows], indent=1)
 
 
+class _FullDisk:
+    """A file open for writing that takes half of the first text it is given
+    and then fails, as a write to a full disk does."""
+
+    def __init__(self, f):
+        self.f = f
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.f.close()
+
+    def write(self, text):
+        self.f.write(text[:len(text) // 2])
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+def test_a_failed_metrics_rewrite_leaves_the_files_as_they_were(tmp_path, monkeypatch):
+    out = str(tmp_path)
+    rows = [RoundMetrics(r, 0.5, 1.0, 32.0 * (r + 1), 10.0, [0]) for r in range(3)]
+    emit_metrics([rows[0], rows[2]], out, read_metrics_log(out))
+    names = ("metrics.json", "metrics.csv")
+    before = [open(os.path.join(out, n), "rb").read() for n in names]
+
+    def full_disk_open(path, mode="r", *args, **kwargs):
+        f = open(path, mode, *args, **kwargs)
+        return _FullDisk(f) if "w" in mode else f
+
+    monkeypatch.setattr(orchestrator, "open", full_disk_open, raising=False)
+    with pytest.raises(OSError):  # round 1 goes before round 2: a rewrite
+        emit_metrics([rows[1]], out, read_metrics_log(out))
+    assert [open(os.path.join(out, n), "rb").read() for n in names] == before
+    assert read_metrics_log(out).rounds == [0, 2]
+
+
 def _assert_pinned(out: str, metrics: list) -> None:
     """metrics.json is json.dump of the rounds' records in round order, byte for
     byte, and metrics.csv is the header, then one row per round in round order."""
@@ -619,12 +656,14 @@ def test_flipped_metrics_byte_never_exits_2(finished_run, data):
 # values RoundMetrics.from_dict cannot read, by key
 _BAD_VALUES = {
     "round": [None, "1", 1.0, True, -1, [1]],
-    "test_acc": ["x", [1], {}, True, float("nan"), float("inf")],
+    "test_acc": ["x", [1], {}, True, float("nan"), float("inf"), 10 ** 400],
     "test_loss": ["x", [1], {}, False, float("nan"), float("-inf")],
-    "comm_bits_cum": [None, "x", [1.0], {}],
-    "flops_cum": [None, "x", [1.0], {}],
-    "sampled_ids": [None, 5, [None], ["x"], [[1]]],
-    "train_loss": [[], 5, "x", {"x": 1.0}, {"1": None}, {"1": "x"}],
+    "comm_bits_cum": [None, "x", [1.0], {}, "64.0", True, float("nan"), float("inf"),
+                      10 ** 400],
+    "flops_cum": [None, "x", [1.0], {}, "1", True, float("-inf")],
+    "sampled_ids": [None, 5, [None], ["x"], [[1]], [True], [1.0], "01"],
+    "train_loss": [[], 5, "x", {"x": 1.0}, {"1": None}, {"1": "x"}, {"1": "0.5"},
+                   {"1": True}, {"1": [0.5]}, {"1": 10 ** 400}],
 }
 
 

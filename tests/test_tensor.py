@@ -10,7 +10,7 @@ from fedsim.tensor import (ParamVector, Tensor, adaptive_avg_pool2d, add_relu,
                            normalize, params_to_vector, relu, sgd_step, slice_axis,
                            softmax_cross_entropy, sqrt, tanh)
 
-from helpers import max_rel_err, numeric_grad
+from helpers import gathered_conv2d, max_rel_err, numeric_grad
 
 
 def _fd_check(build, params, tol=1e-6, eps=1e-6):
@@ -274,6 +274,50 @@ def test_conv2d_grads_fd():
     }
     _fd_check(lambda: tanh(conv2d(params["x"], params["w"],
                                   stride=2, padding=1)).sum(), params)
+
+
+def test_conv2d_grads_fd_stride_1():
+    rng = np.random.default_rng(9)
+    params = {
+        "x": Tensor(rng.normal(size=(2, 2, 4, 5)), requires_grad=True),
+        "w": Tensor(rng.normal(size=(3, 2, 3, 3)) * 0.5, requires_grad=True),
+    }
+    _fd_check(lambda: tanh(conv2d(params["x"], params["w"],
+                                  stride=1, padding=1)).sum(), params)
+
+
+_CONV_CASES = [(k, stride, padding) for k in (1, 3) for stride in (1, 2)
+               for padding in (0, 1, 2)]
+
+
+@pytest.mark.parametrize("x_shape", [(1, 1, 5, 7), (2, 3, 6, 5)])
+@pytest.mark.parametrize("k,stride,padding", _CONV_CASES)
+def test_conv2d_grads_are_the_reference_adjoint(x_shape, k, stride, padding):
+    """conv is bilinear, so for the gradients dx, dw of <conv(x, w), g> and
+    any probes u, v: <conv(u, w), g> = <u, dx> and <conv(x, v), g> = <v, dw>;
+    with u = x and v = w both equal <conv(x, w), g>."""
+    rng = np.random.default_rng(10)
+    x = rng.normal(size=x_shape)
+    w = rng.normal(size=(2, x_shape[1], k, k))
+    g = rng.normal(size=_conv_reference(x, w, stride, padding).shape)
+    params = {"x": Tensor(x, requires_grad=True), "w": Tensor(w, requires_grad=True)}
+    grads = gradients((conv2d(params["x"], params["w"], stride, padding)
+                       * Tensor(g)).sum(), params)
+    for u, v in ((x, w), (rng.normal(size=x.shape), rng.normal(size=w.shape))):
+        want_x = (_conv_reference(u, w, stride, padding) * g).sum()
+        want_w = (_conv_reference(x, v, stride, padding) * g).sum()
+        assert abs((u * grads["x"]).sum() - want_x) <= 1e-12 * abs(want_x)
+        assert abs((v * grads["w"]).sum() - want_w) <= 1e-12 * abs(want_w)
+
+
+@pytest.mark.parametrize("x_shape", [(1, 1, 5, 7), (2, 3, 6, 5), (240, 8, 12, 12)])
+@pytest.mark.parametrize("k,stride,padding", _CONV_CASES)
+def test_conv2d_forward_keeps_the_gathered_bytes(x_shape, k, stride, padding):
+    rng = np.random.default_rng(11)
+    x = rng.normal(size=x_shape)
+    w = rng.normal(size=(16, x_shape[1], k, k))
+    got = conv2d(Tensor(x), Tensor(w), stride=stride, padding=padding).data
+    assert got.tobytes() == gathered_conv2d(x, w, stride, padding).tobytes()
 
 
 def test_conv2d_shape_mismatch():
