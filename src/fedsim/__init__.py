@@ -73,7 +73,6 @@ from .orchestrator import (
     comm_cost,
     evaluate,
     load_checkpoint,
-    read_metrics,
     run_experiment,
     run_round,
     sample_clients,

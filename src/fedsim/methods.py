@@ -17,8 +17,9 @@ nothing else, so adding a method is adding one entry.
 One client's local training is one ClientTask, built by the round loop;
 client_update loads it into the models this process keeps for the task's
 shape (process_models), trains one step(net, task, xb, yb, shadows) at a
-time and returns the trained ParamVector. shadows are moon's frozen
-received and previous-round models, which run no classifier.
+time, each step's graph freed before the next step's forward, and returns
+the trained ParamVector. shadows are moon's frozen received and
+previous-round models, which run no classifier.
 
 Also here: the field-derived (de)serialization that every config class
 shares, and the ConfigError it raises.
@@ -565,6 +566,18 @@ def process_models(spec: BlockNetSpec,
     return _MODELS[key]
 
 
+def _train_batch(net: BlockNet, task: ClientTask, idx: np.ndarray, shadows,
+                 velocity: dict) -> tuple[float, float]:
+    """One clipped momentum SGD step on the task's samples idx; the batch's
+    loss value and accuracy. The step's graph dies on return (it holds no
+    reference cycle), so the next step's forward never runs beside it."""
+    loss, acc = task.method.record.step(net, task, task.inputs[idx],
+                                        task.labels[idx], shadows)
+    grads, _ = clip_grad_norm(gradients(loss, net.params), task.clip_norm)
+    sgd_step(net.params, grads, velocity, task.learning_rate, task.momentum)
+    return loss.item(), acc
+
+
 def client_update(task: ClientTask) -> tuple[ParamVector, list[dict]]:
     """Run local epochs of clipped momentum SGD under the task's method.
 
@@ -595,12 +608,8 @@ def client_update(task: ClientTask) -> tuple[ParamVector, list[dict]]:
     for _ in range(task.epochs):
         losses, accs, weights = [], [], []
         for idx in _batched_indices(len(task.inputs), task.batch_size, task.data_rng):
-            xb, yb = task.inputs[idx], task.labels[idx]
-            loss, acc = method.step(net, task, xb, yb, shadows)
-            grads = gradients(loss, net.params)
-            grads, _ = clip_grad_norm(grads, task.clip_norm)
-            sgd_step(net.params, grads, velocity, task.learning_rate, task.momentum)
-            losses.append(loss.item())
+            loss, acc = _train_batch(net, task, idx, shadows, velocity)
+            losses.append(loss)
             accs.append(acc)
             weights.append(len(idx))
         w = np.asarray(weights, dtype=np.float64)

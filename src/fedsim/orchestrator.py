@@ -192,6 +192,13 @@ def _number(value, what: str, finite: bool = True) -> float:
     raise ValueError(f"{what} {value!r} is not a {'finite ' if finite else ''}number")
 
 
+def _count(value, what: str) -> int:
+    """value if it is a non-negative int (not a bool); else ValueError."""
+    if type(value) is not int or value < 0:
+        raise ValueError(f"{what} {value!r} is not a non-negative integer")
+    return value
+
+
 @dataclass
 class RoundMetrics:
     round: int
@@ -224,16 +231,22 @@ class RoundMetrics:
             return None if d[key] is None else _number(d[key], key)
 
         ids = d["sampled_ids"]
-        if type(ids) is not list or any(type(i) is not int for i in ids):
-            raise ValueError(f"sampled_ids {ids!r} is not a list of integers")
+        if type(ids) is not list:
+            raise ValueError(f"sampled_ids {ids!r} is not a list")
+        # train_loss keys are str(id) of sampled ids, as to_dict writes them
+        by_key = {str(_count(i, "sampled id")): i for i in ids}
+        train_loss = {}
+        for k, v in d.get("train_loss", {}).items():
+            if k not in by_key:
+                raise ValueError(f"train_loss key {k!r} is not a sampled id")
+            # NaN is a legal loss: a round of zero epochs records it
+            train_loss[by_key[k]] = _number(v, "train_loss", finite=False)
         return RoundMetrics(
-            round=int(d["round"]), test_acc=score("test_acc"),
+            round=_count(d["round"], "round"), test_acc=score("test_acc"),
             test_loss=score("test_loss"),
             comm_bits_cum=_number(d["comm_bits_cum"], "comm_bits_cum"),
             flops_cum=_number(d["flops_cum"], "flops_cum"), sampled_ids=list(ids),
-            # NaN is a legal loss: a round of zero epochs records it
-            train_loss={int(k): _number(v, "train_loss", finite=False)
-                        for k, v in d.get("train_loss", {}).items()},
+            train_loss=train_loss,
         )
 
 
@@ -478,16 +491,16 @@ def load_checkpoint(path: str, config: ExperimentConfig) -> ExperimentState:
             raise CheckpointError(f"checkpoint version {manifest['version']!r} is not "
                                   f"supported (expected {CHECKPOINT_VERSION})")
         sha = manifest.pop("sha256")
-        round_idx, config_hash = manifest["round"], manifest["config_hash"]
+        round_idx, config_hash = _count(manifest["round"], "round"), manifest["config_hash"]
         declared = tuple((n, tuple(s), o) for n, s, o in manifest["layout"])
         ids = [int(_PREV_ARRAY.fullmatch(e["name"])[1]) for e in manifest["arrays"][1:]]
-        comm_bits, flops = float(manifest["comm_bits"]), float(manifest["flops"])
+        comm_bits, flops = (_number(manifest[k], k) for k in ("comm_bits", "flops"))
+        if min(comm_bits, flops) < 0:
+            raise ValueError(f"comm_bits {comm_bits!r} or flops {flops!r} is negative")
     except (ValueError, TypeError, KeyError, RecursionError) as e:  # UnicodeDecodeError too
         raise CheckpointError(f"checkpoint manifest is corrupt: {e!r}") from e
     if config_hash != config.trajectory_hash():
         raise CheckpointError("checkpoint was produced by a different config")
-    if type(round_idx) is not int or round_idx < 0:
-        raise CheckpointError(f"checkpoint round {round_idx!r} is not a count")
     state = build_state(config)
     layout, size = state.global_vector.layout, state.global_vector.size
     if declared != layout:
@@ -566,10 +579,8 @@ def read_metrics_log(out_dir: str) -> MetricsLog:
         rounds = [d["round"] for d in records]
     except (ValueError, TypeError, KeyError, AttributeError, RecursionError) as e:
         raise MetricsError(f"{path} is not a list of round records: {e!r}") from e
-    if (not all(type(r) is int and r >= 0 for r in rounds)
-            or any(a >= b for a, b in zip(rounds, rounds[1:]))):
-        raise MetricsError(f"{path} rounds {rounds} are not non-negative integers "
-                           f"in strictly ascending order")
+    if any(a >= b for a, b in zip(rounds, rounds[1:])):  # from_dict checked each
+        raise MetricsError(f"{path} rounds {rounds} are not in strictly ascending order")
     items = [_render(d) for d in records]
     return MetricsLog(rounds, items, rows, stale=raw != _render_file(items).encode())
 
@@ -625,11 +636,6 @@ def emit_metrics(metrics: list[RoundMetrics], out_dir: str, log: MetricsLog) -> 
     elif new:
         with open(csv_path, "a") as f:
             f.write("".join(row + "\n" for row in log.rows[-len(new):]))
-
-
-def read_metrics(out_dir: str) -> list[RoundMetrics]:
-    with open(os.path.join(out_dir, "metrics.json")) as f:
-        return [RoundMetrics.from_dict(d) for d in json.load(f)]
 
 
 # -- the full loop ----------------------------------------------------------------

@@ -11,7 +11,7 @@ from fedsim.cli import _DIAG_GLOBAL, _derive_seed, _probe_batch, main
 from fedsim.data import Partition
 from fedsim.methods import METHODS, count_cost
 from fedsim.orchestrator import (ExperimentConfig, comm_cost, load_checkpoint,
-                                 read_metrics)
+                                 read_metrics_log)
 
 BASE = {
     "rounds": 1, "num_clients": 3, "local_epochs": 1, "batch_size": 8,
@@ -68,7 +68,7 @@ def test_run_resume_extends_metrics(tmp_path, capsys):
     cfg4 = _write_cfg(tmp_path, "b.json", rounds=4, output_dir=out)
     assert main(["run", "--config", cfg4, "--resume", ckpt]) == 0
     assert "completed 4/4 rounds" in capsys.readouterr().out
-    assert [m.round for m in read_metrics(out)] == [0, 1, 2, 3]
+    assert read_metrics_log(out).rounds == [0, 1, 2, 3]
 
 
 def test_moon_trains_through_a_zero_norm_representation(tmp_path, capsys):
@@ -501,7 +501,8 @@ def test_cost_prices_what_a_run_sends(tmp_path, capsys, monkeypatch, method, fra
     monkeypatch.setattr(cli, "comm_cost", spy)
     assert main(["cost", "--config", cfg, "--rounds", str(rounds)]) == 0
     capsys.readouterr()
-    assert priced == [read_metrics(str(out))[-1].comm_bits_cum]
+    with open(out / "metrics.json") as f:
+        assert priced == [json.load(f)[-1]["comm_bits_cum"]]
 
 
 def test_cost_moon_ratio_exceeds_one(tmp_path, capsys):

@@ -1,4 +1,6 @@
 """Local objectives: closed-form values, gradient identities, update-loop laws."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -433,6 +435,27 @@ def test_every_method_trains_without_error():
         _, stats = client_update(_task(net, x, y, seed=48,
                                        method=MethodConfig(method=m), with_prev=True))
         assert np.isfinite(stats[0]["loss"]), m
+
+
+def _traced_peak(task: ClientTask) -> int:
+    tracemalloc.start()
+    try:
+        client_update(task)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_client_update_holds_one_step_graph_at_a_time():
+    # a second step's forward must not run beside the first step's graph
+    def gradaug_task(steps):
+        net = BlockNet(CONV_SPEC, rng=np.random.default_rng(49))
+        x, y = _batch(seed=50, n=8 * steps, spec=CONV_SPEC)
+        return _task(net, x, y, method=MethodConfig(method="gradaug"), batch_size=8)
+
+    client_update(gradaug_task(1))  # warm-up: this process's models, numpy caches
+    one, two = _traced_peak(gradaug_task(1)), _traced_peak(gradaug_task(2))
+    assert two <= 1.25 * one, (one, two)
 
 
 # -- the per-process model store ---------------------------------------------------

@@ -15,7 +15,7 @@ from fedsim.methods import MethodConfig
 from fedsim.orchestrator import (CheckpointError, ConfigError, DatasetConfig,
                                  ExperimentConfig, ModelConfig, RoundMetrics,
                                  aggregate, build_state, comm_cost, evaluate,
-                                 emit_metrics, load_checkpoint, read_metrics,
+                                 emit_metrics, load_checkpoint,
                                  read_metrics_log, run_experiment, run_round, sample_clients,
                                  save_checkpoint)
 from fedsim.tensor import ParamVector, load_vector
@@ -268,6 +268,20 @@ def test_round_metrics_csv_and_json_round_trip():
     assert RoundMetrics.from_dict(m.to_dict()) == m
 
 
+@pytest.mark.parametrize("edit", [
+    {"round": True}, {"round": "7"}, {"round": -1}, {"round": 7.0},
+    {"sampled_ids": [-3, 0]}, {"sampled_ids": [2, False]},
+    {"train_loss": {"02": 0.5}}, {"train_loss": {" 2": 0.5}},
+    {"train_loss": {"-1": 0.5}}, {"train_loss": {"2.0": 0.5}},
+    {"train_loss": {"3": 0.5}},  # not a sampled id
+])
+def test_round_metrics_from_dict_refuses_what_to_dict_never_writes(edit):
+    d = RoundMetrics(round=3, test_acc=None, test_loss=None, comm_bits_cum=64.0,
+                     flops_cum=10.0, sampled_ids=[2, 5], train_loss={2: 0.5}).to_dict()
+    with pytest.raises(ValueError):
+        RoundMetrics.from_dict({**d, **edit})
+
+
 # -- checkpoints ----------------------------------------------------------------------
 
 
@@ -358,6 +372,29 @@ def _assert_refused(moon_checkpoint, raw: bytes) -> None:
         load_checkpoint(path, cfg)
 
 
+def _with_manifest_value(raw: bytes, key: str, value) -> bytes:
+    """raw with its manifest's key set to value and the sha256 recomputed."""
+    header, blob = raw.split(b"\n", 1)
+    manifest = json.loads(header)
+    del manifest["sha256"]
+    manifest[key] = value
+    manifest["sha256"] = orchestrator._digest(manifest, [blob])
+    return json.dumps(manifest).encode() + b"\n" + blob
+
+
+@pytest.mark.parametrize("key", ["comm_bits", "flops"])
+def test_checkpoint_manifest_numbers_are_finite_non_negative_numbers(
+        moon_checkpoint, tmp_path, key):
+    cfg, _, raw = moon_checkpoint
+    for value in ["Infinity", "12", True, False, None, [1.0], {}, float("inf"),
+                  float("-inf"), float("nan"), -1.0, -1, 10 ** 400]:
+        _assert_refused(moon_checkpoint, _with_manifest_value(raw, key, value))
+    path = str(tmp_path / "int.ckpt")  # an int of a float's value reads as that float
+    with open(path, "wb") as f:
+        f.write(_with_manifest_value(raw, key, 12))
+    assert getattr(load_checkpoint(path, cfg), key) == 12.0
+
+
 # no example database on disk, and the same cases on every run
 _fuzz = settings(database=None, derandomize=True, deadline=None)
 
@@ -429,8 +466,7 @@ def test_emit_metrics_appends_without_duplicates(tmp_path):
     rows = [RoundMetrics(r, 0.5, 1.0, 32.0 * (r + 1), 10.0, [0]) for r in range(3)]
     emit_metrics(rows[:2], out, read_metrics_log(out))
     emit_metrics(rows[1:], out, read_metrics_log(out))
-    got = read_metrics(out)
-    assert [m.round for m in got] == [0, 1, 2]
+    assert read_metrics_log(out).rounds == [0, 1, 2]
     lines = open(os.path.join(out, "metrics.csv")).read().splitlines()
     assert lines[0] == RoundMetrics.CSV_HEADER
     assert len(lines) == 4
@@ -538,7 +574,7 @@ def test_metrics_files_after_a_resume_into_a_gap_are_pinned(five_rounds, tmp_pat
     run_experiment(dataclasses.replace(cfg, rounds=2, output_dir=out))
     run_experiment(dataclasses.replace(cfg, output_dir=out),
                    resume_from=_checkpoint(straight, 4))
-    assert [m.round for m in read_metrics(out)] == [0, 1, 4]
+    assert read_metrics_log(out).rounds == [0, 1, 4]
     run_experiment(dataclasses.replace(cfg, output_dir=out),  # rounds 2 and 3 fill the gap
                    resume_from=_checkpoint(straight, 2))
     _assert_pinned(out, metrics)
@@ -655,15 +691,17 @@ def test_flipped_metrics_byte_never_exits_2(finished_run, data):
 
 # values RoundMetrics.from_dict cannot read, by key
 _BAD_VALUES = {
-    "round": [None, "1", 1.0, True, -1, [1]],
+    "round": [None, "1", "7", 1.0, True, -1, [1]],
     "test_acc": ["x", [1], {}, True, float("nan"), float("inf"), 10 ** 400],
     "test_loss": ["x", [1], {}, False, float("nan"), float("-inf")],
     "comm_bits_cum": [None, "x", [1.0], {}, "64.0", True, float("nan"), float("inf"),
                       10 ** 400],
     "flops_cum": [None, "x", [1.0], {}, "1", True, float("-inf")],
-    "sampled_ids": [None, 5, [None], ["x"], [[1]], [True], [1.0], "01"],
+    "sampled_ids": [None, 5, [None], ["x"], [[1]], [True], [1.0], "01", [-3, 0],
+                    [0, 1, -2]],
     "train_loss": [[], 5, "x", {"x": 1.0}, {"1": None}, {"1": "x"}, {"1": "0.5"},
-                   {"1": True}, {"1": [0.5]}, {"1": 10 ** 400}],
+                   {"1": True}, {"1": [0.5]}, {"1": 10 ** 400}, {"01": 0.5},
+                   {" 2": 0.25}, {"-1": 0.1}, {"+1": 0.5}, {"7": 0.5}],
 }
 
 
@@ -737,7 +775,7 @@ def test_run_experiment_outputs(tmp_path):
     assert state.round_idx == 3 and len(metrics) == 3
     echoed = json.load(open(os.path.join(out, "config_echo.json")))
     assert ExperimentConfig.from_dict(echoed) == cfg
-    assert [m.round for m in read_metrics(out)] == [0, 1, 2]
+    assert read_metrics_log(out).rounds == [0, 1, 2]
     ckpts = sorted(os.listdir(os.path.join(out, "checkpoints")))
     assert ckpts == ["round_0002.ckpt", "round_0003.ckpt"]
 

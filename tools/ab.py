@@ -27,7 +27,10 @@ base is a git revision (default HEAD, so run this before committing, or pass
    base's by more than the benchmark's bound; with the core count, the numpy
    and Python versions and both revisions.
 
-Exits 1 if the golden sets differ, after writing --out.
+Exits 1, after writing --out, if the golden sets differ, if any run of the
+change reports "correct": false, or if a larger share of operations fails in
+the change on some workload (more_failed); each such finding is also printed
+to stderr.
 """
 import argparse
 import json
@@ -118,11 +121,14 @@ def main() -> int:
               "numpy": np.__version__, "python": platform.python_version(),
               "pairs": PAIRS, "seed": SEED, "seconds": spec["run_seconds"],
               "workloads": {}}
+    problems = []
     with tempfile.TemporaryDirectory(prefix="fedsim-ab-") as tmp:
         base = os.path.join(tmp, "base")
         export(args.base, base)
         report["golden"] = golden(base, ROOT, tmp)
         print(report["golden"]["summary"], file=sys.stderr)
+        if not report["golden"]["identical"]:
+            problems.append("the golden sets differ")
         roots = {"base": base, "change": ROOT}
         for wl in (w["name"] for w in spec["workloads"]):
             runs = {"base": [], "change": []}
@@ -141,8 +147,9 @@ def main() -> int:
                              "all_correct": all(r["correct"] for r in rs)}
             row["more_failed"] = row["change"]["failed_share"] > row["base"]["failed_share"]
             if row["more_failed"]:
-                print(f"{wl}: a larger share of operations fails in the change",
-                      file=sys.stderr)
+                problems.append(f"{wl}: a larger share of operations fails in the change")
+            if not (row["change"]["all_correct"] and traced["change"]["correct"]):
+                problems.append(f"{wl}: a run of the change failed its own check")
             for metric, bound in bounds.items():
                 row[metric] = summarize(
                     [r["metrics"][metric]["value"] for r in runs["base"]],
@@ -154,7 +161,9 @@ def main() -> int:
     with open(args.out, "w") as f:
         json.dump(report, f, indent=1)
         f.write("\n")
-    return 0 if report["golden"]["identical"] else 1
+    for problem in problems:
+        print(problem, file=sys.stderr)
+    return 1 if problems else 0
 
 
 if __name__ == "__main__":
