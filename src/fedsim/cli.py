@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 config error, 2 runtime error, 3 I/O error.
 
 import argparse
 import json
+import math
 import os
 import re
 import sys
@@ -87,8 +88,8 @@ def _cmd_diagnose(args) -> int:
         raise ConfigError("--probes must be at least 1")
     if args.grid < 3 or args.grid % 2 == 0:
         raise ConfigError("--grid must be odd and at least 3")
-    if not args.radius > 0:
-        raise ConfigError("--radius must be positive")
+    if not 0 < args.radius < math.inf:
+        raise ConfigError("--radius must be a positive finite number")
     config = ExperimentConfig.from_json_file(args.config)
     state = load_checkpoint(args.checkpoint, config)
     ids = _parse_clients(args.clients, config.num_clients)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from math import prod
+from math import inf, prod
 
 import numpy as np
 
@@ -101,14 +101,6 @@ class Partition:
     def sizes(self) -> np.ndarray:
         return np.array([len(a) for a in self.assignments])
 
-    def class_counts(self, labels: np.ndarray, num_classes: int) -> np.ndarray:
-        """(clients, classes) count matrix."""
-        out = np.zeros((self.num_clients, num_classes), dtype=np.int64)
-        for c, idx in enumerate(self.assignments):
-            for k, n in zip(*np.unique(labels[idx], return_counts=True)):
-                out[c, int(k)] = n
-        return out
-
     def to_json(self) -> str:
         return json.dumps({
             "alpha": self.alpha,
@@ -116,15 +108,6 @@ class Partition:
             "attempts": self.attempts,
             "assignments": [a.tolist() for a in self.assignments],
         })
-
-    @staticmethod
-    def from_json(text: str) -> "Partition":
-        d = json.loads(text)
-        return Partition(
-            assignments=[np.asarray(a, dtype=np.int64) for a in d["assignments"]],
-            alpha=float(d["alpha"]), seed=int(d["seed"]),
-            attempts=int(d.get("attempts", 1)),
-        )
 
 
 def _largest_remainder(p: np.ndarray, total: int) -> np.ndarray:
@@ -151,19 +134,20 @@ def dirichlet_partition(labels: np.ndarray, num_clients: int, alpha: float,
     labels = np.asarray(labels)
     if num_clients < 1:
         raise ValueError("need at least one client")
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+    if not 0 < alpha < inf:  # NaN fails both comparisons
+        raise ValueError("alpha must be a positive finite number")
     if len(labels) < num_clients:
         raise ValueError("fewer samples than clients")
     classes = np.unique(labels)
+    # a config keeps a JSON int as parsed, and numpy holds one beyond int64 as an object
+    concentration = np.full(num_clients, float(alpha))
     for attempt in range(1, max_attempts + 1):
         rng = np.random.default_rng([seed, attempt])
         buckets: list[list[np.ndarray]] = [[] for _ in range(num_clients)]
         for k in classes:
             idx = np.flatnonzero(labels == k)
             idx = rng.permutation(idx)
-            counts = _largest_remainder(rng.dirichlet(np.full(num_clients, alpha)),
-                                        len(idx))
+            counts = _largest_remainder(rng.dirichlet(concentration), len(idx))
             stop = np.cumsum(counts)
             start = stop - counts
             for c in range(num_clients):

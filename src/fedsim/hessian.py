@@ -310,8 +310,8 @@ def landscape_slice(model, loss_fn, batch, dir1: np.ndarray, dir2: np.ndarray,
     """
     if grid < 2 or grid % 2 == 0:
         raise ValueError("grid must be odd and at least 3")
-    if radius <= 0:
-        raise ValueError("radius must be positive")
+    if not 0 < radius < math.inf:
+        raise ValueError("radius must be a positive finite number")
     theta = params_to_vector(model.params)
     d1 = np.asarray(dir1, dtype=np.float64)
     d2 = np.asarray(dir2, dtype=np.float64)

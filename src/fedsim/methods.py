@@ -20,13 +20,9 @@ shape (process_models), trains one step(net, task, xb, yb, shadows) at a
 time, each step's graph freed before the next step's forward, and returns
 the trained ParamVector. shadows are moon's frozen received and
 previous-round models, which run no classifier.
-
-Also here: the field-derived (de)serialization that every config class
-shares, and the ConfigError it raises.
 """
 from __future__ import annotations
 
-import dataclasses
 import math
 import typing
 from dataclasses import dataclass, field
@@ -34,6 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import DOWNSAMPLE_SCALES, downsample_transform, mixup_batch
+from .fields import Record
 from .models import (BlockNet, BlockNetSpec, block_cost, keep_probability,
                      layer_cost, model_params, slim_width, stack_cost)
 from .tensor import (ParamVector, Tensor, adaptive_avg_pool2d, clamp_min,
@@ -45,81 +42,8 @@ from .tensor import (ParamVector, Tensor, adaptive_avg_pool2d, clamp_min,
 # -- configs ------------------------------------------------------------------
 
 
-class ConfigError(ValueError):
-    """Malformed or inconsistent experiment configuration."""
-
-
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
-# what a JSON value must be for a field of each scalar annotation
-_ACCEPTS = {
-    int: _is_int,
-    float: lambda v: _is_int(v) or isinstance(v, float),
-    str: lambda v: isinstance(v, str),
-}
-
-
-def _decode(hint, value, key: str):
-    """A JSON value as a field of annotation `hint`, or ConfigError."""
-    if isinstance(hint, type) and issubclass(hint, ConfigFields):
-        if not isinstance(value, dict):
-            raise ConfigError(f"{key} must be an object")
-        return hint.from_dict(value)
-    args = typing.get_args(hint)
-    if type(None) in args:
-        if value is None:
-            return None
-        (hint,) = (a for a in args if a is not type(None))
-    if typing.get_origin(hint) is tuple:  # tuple[int, ...]; a bare int is a 1-tuple
-        items = [value] if _is_int(value) else value
-        if not isinstance(items, (list, tuple)) or not all(map(_is_int, items)):
-            raise ConfigError(f"{key} must be a list of integers, got {value!r}")
-        return tuple(items)
-    if not _ACCEPTS[hint](value):
-        raise ConfigError(f"{key} must be of type {hint.__name__}, got {value!r}")
-    if isinstance(value, float) and not math.isfinite(value):  # JSON NaN, Infinity
-        raise ConfigError(f"{key} must be a finite number, got {value!r}")
-    return value
-
-
-class ConfigFields:
-    """to_dict/from_dict for a frozen config dataclass, derived from its fields.
-
-    to_dict writes tuples as lists and nested configs as dicts. from_dict
-    rejects unknown keys and values that do not fit a field's annotation: an
-    int field takes no float or bool, a float field also takes an int but no
-    NaN or infinity, a tuple field takes a list of ints. Every failure, the
-    class's own validation included, raises ConfigError.
-    """
-
-    def to_dict(self) -> dict:
-        out = {}
-        for f in dataclasses.fields(self):
-            v = getattr(self, f.name)
-            if isinstance(v, ConfigFields):
-                v = v.to_dict()
-            elif isinstance(v, tuple):
-                v = list(v)
-            out[f.name] = v
-        return out
-
-    @classmethod
-    def from_dict(cls, d: dict):
-        hints = typing.get_type_hints(cls)
-        unknown = set(d) - {f.name for f in dataclasses.fields(cls)}
-        if unknown:
-            raise ConfigError(f"unknown {cls.__name__} keys: {sorted(unknown)}")
-        kwargs = {k: _decode(hints[k], v, k) for k, v in d.items()}
-        try:
-            return cls(**kwargs)
-        except ValueError as e:
-            raise ConfigError(str(e)) from e
-
-
 @dataclass(frozen=True)
-class MethodConfig(ConfigFields):
+class MethodConfig(Record):
     """Hyperparameters for one local-training method.
 
     mu defaults to the method's standard operating point when left as None.

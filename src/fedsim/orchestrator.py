@@ -15,14 +15,14 @@ import os
 import re
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from math import ceil, isfinite, prod
+from math import ceil, prod
 
 import numpy as np
 
 from .data import LabeledDataset, Partition, dirichlet_partition, \
     make_synthetic_mixture, num_test_samples, train_test_split
-from .methods import (ClientTask, ConfigError, ConfigFields, MethodConfig,
-                      client_update, count_cost, process_models)
+from .fields import ConfigError, Record, decode
+from .methods import ClientTask, MethodConfig, client_update, count_cost, process_models
 from .models import BlockNet, BlockNetSpec
 from .tensor import ParamVector, load_vector, params_to_vector, softmax_cross_entropy
 
@@ -37,7 +37,7 @@ class CheckpointError(IOError):
 
 
 @dataclass(frozen=True)
-class DatasetConfig(ConfigFields):
+class DatasetConfig(Record):
     num_classes: int = 8
     dims: tuple[int, ...] = (16,)
     samples_per_class: int = 50
@@ -63,13 +63,15 @@ class DatasetConfig(ConfigFields):
 
 
 @dataclass(frozen=True)
-class ModelConfig(ConfigFields):
+class ModelConfig(Record):
     widths: tuple[int, ...] = (16, 16, 32)
     projection_dim: int = 64
 
 
 @dataclass(frozen=True)
-class ExperimentConfig(ConfigFields):
+class ExperimentConfig(Record):
+    error = ConfigError  # a nested config's error surfaces as this too
+
     rounds: int = 20
     num_clients: int = 8
     sample_fraction: float = 1.0
@@ -178,36 +180,16 @@ def _apply_override(d: dict, spec: str) -> None:
     cur[parts[-1]] = value
 
 
-def _number(value, what: str, finite: bool = True) -> float:
-    """value as a float if it is an int in the float range or a float,
-    finite when finite is set; else ValueError. A bool (JSON's true and
-    false) is not a number here."""
-    if type(value) is int:
-        try:
-            return float(value)
-        except OverflowError:
-            pass
-    elif type(value) is float and (isfinite(value) or not finite):
-        return value
-    raise ValueError(f"{what} {value!r} is not a {'finite ' if finite else ''}number")
-
-
-def _count(value, what: str) -> int:
-    """value if it is a non-negative int (not a bool); else ValueError."""
-    if type(value) is not int or value < 0:
-        raise ValueError(f"{what} {value!r} is not a non-negative integer")
-    return value
-
-
 @dataclass
-class RoundMetrics:
+class RoundMetrics(Record):
     round: int
     test_acc: float | None
     test_loss: float | None
     comm_bits_cum: float
     flops_cum: float
     sampled_ids: list[int]
-    train_loss: dict[int, float] = field(default_factory=dict)
+    # NaN is a legal loss: a round of zero epochs records it
+    train_loss: dict[int, float] = field(default_factory=dict, metadata={"finite": False})
 
     CSV_HEADER = "round,test_acc,test_loss,comm_bits_cum,flops_cum,sampled_ids"
 
@@ -217,37 +199,11 @@ class RoundMetrics:
         ids = ";".join(str(i) for i in self.sampled_ids)
         return f"{self.round},{acc},{loss},{repr(self.comm_bits_cum)},{repr(self.flops_cum)},{ids}"
 
-    def to_dict(self) -> dict:
-        return {"round": self.round, "test_acc": self.test_acc,
-                "test_loss": self.test_loss,
-                "comm_bits_cum": self.comm_bits_cum,
-                "flops_cum": self.flops_cum,
-                "sampled_ids": list(self.sampled_ids),
-                "train_loss": {str(k): v for k, v in self.train_loss.items()}}
-
-    @staticmethod
-    def from_dict(d: dict) -> "RoundMetrics":
-        def score(key):
-            return None if d[key] is None else _number(d[key], key)
-
-        ids = d["sampled_ids"]
-        if type(ids) is not list:
-            raise ValueError(f"sampled_ids {ids!r} is not a list")
-        # train_loss keys are str(id) of sampled ids, as to_dict writes them
-        by_key = {str(_count(i, "sampled id")): i for i in ids}
-        train_loss = {}
-        for k, v in d.get("train_loss", {}).items():
-            if k not in by_key:
-                raise ValueError(f"train_loss key {k!r} is not a sampled id")
-            # NaN is a legal loss: a round of zero epochs records it
-            train_loss[by_key[k]] = _number(v, "train_loss", finite=False)
-        return RoundMetrics(
-            round=_count(d["round"], "round"), test_acc=score("test_acc"),
-            test_loss=score("test_loss"),
-            comm_bits_cum=_number(d["comm_bits_cum"], "comm_bits_cum"),
-            flops_cum=_number(d["flops_cum"], "flops_cum"), sampled_ids=list(ids),
-            train_loss=train_loss,
-        )
+    def __post_init__(self):
+        if self.round < 0 or min(self.sampled_ids, default=0) < 0:
+            raise ValueError(f"round {self.round} or a sampled id is negative")
+        if not self.train_loss.keys() <= set(self.sampled_ids):
+            raise ValueError(f"train_loss keys {list(self.train_loss)} are not all sampled ids")
 
 
 # -- core server-side ops -----------------------------------------------------
@@ -491,12 +447,13 @@ def load_checkpoint(path: str, config: ExperimentConfig) -> ExperimentState:
             raise CheckpointError(f"checkpoint version {manifest['version']!r} is not "
                                   f"supported (expected {CHECKPOINT_VERSION})")
         sha = manifest.pop("sha256")
-        round_idx, config_hash = _count(manifest["round"], "round"), manifest["config_hash"]
+        round_idx, config_hash = decode(int, manifest["round"], "round"), manifest["config_hash"]
         declared = tuple((n, tuple(s), o) for n, s, o in manifest["layout"])
         ids = [int(_PREV_ARRAY.fullmatch(e["name"])[1]) for e in manifest["arrays"][1:]]
-        comm_bits, flops = (_number(manifest[k], k) for k in ("comm_bits", "flops"))
-        if min(comm_bits, flops) < 0:
-            raise ValueError(f"comm_bits {comm_bits!r} or flops {flops!r} is negative")
+        comm_bits, flops = (decode(float, manifest[k], k) for k in ("comm_bits", "flops"))
+        if min(round_idx, comm_bits, flops) < 0:
+            raise ValueError(f"round {round_idx}, comm_bits {comm_bits!r} or flops "
+                             f"{flops!r} is negative")
     except (ValueError, TypeError, KeyError, RecursionError) as e:  # UnicodeDecodeError too
         raise CheckpointError(f"checkpoint manifest is corrupt: {e!r}") from e
     if config_hash != config.trajectory_hash():
@@ -577,7 +534,7 @@ def read_metrics_log(out_dir: str) -> MetricsLog:
             raise TypeError(f"a JSON {type(records).__name__}, not a list")
         rows = [RoundMetrics.from_dict(d).csv_row() for d in records]
         rounds = [d["round"] for d in records]
-    except (ValueError, TypeError, KeyError, AttributeError, RecursionError) as e:
+    except (ValueError, TypeError, RecursionError) as e:
         raise MetricsError(f"{path} is not a list of round records: {e!r}") from e
     if any(a >= b for a, b in zip(rounds, rounds[1:])):  # from_dict checked each
         raise MetricsError(f"{path} rounds {rounds} are not in strictly ascending order")

@@ -12,7 +12,8 @@ gradient in the same order, bit for bit; composed_normalize and
 composed_add_relu are the graphs of primitive ops that tensor.normalize and
 tensor.add_relu fuse, kept for the same kind of comparison, and
 gathered_conv2d is tensor.conv2d's forward as a pad and a per-offset gather
-loop, whose output bytes the window-view gather must keep.
+loop, whose output bytes the window-view gather must keep. class_counts
+tallies a partition's labels per client.
 """
 import numpy as np
 
@@ -142,6 +143,12 @@ def gathered_conv2d(x, w, stride, padding):
             cols[:, :, i, j] = xp[:, :, i:i + stride * ho:stride, j:j + stride * wo:stride]
     out = w.reshape(cout, cin * k * k) @ cols.reshape(b, cin * k * k, ho * wo)
     return out.reshape(b, cout, ho, wo)
+
+
+def class_counts(part, labels, num_classes):
+    """(clients, classes) count matrix of a data.Partition over labels."""
+    return np.stack([np.bincount(labels[idx], minlength=num_classes)
+                     for idx in part.assignments])
 
 
 def numeric_grad(loss_builder, params, eps=1e-6):

@@ -8,7 +8,6 @@ import pytest
 
 from fedsim import cli, hessian
 from fedsim.cli import _DIAG_GLOBAL, _derive_seed, _probe_batch, main
-from fedsim.data import Partition
 from fedsim.methods import METHODS, count_cost
 from fedsim.orchestrator import (ExperimentConfig, comm_cost, load_checkpoint,
                                  read_metrics_log)
@@ -123,6 +122,9 @@ def test_run_error_exit_codes(tmp_path, capsys):
     "method.power_iters=20", "method.lip_epsilon=1e-8",  # constants, no longer keys
     pytest.param("rounds=" + "[" * 20_000, id="rounds=deeply-nested"),
     pytest.param("seed=" + "1" * 5000, id="seed=5000-digits"),
+    # 10**400: an int no float can hold
+    pytest.param(f"learning_rate={10 ** 400}", id="learning_rate=401-digits"),
+    pytest.param(f"alpha={10 ** 400}", id="alpha=401-digits"),
 ])
 def test_run_rejects_bad_values_before_any_output(tmp_path, capsys, override):
     out = tmp_path / "out"
@@ -388,6 +390,7 @@ def test_diagnose_error_exit_codes(finished_run, tmp_path, capsys):
 
 @pytest.mark.parametrize("flags", [
     ("--probes", "0"), ("--grid", "4"), ("--grid", "1"), ("--radius", "-1"),
+    ("--radius", "inf"),
 ])
 def test_diagnose_rejects_bad_flags_before_loading(finished_run, tmp_path, capsys,
                                                    flags):
@@ -406,8 +409,8 @@ def test_partition_synthetic_stdout(capsys):
     assert main(["partition", "--labels", "synthetic:4x25", "--clients", "4",
                  "--alpha", "1000000", "--seed", "0"]) == 0
     captured = capsys.readouterr()
-    part = Partition.from_json(captured.out)
-    covered = np.sort(np.concatenate(part.assignments))
+    part = json.loads(captured.out)
+    covered = np.sort(np.concatenate(part["assignments"]))
     assert np.array_equal(covered, np.arange(100))
     assert "clients=4" in captured.err
 
@@ -418,9 +421,9 @@ def test_partition_to_file_and_label_files(tmp_path, capsys):
     np.save(npy, np.array([0, 0, 1, 1, 2, 2, 0, 1, 2, 0]))
     assert main(["partition", "--labels", npy, "--clients", "2",
                  "--alpha", "0.5", "--seed", "3", "--out", out]) == 0
-    part = Partition.from_json(open(out).read())
-    assert part.num_clients == 2
-    assert sum(len(a) for a in part.assignments) == 10
+    part = json.loads(open(out).read())
+    assert len(part["assignments"]) == 2
+    assert sum(len(a) for a in part["assignments"]) == 10
 
     txt = str(tmp_path / "labels.txt")
     with open(txt, "w") as f:
@@ -442,6 +445,9 @@ def test_partition_error_exit_codes(tmp_path, capsys):
                  "--alpha", "1", "--seed", "0"]) == 1
     assert main(["partition", "--labels", "synthetic:3x10", "--clients", "0",
                  "--alpha", "1", "--seed", "0"]) == 1
+    for alpha in ("nan", "inf"):
+        assert main(["partition", "--labels", "synthetic:3x10", "--clients", "2",
+                     "--alpha", alpha, "--seed", "0"]) == 1, alpha
     # unparsable text, truncated, ragged, too deep or non-numeric JSON, and a
     # .npy that is no array
     for name, content in (("abc.txt", "abc\n"), ("cut.json", "[1, 2"),

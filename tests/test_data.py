@@ -1,11 +1,14 @@
 """Synthetic data, Dirichlet partitioning, and batch transforms."""
+import json
+
 import numpy as np
 import pytest
 
-from fedsim.data import (DOWNSAMPLE_SCALES, LabeledDataset, Partition,
-                         _largest_remainder, dirichlet_partition,
-                         downsample_transform, make_synthetic_mixture,
-                         mixup_batch, train_test_split)
+from fedsim.data import (DOWNSAMPLE_SCALES, LabeledDataset, _largest_remainder,
+                         dirichlet_partition, downsample_transform,
+                         make_synthetic_mixture, mixup_batch, train_test_split)
+
+from helpers import class_counts
 
 
 # -- synthetic mixture ---------------------------------------------------------
@@ -138,7 +141,7 @@ def test_partition_deterministic():
 def test_partition_class_totals_conserved():
     labels = np.repeat(np.arange(3), [20, 30, 50])
     part = dirichlet_partition(labels, 4, 0.2, seed=12)
-    counts = part.class_counts(labels, 3)
+    counts = class_counts(part, labels, 3)
     assert np.array_equal(counts.sum(axis=0), [20, 30, 50])
     assert np.array_equal(counts.sum(axis=1), part.sizes())
 
@@ -153,8 +156,16 @@ def test_partition_near_uniform_at_huge_alpha():
 def test_partition_skews_at_small_alpha():
     labels = np.repeat(np.arange(10), 50)
     part = dirichlet_partition(labels, 8, 0.1, seed=14)
-    counts = part.class_counts(labels, 10)
+    counts = class_counts(part, labels, 10)
     assert (counts == 0).any()  # concentration empties some client/class cells
+
+
+def test_partition_takes_an_int_alpha_beyond_int64():
+    # a config's float field keeps a JSON int as written
+    labels = np.repeat(np.arange(3), 20)
+    a = dirichlet_partition(labels, 4, 10 ** 20, seed=5)
+    b = dirichlet_partition(labels, 4, 1e20, seed=5)
+    assert all(np.array_equal(x, y) for x, y in zip(a.assignments, b.assignments))
 
 
 def test_partition_records_redraws():
@@ -182,11 +193,10 @@ def test_partition_gives_up_eventually():
 def test_partition_json_round_trip():
     labels = np.repeat(np.arange(3), 20)
     part = dirichlet_partition(labels, 4, 0.4, seed=15)
-    back = Partition.from_json(part.to_json())
-    assert back.alpha == part.alpha and back.seed == part.seed
-    assert back.attempts == part.attempts
-    assert all(np.array_equal(a, b)
-               for a, b in zip(back.assignments, part.assignments))
+    back = json.loads(part.to_json())
+    assert back["alpha"] == part.alpha and back["seed"] == part.seed
+    assert back["attempts"] == part.attempts
+    assert back["assignments"] == [a.tolist() for a in part.assignments]
 
 
 # -- mixup ------------------------------------------------------------------------

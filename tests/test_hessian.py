@@ -351,8 +351,9 @@ def test_landscape_validation():
     _, (d1, d2), _ = top_eigenpairs(model, loss_fn, batch, k=2, seed=0)
     with pytest.raises(ValueError):
         landscape_slice(model, loss_fn, batch, d1, d2, grid=4)
-    with pytest.raises(ValueError):
-        landscape_slice(model, loss_fn, batch, d1, d2, grid=3, radius=0.0)
+    for radius in (0.0, np.inf, np.nan):
+        with pytest.raises(ValueError):
+            landscape_slice(model, loss_fn, batch, d1, d2, grid=3, radius=radius)
     with pytest.raises(ValueError):
         landscape_slice(model, loss_fn, batch, dir1=np.ones(2),
                         dir2=2 * np.ones(2), grid=3)

@@ -5,10 +5,11 @@ import errno
 import io
 import json
 import os
+import typing
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fedsim import cli, orchestrator
 from fedsim.methods import MethodConfig
@@ -268,12 +269,27 @@ def test_round_metrics_csv_and_json_round_trip():
     assert RoundMetrics.from_dict(m.to_dict()) == m
 
 
+def test_round_metrics_with_non_finite_train_losses_round_trip():
+    m = RoundMetrics(round=3, test_acc=0.5, test_loss=1.25, comm_bits_cum=64.0,
+                     flops_cum=10.0, sampled_ids=[2, 5, 7],
+                     train_loss={2: float("nan"), 5: float("inf"), 7: float("-inf")})
+    text = json.dumps(m.to_dict())
+    assert text == ('{"round": 3, "test_acc": 0.5, "test_loss": 1.25, "comm_bits_cum": 64.0, '
+                    '"flops_cum": 10.0, "sampled_ids": [2, 5, 7], '
+                    '"train_loss": {"2": NaN, "5": Infinity, "7": -Infinity}}')
+    back = RoundMetrics.from_dict(json.loads(text))
+    assert json.dumps(back.to_dict()) == text
+    assert list(back.train_loss) == [2, 5, 7] and np.isnan(back.train_loss[2])
+
+
 @pytest.mark.parametrize("edit", [
     {"round": True}, {"round": "7"}, {"round": -1}, {"round": 7.0},
-    {"sampled_ids": [-3, 0]}, {"sampled_ids": [2, False]},
+    {"sampled_ids": [-3, 0]}, {"sampled_ids": [2, False]}, {"sampled_ids": 2},
     {"train_loss": {"02": 0.5}}, {"train_loss": {" 2": 0.5}},
     {"train_loss": {"-1": 0.5}}, {"train_loss": {"2.0": 0.5}},
+    {"train_loss": {"+2": 0.5}}, {"train_loss": {"1" * 5000: 0.5}},  # too long for int()
     {"train_loss": {"3": 0.5}},  # not a sampled id
+    {"wall_s": 1.0},  # an unknown key
 ])
 def test_round_metrics_from_dict_refuses_what_to_dict_never_writes(edit):
     d = RoundMetrics(round=3, test_acc=None, test_loss=None, comm_bits_cum=64.0,
@@ -737,13 +753,30 @@ def config_path(tmp_path_factory):
     return _write_run_config(str(tmp_path_factory.mktemp("override") / "cfg.json"), _cfg())
 
 
+def _float_values(cfg) -> list:
+    """The value of every float field of a config and its nested configs."""
+    hints = typing.get_type_hints(type(cfg))
+    out = []
+    for f in dataclasses.fields(cfg):
+        v = getattr(cfg, f.name)
+        if dataclasses.is_dataclass(v):
+            out += _float_values(v)
+        elif hints[f.name] in (float, float | None) and v is not None:
+            out.append(v)
+    return out
+
+
 def _config_or_config_error(path: str, spec: str) -> None:
-    """from_json_file with one override returns a config or raises ConfigError;
-    any other exception fails the test."""
+    """from_json_file with one override returns a config whose float fields
+    all convert to float, or raises ConfigError; any other exception fails
+    the test."""
     try:
-        assert isinstance(ExperimentConfig.from_json_file(path, [spec]), ExperimentConfig)
+        cfg = ExperimentConfig.from_json_file(path, [spec])
     except ConfigError:
-        pass
+        return
+    assert isinstance(cfg, ExperimentConfig)
+    for v in _float_values(cfg):
+        float(v)
 
 
 _JSON_VALUES = st.recursive(
@@ -763,6 +796,7 @@ def test_any_override_text_gives_a_config_or_a_config_error(config_path, spec):
 @_fuzz
 @given(key=st.sampled_from(sorted(_config_keys(_cfg()) | {"method", "dataset", "model"})),
        value=_JSON_VALUES)
+@example(key="learning_rate", value=10 ** 400)  # an int no float can hold
 def test_any_json_value_of_a_config_key_gives_a_config_or_a_config_error(
         config_path, key, value):
     _config_or_config_error(config_path, f"{key}={json.dumps(value)}")
