@@ -257,7 +257,9 @@ def evaluate(model: BlockNet, ds: LabeledDataset) -> tuple[float, float]:
 
     Runs this process's gradient-free BlockNet of model's shape
     (methods.process_models) on model's weight arrays, so the forward builds
-    no autodiff graph of the dataset.
+    no autodiff graph of the dataset. Its memory beyond the activations is
+    bounded by conv2d's column chunks (tensor.COLUMN_CHUNK_BYTES), not by
+    the dataset's size.
     """
     frozen = process_models(model.spec, model.with_projection)[1]
     for name, p in frozen.params.items():

@@ -42,6 +42,9 @@ import numpy as np
 
 Array = np.ndarray
 _F64 = np.dtype(np.float64)
+# conv2d's byte budget for one batch chunk's gathered columns (at least one
+# sample per chunk)
+COLUMN_CHUNK_BYTES = 4 << 20
 
 
 def _f64(x) -> Array:
@@ -122,7 +125,10 @@ class Tensor:
     through ops. Detached tensors (`detach()`) never receive gradient
     contributions. Value arrays are treated as immutable once wrapped: code
     that changes a parameter (sgd_step, load_vector) binds a new array to
-    `.data` instead of writing into the old one.
+    `.data` instead of writing into the old one. conv2d and normalize rely
+    on this: their backward recomputes forward intermediates from the
+    arrays the forward read (captured then, not read from `.data` later),
+    which gives the forward's bits only if nothing wrote into those arrays.
 
     A tensor holds no gradient. gradients() keeps its per-call state on the
     nodes themselves: `_mark` holds the call's visit mark and `_g` the
@@ -333,6 +339,12 @@ def normalize(x: Tensor, scale: Tensor, shift: Tensor, eps: float,
     the bits agree only when x has no other consumer, as in BlockNet.
     Parents (x, scale, shift) make gradients()' depth-first search reach
     them in the composed graph's order.
+
+    The node keeps the output, the ReLU mask, the (B, 1, ...) statistics
+    mean(x) and sqrt(var + eps), and x's array as the forward read it; the
+    backward recomputes d and y from those by the forward's own
+    expressions, so they are the forward's bits without being held between
+    the passes.
     """
     x, scale, shift = Tensor._wrap(x), Tensor._wrap(scale), Tensor._wrap(shift)
     xd = x.data
@@ -341,7 +353,8 @@ def normalize(x: Tensor, scale: Tensor, shift: Tensor, eps: float,
     shape = (1, k) + (1,) * (xd.ndim - 2)
     s1 = xd.sum(axis=axes, keepdims=True)
     inv_n = 1.0 / (xd.size / s1.size)  # as Tensor.mean computes it
-    d = xd - s1 * inv_n
+    mu = s1 * inv_n
+    d = xd - mu
     r = np.sqrt((d * d).sum(axis=axes, keepdims=True) * inv_n + eps)
     y = d / r
     sc = scale.data.reshape(shape)
@@ -367,7 +380,8 @@ def normalize(x: Tensor, scale: Tensor, shift: Tensor, eps: float,
         if mask is not None:
             g = np.where(mask, g, 0.0)
         gshift = to_param(g) if shift.requires_grad else None
-        gscale = to_param(g * y) if scale.requires_grad else None
+        d = xd - mu
+        gscale = to_param(g * (d / r)) if scale.requires_grad else None
         if not x.requires_grad:
             return (None, gscale, gshift)
         gy = g * sc
@@ -453,16 +467,25 @@ def _windows(a: Array, k: int, stride: int) -> Array:
     return v.transpose(0, 1, 4, 5, 2, 3).reshape(B, C * k * k, hout * wout)
 
 
+def _chunks(batch: int, columns_per_sample: int) -> list[slice]:
+    """Batch slices whose float64 columns, columns_per_sample values per
+    sample, fit in COLUMN_CHUNK_BYTES; each holds at least one sample."""
+    step = max(1, COLUMN_CHUNK_BYTES // (8 * columns_per_sample))
+    return [slice(b, b + step) for b in range(0, batch, step)]
+
+
 def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 1) -> Tensor:
     """2-d convolution, NCHW layout, square kernel, no bias.
 
-    x: (B, Cin, H, W), w: (Cout, Cin, k, k). Each product is one window
-    gather and one BLAS matmul (im2col):
-    - forward: the zero-padded input's k x k windows, copied once into
-      (Cin k k, Hout Wout) columns per sample, times the (Cout, Cin k k)
-      kernel;
+    x: (B, Cin, H, W), w: (Cout, Cin, k, k). Each product is a window gather
+    and a BLAS matmul per sample (im2col), run over batch chunks whose
+    gathered columns fit in COLUMN_CHUNK_BYTES, so no product holds more
+    than one chunk's columns at a time:
+    - forward: each chunk's zero-padded input, its k x k windows copied
+      into (Cin k k, Hout Wout) columns per sample, times the (Cout, Cin k k)
+      kernel, written into one preallocated output;
     - weight gradient: the upstream gradient times the transposed columns
-      per sample, summed over the batch;
+      per sample, summed over the whole batch in one reduction;
     - input gradient, stride 1: the transposed-convolution identity, a
       stride-1 correlation of the upstream gradient, padded by k-1-padding
       (cropped where that is negative), with the kernel flipped in both
@@ -470,39 +493,58 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 1) -> Tensor:
     - input gradient, larger strides: the kernel's transpose times the
       upstream gradient, scattered back onto the k x k offsets, which
       measured faster than the identity on a zero-dilated gradient.
-    The forward's bits are those of a per-offset gather into the same
-    columns; the backward's float sums run in BLAS order.
+    The node keeps x's and w's arrays as the forward read them, and no
+    columns: the backward gathers each chunk's columns again (recomputation
+    as in sublinear-memory training, Chen et al. 2016). Every product is a
+    per-sample GEMM and the weight gradient's batch sum is one reduction,
+    so the chunking changes no bit. The forward's bits are those of a
+    per-offset gather into the same columns; the backward's float sums run
+    in BLAS order.
     """
     x, w = Tensor._wrap(x), Tensor._wrap(w)
-    B, Cin, H, W = x.data.shape
-    Cout, Cin2, k, k2 = w.data.shape
+    xd, wd = x.data, w.data
+    B, Cin, H, W = xd.shape
+    Cout, Cin2, k, k2 = wd.shape
     if Cin != Cin2 or k != k2:
         raise ValueError("kernel shape does not match input channels")
-    cols2 = _windows(_pad(x.data, padding), k, stride)
     Hout = (H + 2 * padding - k) // stride + 1
     Wout = (W + 2 * padding - k) // stride + 1
-    w2 = w.data.reshape(Cout, Cin * k * k)
-    out = (w2 @ cols2).reshape(B, Cout, Hout, Wout)
+    w2 = wd.reshape(Cout, Cin * k * k)
+    chunks = _chunks(B, Cin * k * k * Hout * Wout)
+
+    def cols(c):
+        return _windows(_pad(xd[c], padding), k, stride)
+
+    out = np.empty((B, Cout, Hout * Wout))
+    for c in chunks:
+        np.matmul(w2, cols(c), out=out[c])
 
     def back(g):
         g2 = g.reshape(B, Cout, Hout * Wout)
-        dw = (np.add.reduce(g2 @ cols2.transpose(0, 2, 1), 0).reshape(w.data.shape)
-              if w.requires_grad else None)
+        dw = None
+        if w.requires_grad:
+            gw = np.empty((B, Cout, Cin * k * k))
+            for c in chunks:
+                np.matmul(g2[c], cols(c).transpose(0, 2, 1), out=gw[c])
+            dw = np.add.reduce(gw, 0).reshape(wd.shape)
         if not x.requires_grad:
             return (None, dw)
         if stride == 1:
-            wf = w.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(Cin, Cout * k * k)
-            gcols = _windows(_pad(g, k - 1 - padding), k, 1)
-            return ((wf @ gcols).reshape(B, Cin, H, W), dw)
-        dcols = (w2.T @ g2).reshape(B, Cin, k, k, Hout, Wout)
+            wf = wd[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(Cin, Cout * k * k)
+            dx = np.empty((B, Cin, H * W))
+            for c in _chunks(B, Cout * k * k * H * W):
+                np.matmul(wf, _windows(_pad(g[c], k - 1 - padding), k, 1), out=dx[c])
+            return (dx.reshape(B, Cin, H, W), dw)
         dxp = np.zeros((B, Cin, H + 2 * padding, W + 2 * padding))
-        for i in range(k):
-            for j in range(k):
-                dxp[:, :, i:i + stride * Hout:stride,
-                    j:j + stride * Wout:stride] += dcols[:, :, i, j]
+        for c in chunks:
+            dcols = (w2.T @ g2[c]).reshape(-1, Cin, k, k, Hout, Wout)
+            for i in range(k):
+                for j in range(k):
+                    dxp[c, :, i:i + stride * Hout:stride,
+                        j:j + stride * Wout:stride] += dcols[:, :, i, j]
         return (_pad(dxp, -padding), dw)
 
-    return Tensor._op(out, (x, w), back)
+    return Tensor._op(out.reshape(B, Cout, Hout, Wout), (x, w), back)
 
 
 def adaptive_avg_pool2d(x: Tensor, out_hw: tuple[int, int]) -> Tensor:

@@ -10,9 +10,11 @@ kink. reference_gradients is tensor.gradients' bookkeeping kept in its
 id()-keyed dict form, so tests can require the library to sum every
 gradient in the same order, bit for bit; composed_normalize and
 composed_add_relu are the graphs of primitive ops that tensor.normalize and
-tensor.add_relu fuse, kept for the same kind of comparison, and
+tensor.add_relu fuse, kept for the same kind of comparison;
 gathered_conv2d is tensor.conv2d's forward as a pad and a per-offset gather
-loop, whose output bytes the window-view gather must keep. class_counts
+loop, whose output bytes the window-view gather must keep, and
+gathered_conv2d_grads its backward over the whole batch's columns at once,
+whose gradient bytes the batch-chunked backward must keep. class_counts
 tallies a partition's labels per client.
 """
 import numpy as np
@@ -129,6 +131,24 @@ def composed_add_relu(a, b):
     return relu(a + b)
 
 
+def _gathered_columns(xp, k, stride, ho, wo):
+    """The k x k windows of a padded (B, C, H, W) at the stride, one strided
+    copy per kernel offset, as (B, C k k, ho wo) columns."""
+    b, c = xp.shape[:2]
+    cols = np.empty((b, c, k, k, ho, wo))
+    for i in range(k):
+        for j in range(k):
+            cols[:, :, i, j] = xp[:, :, i:i + stride * ho:stride, j:j + stride * wo:stride]
+    return cols.reshape(b, c * k * k, ho * wo)
+
+
+def _pad_spatial(a, p):
+    """a with p zeros on each side of both spatial axes; p < 0 crops -p."""
+    if p < 0:
+        return a[:, :, -p:a.shape[2] + p, -p:a.shape[3] + p]
+    return np.pad(a, ((0, 0), (0, 0), (p, p), (p, p)))
+
+
 def gathered_conv2d(x, w, stride, padding):
     """conv2d's output from np.pad and one strided copy per kernel offset
     into (B, Cin k k, Hout Wout) columns, then the same (Cout, Cin k k) matmul."""
@@ -136,13 +156,35 @@ def gathered_conv2d(x, w, stride, padding):
     cout, _, k, _ = w.shape
     ho = (hh + 2 * padding - k) // stride + 1
     wo = (ww + 2 * padding - k) // stride + 1
-    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    cols = np.empty((b, cin, k, k, ho, wo))
+    cols = _gathered_columns(_pad_spatial(x, padding), k, stride, ho, wo)
+    return (w.reshape(cout, cin * k * k) @ cols).reshape(b, cout, ho, wo)
+
+
+def gathered_conv2d_grads(x, w, g, stride, padding):
+    """(dw, dx) of sum(conv2d(x, w) * g) from the whole batch's columns,
+    gathered at once, by conv2d's backward expressions.
+
+    dw sums the per-sample products of g and the transposed columns in one
+    reduction over the batch. dx is, at stride 1, the flipped, channel-swapped
+    kernel times the columns of g padded by k-1-padding; at larger strides,
+    the kernel's transpose times g, scattered back onto the k x k offsets.
+    """
+    b, cin, hh, ww = x.shape
+    cout, _, k, _ = w.shape
+    ho, wo = g.shape[2:]
+    g2 = g.reshape(b, cout, ho * wo)
+    cols = _gathered_columns(_pad_spatial(x, padding), k, stride, ho, wo)
+    dw = np.add.reduce(g2 @ cols.transpose(0, 2, 1), 0).reshape(w.shape)
+    if stride == 1:
+        wf = w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(cin, cout * k * k)
+        gcols = _gathered_columns(_pad_spatial(g, k - 1 - padding), k, 1, hh, ww)
+        return dw, (wf @ gcols).reshape(b, cin, hh, ww)
+    dcols = (w.reshape(cout, cin * k * k).T @ g2).reshape(b, cin, k, k, ho, wo)
+    dxp = np.zeros((b, cin, hh + 2 * padding, ww + 2 * padding))
     for i in range(k):
         for j in range(k):
-            cols[:, :, i, j] = xp[:, :, i:i + stride * ho:stride, j:j + stride * wo:stride]
-    out = w.reshape(cout, cin * k * k) @ cols.reshape(b, cin * k * k, ho * wo)
-    return out.reshape(b, cout, ho, wo)
+            dxp[:, :, i:i + stride * ho:stride, j:j + stride * wo:stride] += dcols[:, :, i, j]
+    return dw, _pad_spatial(dxp, -padding)
 
 
 def class_counts(part, labels, num_classes):

@@ -1,4 +1,6 @@
 """Autodiff core: op-level oracles, finite-difference checks, optimizer math."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,7 @@ from fedsim.tensor import (ParamVector, Tensor, adaptive_avg_pool2d, add_relu,
                            normalize, params_to_vector, relu, sgd_step, slice_axis,
                            softmax_cross_entropy, sqrt, tanh)
 
-from helpers import gathered_conv2d, max_rel_err, numeric_grad
+from helpers import gathered_conv2d, gathered_conv2d_grads, max_rel_err, numeric_grad
 
 
 def _fd_check(build, params, tol=1e-6, eps=1e-6):
@@ -318,6 +320,116 @@ def test_conv2d_forward_keeps_the_gathered_bytes(x_shape, k, stride, padding):
     w = rng.normal(size=(16, x_shape[1], k, k))
     got = conv2d(Tensor(x), Tensor(w), stride=stride, padding=padding).data
     assert got.tobytes() == gathered_conv2d(x, w, stride, padding).tobytes()
+
+
+def _samples_per_chunk(columns_per_sample):
+    """The batch chunk conv2d's column budget allows for these columns."""
+    return max(1, tensor.COLUMN_CHUNK_BYTES // (8 * columns_per_sample))
+
+
+@pytest.mark.parametrize("k,stride,padding", _CONV_CASES)
+def test_conv2d_chunks_keep_the_whole_batch_bytes(k, stride, padding):
+    """Forward, dw and dx bytes equal those of one gather over the whole
+    batch at 1 sample, exactly one chunk, one chunk + 1 and three chunks."""
+    rng = np.random.default_rng(12)
+    cin, cout, side = 4, 3, 16
+    hout = (side + 2 * padding - k) // stride + 1
+    n = _samples_per_chunk(cin * k * k * hout * hout)
+    w = rng.normal(size=(cout, cin, k, k))
+    for batch in (1, n, n + 1, 2 * n + 1):
+        x = rng.normal(size=(batch, cin, side, side))
+        g = rng.normal(size=(batch, cout, hout, hout))
+        params = {"x": Tensor(x, requires_grad=True), "w": Tensor(w, requires_grad=True)}
+        out = conv2d(params["x"], params["w"], stride, padding)
+        grads = gradients((out * Tensor(g)).sum(), params)
+        want_w, want_x = gathered_conv2d_grads(x, w, g, stride, padding)
+        assert out.data.tobytes() == gathered_conv2d(x, w, stride, padding).tobytes()
+        assert grads["w"].tobytes() == want_w.tobytes(), batch
+        assert grads["x"].tobytes() == want_x.tobytes(), batch
+
+
+def _traced(build):
+    """build()'s result, the traced bytes it left allocated and its traced
+    peak, both counted from the call's start."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        out = build()
+        now, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, now - start, peak - start
+
+
+def test_conv2d_graph_keeps_no_columns():
+    rng = np.random.default_rng(13)
+    cin, side = 4, 12
+    batch = 3 * _samples_per_chunk(cin * 9 * side * side)  # three chunks of columns
+    x = Tensor(rng.normal(size=(batch, cin, side, side)), requires_grad=True)
+    w = Tensor(rng.normal(size=(cin, cin, 3, 3)), requires_grad=True)
+    out, kept, _ = _traced(lambda: conv2d(x, w, 1, 1))
+    padded = batch * cin * (side + 2) ** 2 * 8
+    assert kept < tensor.COLUMN_CHUNK_BYTES + out.data.nbytes + padded
+
+
+def test_conv2d_forward_peak_does_not_grow_with_the_batch():
+    """Without a graph, the traced peak beyond the output is one chunk's
+    columns and padded input, at 240 samples (19.9 MB of columns) as at 480."""
+    rng = np.random.default_rng(14)
+    w = Tensor(rng.normal(size=(16, 8, 3, 3)))
+    beyond = []
+    for batch in (240, 480):
+        x = Tensor(rng.normal(size=(batch, 8, 12, 12)))
+        out, _, peak = _traced(lambda: conv2d(x, w, 1, 1))
+        beyond.append(peak - out.data.nbytes)
+    assert abs(beyond[1] - beyond[0]) < tensor.COLUMN_CHUNK_BYTES
+
+
+@pytest.mark.parametrize("relu_after", [False, True])
+def test_normalize_keeps_only_its_output_and_mask(relu_after):
+    """The node holds no x-sized float array besides its output: d and y
+    are recomputed in the backward."""
+    rng = np.random.default_rng(15)
+    x = Tensor(rng.normal(size=(64, 8, 12, 12)), requires_grad=True)
+    scale = Tensor(rng.normal(size=8), requires_grad=True)
+    shift = Tensor(rng.normal(size=8), requires_grad=True)
+    out, kept, _ = _traced(lambda: normalize(x, scale, shift, 1e-5, relu=relu_after))
+    mask = x.data.size if relu_after else 0  # one byte per element
+    assert kept < out.data.nbytes + mask + x.data.nbytes // 4
+
+
+def _rebinding_changes_no_gradient(build, params):
+    """gradients() of build(params) is the same whether or not every
+    parameter's .data is rebound to new values after the forward."""
+    rng = np.random.default_rng(16)
+    want = gradients(build(params), params)
+    loss = build(params)
+    for p in params.values():
+        p.data = rng.normal(size=p.data.shape)
+    got = gradients(loss, params)
+    for name in params:
+        assert got[name].tobytes() == want[name].tobytes(), name
+
+
+@pytest.mark.parametrize("stride", [1, 2])
+def test_conv2d_backward_reads_the_forward_arrays(stride):
+    rng = np.random.default_rng(17)
+    g = Tensor(rng.normal(size=(3, 4, 6 // stride, 6 // stride)))
+    params = {"x": Tensor(rng.normal(size=(3, 2, 6, 6)), requires_grad=True),
+              "w": Tensor(rng.normal(size=(4, 2, 3, 3)), requires_grad=True)}
+    _rebinding_changes_no_gradient(
+        lambda p: (conv2d(p["x"], p["w"], stride, 1) * g).sum(), params)
+
+
+def test_normalize_backward_reads_the_forward_arrays():
+    rng = np.random.default_rng(18)
+    g = Tensor(rng.normal(size=(3, 4, 5, 5)))
+    params = {"x": Tensor(rng.normal(size=(3, 4, 5, 5)), requires_grad=True),
+              "scale": Tensor(rng.normal(size=4), requires_grad=True),
+              "shift": Tensor(rng.normal(size=4), requires_grad=True)}
+    _rebinding_changes_no_gradient(
+        lambda p: (normalize(p["x"], p["scale"], p["shift"], 1e-5, relu=True) * g).sum(),
+        params)
 
 
 def test_conv2d_shape_mismatch():

@@ -25,7 +25,10 @@ base is a git revision (default HEAD, so run this before committing, or pass
    "at least 9 in 10 pairs won and a median gap wider than the base's
    interquartile range", and whether the change's median is worse than the
    base's by more than the benchmark's bound; with the core count, the numpy
-   and Python versions and both revisions.
+   and Python versions and both revisions;
+6. prints the verdict to stderr, one line per workload and end-to-end
+   metric: the base and change medians, the pairs the change won, and the
+   gain and worse_than_bound flags.
 
 Exits 1, after writing --out, if the golden sets differ, if any run of the
 change reports "correct": false, or if a larger share of operations fails in
@@ -161,6 +164,12 @@ def main() -> int:
     with open(args.out, "w") as f:
         json.dump(report, f, indent=1)
         f.write("\n")
+    for wl, row in report["workloads"].items():
+        for metric in bounds:
+            m = row[metric]
+            print(f"{wl} {metric}: {m['base']['median']:.4g} -> {m['change']['median']:.4g}, "
+                  f"won {m['change_wins']}/{m['pairs']}, gain {m['gain']}, "
+                  f"worse_than_bound {m['worse_than_bound']}", file=sys.stderr)
     for problem in problems:
         print(problem, file=sys.stderr)
     return 1 if problems else 0
