@@ -9,9 +9,9 @@ the masks keeps every unit on its base-point branch, so the product is that
 of the a.e. Hessian (the one double backprop gives) even where a step would
 cross a ReLU kink, and a one-sided difference is safe; the step is the
 smallest at which float64 round-off stays near 1e-8 on desk-scale losses.
-On top of that: power iteration with deflation for leading eigenvalues, one
-pass of Rademacher (Hutchinson) probes that gives both the diagonal,
-E[v * Hv], and the trace, E[v^T H v], from the same products (so the trace
+On top of that: one Lanczos solve for the leading eigenpairs, one pass of
+Rademacher (Hutchinson) probes that gives both the diagonal, E[v * Hv],
+and the trace, E[v^T H v], from the same products (so the trace
 equals the diagonal's sum), pairwise cross-client curvature comparisons, and
 a 2-d loss landscape slice of the true loss (no masks replayed), which takes
 a report's eigenvectors as its directions.
@@ -98,46 +98,43 @@ def _linearization(model, loss_fn, batch, lin: Linearization | None) -> Lineariz
 
 def top_eigenpairs(model, loss_fn, batch, k: int = 1, iters: int = 100,
                    tol: float = 1e-4, seed: int = 0, *, lin: Linearization | None = None):
-    """Leading Hessian eigenvalues (by magnitude, signed) and eigenvectors.
+    """The k Hessian eigenpairs largest by magnitude: signed values, unit
+    vectors and converged flags, as lists.
 
-    Power iteration on the finite-difference operator at one linearization
-    (lin, if given, else a new one); already-found pairs are deflated by
-    subtracting their lambda * v v^T projections. A pair whose Rayleigh
-    quotient moves by less than tol (relatively) is converged; otherwise the
-    best estimate is returned and flagged.
+    Ritz pairs of one Lanczos solve, fully reorthogonalized, at lin (else a
+    new linearization): one HVP per Krylov dimension m <= min(max(iters, k),
+    n), from a start drawn from seed; a space that closes (beta ~ 0) grows on
+    from a fresh orthogonal draw. A pair is converged when its residual bound
+    |beta_m s_m| is at most tol * |value|, or when m = n.
     """
     if k < 1:
         raise ValueError("k must be positive")
     lin = _linearization(model, loss_fn, batch, lin)
     rng = np.random.default_rng([seed, 0x5EED])
     n = lin.theta.size
-    values: list[float] = []
-    vectors: list[np.ndarray] = []
-    converged: list[bool] = []
-    for which in range(k):
-        v = rng.standard_normal(n)
-        v /= math.sqrt(v @ v)
-        lam = 0.0
-        ok = False
-        for _ in range(iters):
-            w = hvp(lin, v)
-            for lam_j, v_j in zip(values, vectors):
-                w = w - lam_j * float(v_j @ v) * v_j
-            new_lam = float(v @ w)
-            wn = math.sqrt(w @ w)
-            if wn == 0.0:
-                lam, ok = 0.0, True
-                break
-            v = w / wn
-            if abs(new_lam - lam) <= tol * max(abs(new_lam), 1e-12):
-                lam = new_lam
-                ok = True
-                break
-            lam = new_lam
-        values.append(lam)
-        vectors.append(v)
-        converged.append(ok)
-    return values, vectors, converged
+    if k > n:
+        raise ValueError(f"k={k} exceeds the {n} parameters")
+    vs = np.empty((0, n))  # the Lanczos basis, one row per Krylov dimension
+    alphas: list[float] = []
+    betas: list[float] = []  # betas[j] couples rows j and j + 1
+    w = rng.standard_normal(n)
+    while True:
+        vs = np.vstack([vs, w / math.sqrt(w @ w)])
+        w = hvp(lin, vs[-1])
+        alphas.append(float(vs[-1] @ w))
+        for _ in range(2):  # Gram-Schmidt twice keeps the basis orthonormal
+            w = w - vs.T @ (vs @ w)
+        beta, m = math.sqrt(w @ w), len(vs)
+        ritz, s = np.linalg.eigh(np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1))
+        top = np.argsort(-np.abs(ritz), kind="stable")[:k]
+        converged = [bool(m == n or abs(beta * s[-1, i]) <= tol * abs(ritz[i])) for i in top]
+        if m >= k and (all(converged) or m == min(max(iters, k), n)):
+            return [float(ritz[i]) for i in top], [vs.T @ s[:, i] for i in top], converged
+        if beta <= 1e-8 * abs(ritz[top[0]]):  # an invariant space: grow from a fresh draw
+            beta, w = 0.0, rng.standard_normal(n)
+            for _ in range(2):
+                w = w - vs.T @ (vs @ w)
+        betas.append(beta)
 
 
 def hessian_diagonal(model, loss_fn, batch, num_probes: int = 100, seed: int = 0,

@@ -15,10 +15,13 @@ gathered_conv2d is tensor.conv2d's forward as a pad and a per-offset gather
 loop, whose output bytes the window-view gather must keep, and
 gathered_conv2d_grads its backward over the whole batch's columns at once,
 whose gradient bytes the batch-chunked backward must keep. class_counts
-tallies a partition's labels per client.
+tallies a partition's labels per client. hvp_hessian is the one helper built
+on the library's curvature code: the dense matrix of hessian.hvp's products,
+the operator the eigen solver runs on.
 """
 import numpy as np
 
+from fedsim.hessian import hvp
 from fedsim.tensor import Tensor, matmul, params_to_vector, relu, sqrt, tanh
 
 
@@ -247,6 +250,11 @@ def numeric_hessian(loss_builder, params, eps=1e-3):
                 poke(j, -sj)
             h[i, j] = h[j, i] = acc / (4.0 * eps * eps)
     return h
+
+
+def hvp_hessian(lin):
+    """The dense matrix whose column i is hessian.hvp(lin, e_i)."""
+    return np.stack([hvp(lin, e) for e in np.eye(lin.theta.size)], axis=1)
 
 
 def max_rel_err(got, want, floor=1e-8):

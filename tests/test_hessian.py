@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+import fedsim.hessian as hessian
 from fedsim.hessian import (DEFAULT_FD_STEP, ce_loss_fn, cross_client_metrics,
                             hessian_diagonal, hessian_report, hutchinson_trace,
                             hvp, landscape_slice, linearize, top_eigenpairs)
@@ -9,7 +10,8 @@ from fedsim.tensor import (ParamVector, gradients, load_vector, mask_tape, matmu
                            normalize, params_to_vector)
 from fedsim.models import NORM_EPS, BlockNet, BlockNetSpec
 
-from helpers import QuadraticModel, TanhMLP, numeric_hessian, random_orthogonal
+from helpers import (QuadraticModel, TanhMLP, hvp_hessian, numeric_hessian,
+                     random_orthogonal)
 
 
 def _random_symmetric(n, seed, scale=1.0):
@@ -129,16 +131,14 @@ def test_dense_hessian_is_symmetric_next_to_a_relu_kink():
     shift[1] += 3e-7 - pre.data[0, 1]
     net.params["block0.norm1.shift"].data = shift
     lin = linearize(net, ce_loss_fn, (x, y))
-    eye = np.eye(lin.theta.size)
 
-    def asymmetry(columns):
-        dense = np.stack(columns, axis=1)
+    def asymmetry(dense):
         return np.max(np.abs(dense - dense.T)) / np.max(np.abs(dense))
 
-    assert asymmetry([hvp(lin, e) for e in eye]) < 1e-4
+    assert asymmetry(hvp_hessian(lin)) < 1e-4
     # the same point without replayed masks is visibly asymmetric
-    assert asymmetry([_unfrozen_central_hvp(net, ce_loss_fn, (x, y), e)
-                      for e in eye]) > 0.1
+    assert asymmetry(np.stack([_unfrozen_central_hvp(net, ce_loss_fn, (x, y), e)
+                               for e in np.eye(lin.theta.size)], axis=1)) > 0.1
     assert params_to_vector(net.params).data.tobytes() == lin.theta.data.tobytes()
 
 
@@ -182,9 +182,86 @@ def test_top_eigenpairs_validation_and_determinism():
     model, loss_fn, batch = _quad(np.eye(3))
     with pytest.raises(ValueError):
         top_eigenpairs(model, loss_fn, batch, k=0)
+    with pytest.raises(ValueError, match="exceeds the 3 parameters"):
+        top_eigenpairs(model, loss_fn, batch, k=4)
     v1, _, _ = top_eigenpairs(model, loss_fn, batch, k=1, seed=9)
     v2, _, _ = top_eigenpairs(model, loss_fn, batch, k=1, seed=9)
     assert v1 == v2
+    rng = np.random.default_rng(4)
+    q = random_orthogonal(6, rng)
+    model, loss_fn, batch = _quad(q @ np.diag(rng.uniform(-2.0, 2.0, 6)) @ q.T,
+                                  b=rng.normal(size=6))
+    model.params["theta"].data[:] = rng.normal(size=6)
+    first, again = (top_eigenpairs(model, loss_fn, batch, k=3, iters=4, seed=9)
+                    for _ in range(2))
+    assert first[0] == again[0] and first[2] == again[2]
+    assert [v.tobytes() for v in first[1]] == [v.tobytes() for v in again[1]]
+
+
+def _residuals(a, values, vectors):
+    return [float(np.linalg.norm(a @ v - lam * v)) for lam, v in zip(values, vectors)]
+
+
+def test_top_eigenpairs_separates_close_pairs():
+    # 4.101 and 4.011 differ by 2%: a solver that finds one pair at a time and
+    # deflates it stops near 4.09 and 4.02 here, and flags pairs converged
+    # whose residuals are 0.7-7% of their values
+    lam = np.array([4.101, 4.011, 3.0, -2.9])
+    for seed in range(3):
+        rng = np.random.default_rng(seed)
+        spectrum = np.concatenate([lam, rng.uniform(0.01, 1.0, 36)])
+        q = random_orthogonal(40, rng)
+        a = q @ np.diag(spectrum) @ q.T
+        model, loss_fn, batch = _quad(a)
+        values, vectors, converged = top_eigenpairs(model, loss_fn, batch, k=4,
+                                                    seed=seed)
+        assert converged == [True] * 4, seed
+        assert np.max(np.abs(np.array(values) - lam)) < 1e-3, (seed, values)
+        for lam_i, r in zip(values, _residuals(a, values, vectors)):
+            assert r <= 2 * 1e-4 * abs(lam_i), (seed, lam_i, r)
+
+
+@pytest.mark.parametrize("diagonal,k", [([1.0, 1.0, 1.0], 2), ([3.0, 3.0, 1.0, 1.0], 3)])
+def test_top_eigenpairs_when_the_krylov_space_closes_early(diagonal, k):
+    # one start vector spans only one direction per distinct eigenvalue, so
+    # the solve must grow from fresh draws to reach k pairs
+    a = np.diag(diagonal)
+    model, loss_fn, batch = _quad(a)
+    values, vectors, converged = top_eigenpairs(model, loss_fn, batch, k=k)
+    assert converged == [True] * k
+    assert np.max(np.abs(np.array(values) - np.array(diagonal[:k]))) < 1e-8
+    gram = np.stack(vectors) @ np.stack(vectors).T
+    assert np.max(np.abs(gram - np.eye(k))) < 1e-8
+    assert max(_residuals(a, values, vectors)) < 1e-8
+
+
+def test_top_eigenpairs_makes_at_most_n_products(monkeypatch):
+    calls = []
+    real = hessian.hvp
+    monkeypatch.setattr(hessian, "hvp", lambda lin, v: calls.append(1) or real(lin, v))
+    rng = np.random.default_rng(5)
+    q = random_orthogonal(7, rng)
+    model, loss_fn, batch = _quad(q @ np.diag(np.arange(1.0, 8.0)) @ q.T)
+    # a tolerance below round-off is met only by spanning all 7 directions
+    _, _, converged = top_eigenpairs(model, loss_fn, batch, k=3, iters=500,
+                                     tol=1e-15)
+    assert converged == [True] * 3
+    assert len(calls) == 7
+
+
+def test_converged_is_a_residual_bound_on_blocknet():
+    spec = BlockNetSpec(input_shape=(6,), num_classes=4, widths=(5, 5))
+    net = BlockNet(spec, rng=np.random.default_rng(14))
+    rng = np.random.default_rng(15)
+    batch = (rng.normal(size=(9, 6)), rng.integers(0, 4, size=9))
+    lin = linearize(net, ce_loss_fn, batch)
+    dense = hvp_hessian(lin)
+    tol = 1e-4
+    values, vectors, converged = top_eigenpairs(net, ce_loss_fn, batch, k=4, tol=tol,
+                                                lin=lin)
+    assert converged == [True] * 4
+    for lam_i, r in zip(values, _residuals(dense, values, vectors)):
+        assert r <= 2 * tol * abs(lam_i), (lam_i, r)
 
 
 # -- trace and diagonal ---------------------------------------------------------------
