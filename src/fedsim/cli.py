@@ -21,6 +21,7 @@ from .orchestrator import (
     ConfigError,
     ExperimentConfig,
     _derive_seed,
+    _replace_file,
     clients_per_round,
     comm_cost,
     load_checkpoint,
@@ -84,6 +85,7 @@ def _parse_clients(spec: str, num_clients: int) -> list[int]:
 
 
 def _cmd_diagnose(args) -> int:
+    """Curvature reports of a checkpoint; each file appears whole (_replace_file)."""
     if args.probes < 1:
         raise ConfigError("--probes must be at least 1")
     if args.grid < 3 or args.grid % 2 == 0:
@@ -105,9 +107,8 @@ def _cmd_diagnose(args) -> int:
 
     report = hessian_report(model, ce_loss_fn, (gx, gy), k=2,
                             num_probes=args.probes, seed=gseed)
-    with open(os.path.join(diag_dir, "global.json"), "w") as f:
-        json.dump({"round": state.round_idx, "samples": int(len(gy)),
-                   **report.to_dict()}, f, indent=1)
+    _replace_file(os.path.join(diag_dir, "global.json"), json.dumps(
+        {"round": state.round_idx, "samples": int(len(gy)), **report.to_dict()}, indent=1))
     print(f"global: lambda_max={report.top_eigenvalues[0]:.6g} "
           f"trace={report.trace_estimate:.6g} (+/- {report.trace_stderr:.2g}) "
           f"converged={report.eigen_converged}")
@@ -120,9 +121,9 @@ def _cmd_diagnose(args) -> int:
         cseed = _derive_seed((config.seed, _DIAG_CLIENT, cid))
         rep = hessian_report(model, ce_loss_fn, (cx, cy), k=2,
                              num_probes=args.probes, seed=cseed)
-        with open(os.path.join(diag_dir, f"client_{cid}.json"), "w") as f:
-            json.dump({"client": cid, "round": state.round_idx,
-                       "samples": int(len(cy)), **rep.to_dict()}, f, indent=1)
+        _replace_file(os.path.join(diag_dir, f"client_{cid}.json"), json.dumps(
+            {"client": cid, "round": state.round_idx, "samples": int(len(cy)),
+             **rep.to_dict()}, indent=1))
         diagonals.append(rep.diagonal)
         print(f"client {cid}: lambda_max={rep.top_eigenvalues[0]:.6g} "
               f"trace={rep.trace_estimate:.6g} converged={rep.eigen_converged}")
@@ -132,8 +133,8 @@ def _cmd_diagnose(args) -> int:
     except ValueError as e:  # fewer than two clients with a nonzero diagonal
         print(f"cross-client metrics skipped ({e})")
     else:
-        with open(os.path.join(diag_dir, "cross_client.json"), "w") as f:
-            json.dump({"round": state.round_idx, **cross.to_dict()}, f, indent=1)
+        _replace_file(os.path.join(diag_dir, "cross_client.json"),
+                      json.dumps({"round": state.round_idx, **cross.to_dict()}, indent=1))
         skipped = f" skipped={cross.skipped} (zero-norm diagonal)" if cross.skipped else ""
         print(f"cross-client: norm_gap={cross.norm_gap:.6g} "
               f"direction_cosine={cross.direction_cosine:.6g}{skipped}")
@@ -142,11 +143,9 @@ def _cmd_diagnose(args) -> int:
     d1, d2 = report.eigenvectors
     alphas, betas, losses = landscape_slice(model, ce_loss_fn, (gx, gy), d1, d2,
                                             grid=args.grid, radius=args.radius)
-    with open(os.path.join(out, "landscape.csv"), "w") as f:
-        f.write("alpha,beta,loss\n")
-        for i, a in enumerate(alphas):
-            for j, b in enumerate(betas):
-                f.write(f"{float(a)!r},{float(b)!r},{float(losses[i, j])!r}\n")
+    _replace_file(os.path.join(out, "landscape.csv"), "alpha,beta,loss\n" + "".join(
+        f"{float(a)!r},{float(b)!r},{float(losses[i, j])!r}\n"
+        for i, a in enumerate(alphas) for j, b in enumerate(betas)))
     print(f"wrote diagnostics to {diag_dir} and {os.path.join(out, 'landscape.csv')}")
     return 0
 
@@ -190,7 +189,7 @@ def _cmd_partition(args) -> int:
     except ValueError as e:
         raise ConfigError(str(e)) from e
     payload = part.to_json()
-    if args.out:
+    if args.out:  # the user's path, maybe a pipe, so not replaced by a rename
         with open(args.out, "w") as f:
             f.write(payload + "\n")
         print(f"wrote {args.out}")

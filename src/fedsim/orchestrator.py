@@ -256,14 +256,13 @@ def evaluate(model: BlockNet, ds: LabeledDataset) -> tuple[float, float]:
     """(accuracy, mean cross-entropy) over a dataset, single batch.
 
     Runs this process's gradient-free BlockNet of model's shape
-    (methods.process_models) on model's weight arrays, so the forward builds
-    no autodiff graph of the dataset. Its memory beyond the activations is
+    (methods.process_models) on a copy of model's weights, so the forward
+    builds no autodiff graph of the dataset. Its memory beyond the activations is
     bounded by conv2d's column chunks (tensor.COLUMN_CHUNK_BYTES), not by
     the dataset's size.
     """
     frozen = process_models(model.spec, model.with_projection)[1]
-    for name, p in frozen.params.items():
-        p.data = model.params[name].data
+    load_vector(frozen.params, params_to_vector(model.params))
     logits = frozen.forward(ds.inputs)
     loss = softmax_cross_entropy(logits, ds.labels)
     acc = float((logits.data.argmax(axis=1) == ds.labels).mean())
@@ -385,7 +384,37 @@ def run_round(state: ExperimentState, pool: ProcessPoolExecutor | None = None) -
                         sampled_ids=sampled, train_loss=train_loss)
 
 
-# -- checkpoints ----------------------------------------------------------------
+# -- writing files and checkpoints --------------------------------------------------
+
+
+def _replace_file(path: str, data: str | list[bytes]) -> None:
+    """Write data, text or byte chunks one by one, to path.tmp, then rename
+    it over path, so a write that fails leaves the file at path as it was.
+    Every whole file of a run or diagnose directory is written here."""
+    tmp = path + ".tmp"
+    with open(tmp, "wb") as f:
+        for chunk in [data.encode()] if isinstance(data, str) else data:
+            f.write(chunk)
+    os.replace(tmp, path)
+
+
+def _append(path: str, text: str, overwrite: int = 0) -> None:
+    """Write text over the last `overwrite` bytes of path, unbuffered, so a
+    failure (a full disk) raises here, not at close; the file is then cut
+    back and those bytes restored. Every appended file of a run is written here."""
+    with open(path, "r+b", buffering=0) as f:
+        end = f.seek(-overwrite, os.SEEK_END)
+        tail = f.read()
+        f.seek(end)
+        try:
+            data = memoryview(text.encode())
+            while data:
+                data = data[f.write(data):]
+        except BaseException:
+            f.seek(end)
+            f.truncate()
+            f.write(tail)
+            raise
 
 
 def _array_table(client_ids: list[int], size: int) -> list[dict]:
@@ -422,12 +451,7 @@ def save_checkpoint(path: str, state: ExperimentState) -> None:
         "flops": state.flops,
     }
     manifest["sha256"] = _digest(manifest, payload)
-    tmp = path + ".tmp"
-    with open(tmp, "wb") as f:
-        f.write(json.dumps(manifest).encode() + b"\n")
-        for buf in payload:
-            f.write(buf)
-    os.replace(tmp, path)
+    _replace_file(path, [json.dumps(manifest).encode() + b"\n", *payload])
 
 
 _PREV_ARRAY = re.compile(r"prev_client_(0|[1-9][0-9]*)")
@@ -503,12 +527,17 @@ def _render_file(items: list[str]) -> str:
     return "[\n" + ",\n".join(items) + "\n]" if items else "[]"
 
 
+def _render_csv(rows: list[str]) -> str:
+    """metrics.csv: the header, then one line per row."""
+    return "".join(row + "\n" for row in [RoundMetrics.CSV_HEADER] + rows)
+
+
 @dataclass
 class MetricsLog:
-    """What an output directory's metrics.json holds: its rounds, ascending,
-    each record as rendered and each as its metrics.csv row. stale means the
-    file's bytes are not _render_file(items), so the next write replaces the
-    file whole."""
+    """What an output directory's metrics files hold: metrics.json's rounds,
+    ascending, each record as rendered and each as its metrics.csv row. stale
+    means metrics.json's bytes are not _render_file(items) or metrics.csv's
+    not _render_csv(rows), so the next write replaces both files whole."""
 
     rounds: list[int] = field(default_factory=list)
     items: list[str] = field(default_factory=list)
@@ -516,20 +545,28 @@ class MetricsLog:
     stale: bool = False
 
 
+def _read(path: str) -> bytes | None:
+    """The bytes of the file at path; None when there is none."""
+    try:
+        with open(path, "rb") as f:
+            return f.read()
+    except FileNotFoundError:
+        return None
+    except OSError as e:
+        raise MetricsError(f"cannot read {path}: {e}") from e
+
+
 def read_metrics_log(out_dir: str) -> MetricsLog:
     """The records of out_dir's metrics.json; none when there is no file.
 
     MetricsError unless the file is a JSON list of records that RoundMetrics
-    reads, with non-negative integer rounds in strictly ascending order.
+    reads, with non-negative integer rounds in strictly ascending order. A
+    metrics.csv that is missing or is not their rows leaves the log stale.
     """
     path = os.path.join(out_dir, "metrics.json")
-    try:
-        with open(path, "rb") as f:
-            raw = f.read()
-    except FileNotFoundError:
+    raw = _read(path)
+    if raw is None:
         return MetricsLog()
-    except OSError as e:
-        raise MetricsError(f"cannot read {path}: {e}") from e
     try:
         records = json.loads(raw.decode())  # a UnicodeDecodeError is a ValueError
         if not isinstance(records, list):
@@ -541,36 +578,28 @@ def read_metrics_log(out_dir: str) -> MetricsLog:
     if any(a >= b for a, b in zip(rounds, rounds[1:])):  # from_dict checked each
         raise MetricsError(f"{path} rounds {rounds} are not in strictly ascending order")
     items = [_render(d) for d in records]
-    return MetricsLog(rounds, items, rows, stale=raw != _render_file(items).encode())
-
-
-def _replace_file(path: str, text: str) -> None:
-    """Write text to path.tmp, then rename it over path, so a write that fails
-    leaves the file at path as it was."""
-    tmp = path + ".tmp"
-    with open(tmp, "w") as f:
-        f.write(text)
-    os.replace(tmp, path)
+    csv = _read(os.path.join(out_dir, "metrics.csv"))
+    return MetricsLog(rounds, items, rows, stale=raw != _render_file(items).encode()
+                      or csv != _render_csv(rows).encode())
 
 
 def emit_metrics(metrics: list[RoundMetrics], out_dir: str, log: MetricsLog) -> None:
-    """Add the rounds not yet written to metrics.csv and metrics.json.
+    """Add the rounds not yet written to metrics.json and metrics.csv.
 
-    log is what metrics.json holds (read_metrics_log), kept up to date here,
-    so a run reads the file once however many rounds it emits. A round
-    already in the files is skipped, so a resumed run extends them without
-    duplicating the header or earlier rows. Records after the last one are
-    appended in place; a record before it (a resume into a directory holding
-    later rounds) rewrites the file. Either way metrics.json stays byte for
-    byte json.dump(records in round order, f, indent=1). metrics.csv follows
-    it: the header, then one row per record in round order, written whole
-    when metrics.json is rewritten or the CSV is missing, else appended. A
-    whole write replaces the file only once it is complete.
+    log is what the files hold (read_metrics_log), kept up to date here, so
+    a run reads them once however many rounds it emits. A round already in
+    the files is skipped, so a resumed run extends them without duplicating
+    the header or earlier rows. metrics.json stays byte for byte
+    json.dump(records in round order, f, indent=1), and metrics.csv its
+    header, then one row per record in round order. Records after the last
+    one are appended to both files in place; a record before it (a resume
+    into a directory holding later rounds), or a stale or empty log,
+    replaces both files whole. A write that fails leaves the log stale.
     """
     os.makedirs(out_dir, exist_ok=True)
-    json_path = os.path.join(out_dir, "metrics.json")
+    json_path, csv_path = (os.path.join(out_dir, n) for n in ("metrics.json", "metrics.csv"))
     rewrite = log.stale or not log.rounds
-    new = []
+    new = 0
     for m in metrics:
         i = bisect.bisect_left(log.rounds, m.round)
         if i < len(log.rounds) and log.rounds[i] == m.round:
@@ -579,22 +608,15 @@ def emit_metrics(metrics: list[RoundMetrics], out_dir: str, log: MetricsLog) -> 
         log.rounds.insert(i, m.round)
         log.items.insert(i, _render(m.to_dict()))
         log.rows.insert(i, m.csv_row())
-        new.append(m)
+        new += 1
+    log.stale = True  # until both files hold the log
     if rewrite:
         _replace_file(json_path, _render_file(log.items))
-        log.stale = False
-    elif new:
-        with open(json_path, "r+b") as f:
-            f.seek(-2, os.SEEK_END)  # before the closing "\n]"
-            f.write("".join(",\n" + item for item in log.items[-len(new):]).encode()
-                    + b"\n]")
-    csv_path = os.path.join(out_dir, "metrics.csv")
-    if rewrite or not os.path.exists(csv_path):
-        _replace_file(csv_path, "".join(row + "\n" for row in
-                                        [RoundMetrics.CSV_HEADER] + log.rows))
-    elif new:
-        with open(csv_path, "a") as f:
-            f.write("".join(row + "\n" for row in log.rows[-len(new):]))
+        _replace_file(csv_path, _render_csv(log.rows))
+    elif new:  # over the closing "\n]"
+        _append(json_path, "".join(",\n" + item for item in log.items[-new:]) + "\n]", 2)
+        _append(csv_path, "".join(row + "\n" for row in log.rows[-new:]))
+    log.stale = False
 
 
 # -- the full loop ----------------------------------------------------------------
@@ -606,8 +628,8 @@ def run_experiment(config: ExperimentConfig,
 
     With an output_dir set, persists config echo, checkpoints every
     eval_every rounds plus at completion, and metrics after every round.
-    An existing metrics.json there is read once, before anything trains;
-    MetricsError if it is malformed.
+    The metrics files there are read once, before anything trains;
+    MetricsError if metrics.json is malformed.
     """
     out = config.output_dir
     log = read_metrics_log(out) if out is not None else None
@@ -617,8 +639,8 @@ def run_experiment(config: ExperimentConfig,
         state = build_state(config)
     if out is not None:
         os.makedirs(os.path.join(out, "checkpoints"), exist_ok=True)
-        with open(os.path.join(out, "config_echo.json"), "w") as f:
-            json.dump(config.to_dict(), f, indent=1, sort_keys=True)
+        _replace_file(os.path.join(out, "config_echo.json"),
+                      json.dumps(config.to_dict(), indent=1, sort_keys=True))
     pool = None
     metrics: list[RoundMetrics] = []
     try:

@@ -510,11 +510,13 @@ def test_emit_metrics_rewrites_a_file_it_did_not_render(tmp_path):
 
 
 class _FullDisk:
-    """A file open for writing that takes half of the first text it is given
-    and then fails, as a write to a full disk does."""
+    """A file open for writing whose first write takes half of what it is
+    given and then fails, as a write to a full disk does; later writes (a
+    rollback) go through."""
 
     def __init__(self, f):
         self.f = f
+        self.full = True
 
     def __enter__(self):
         return self
@@ -522,9 +524,25 @@ class _FullDisk:
     def __exit__(self, *exc):
         self.f.close()
 
-    def write(self, text):
-        self.f.write(text[:len(text) // 2])
+    def __getattr__(self, name):
+        return getattr(self.f, name)
+
+    def write(self, data):
+        if not self.full:
+            return self.f.write(data)
+        self.full = False
+        self.f.write(data[:len(data) // 2])
         raise OSError(errno.ENOSPC, "No space left on device")
+
+
+def _fill_disk(monkeypatch, name: str = "") -> None:
+    """Make orchestrator's writes to files whose names end in name fail as on a full disk."""
+
+    def full_disk_open(path, mode="r", *args, **kwargs):
+        f = open(path, mode, *args, **kwargs)
+        return _FullDisk(f) if set(mode) & set("wax+") and path.endswith(name) else f
+
+    monkeypatch.setattr(orchestrator, "open", full_disk_open, raising=False)
 
 
 def test_a_failed_metrics_rewrite_leaves_the_files_as_they_were(tmp_path, monkeypatch):
@@ -533,16 +551,41 @@ def test_a_failed_metrics_rewrite_leaves_the_files_as_they_were(tmp_path, monkey
     emit_metrics([rows[0], rows[2]], out, read_metrics_log(out))
     names = ("metrics.json", "metrics.csv")
     before = [open(os.path.join(out, n), "rb").read() for n in names]
-
-    def full_disk_open(path, mode="r", *args, **kwargs):
-        f = open(path, mode, *args, **kwargs)
-        return _FullDisk(f) if "w" in mode else f
-
-    monkeypatch.setattr(orchestrator, "open", full_disk_open, raising=False)
+    _fill_disk(monkeypatch)
     with pytest.raises(OSError):  # round 1 goes before round 2: a rewrite
         emit_metrics([rows[1]], out, read_metrics_log(out))
     assert [open(os.path.join(out, n), "rb").read() for n in names] == before
     assert read_metrics_log(out).rounds == [0, 2]
+
+
+@pytest.mark.parametrize("name", ["metrics.json", "metrics.csv"])
+def test_a_failed_metrics_append_leaves_that_file_as_it_was(tmp_path, monkeypatch, name):
+    out = str(tmp_path)
+    rows = [RoundMetrics(r, 0.5, 1.0, 32.0 * (r + 1), 9.0, [0]) for r in range(3)]
+    emit_metrics(rows[:2], out, read_metrics_log(out))
+    before = open(os.path.join(out, name), "rb").read()
+    log = read_metrics_log(out)
+    with monkeypatch.context() as patch:
+        _fill_disk(patch, name)
+        with pytest.raises(OSError) as failure:
+            emit_metrics([rows[2]], out, log)
+    assert failure.value.errno == errno.ENOSPC
+    assert open(os.path.join(out, name), "rb").read() == before
+    # a failed CSV append leaves metrics.json a round ahead; a new read sees that
+    assert read_metrics_log(out).stale == (name == "metrics.csv")
+    emit_metrics([rows[2]], out, log)  # and the failed write left log stale
+    _assert_pinned(out, rows)
+
+
+def test_metrics_csv_behind_metrics_json_is_rewritten(tmp_path):
+    # a run cut between its two appends: metrics.json holds a round the CSV lacks
+    out = str(tmp_path)
+    rows = [RoundMetrics(r, 0.5, 1.0, 32.0 * (r + 1), 10.0, [0]) for r in range(3)]
+    emit_metrics(rows[:2], out, read_metrics_log(out))
+    with open(os.path.join(out, "metrics.csv"), "w") as f:
+        f.write(RoundMetrics.CSV_HEADER + "\n" + rows[0].csv_row() + "\n")
+    emit_metrics(rows[2:], out, read_metrics_log(out))
+    _assert_pinned(out, rows)
 
 
 def _assert_pinned(out: str, metrics: list) -> None:
