@@ -20,6 +20,19 @@ A model is anything with a `params` dict of Tensors. Every routine reads
 theta with tensor.params_to_vector, moves the model with tensor.load_vector,
 and loads theta back before it returns, so the parameters are restored
 exactly; flat directions and gradients use the vector's layout order.
+
+Independent points are evaluated in stacks: load_vector binds P parameter
+points at once as leading copy axes of every parameter, so one forward and
+one gradients() walk serve P of them (tensor.py). hvp(lin, v) takes one
+direction or a (P, n) block of them and costs one gradient evaluation per
+call either way; hessian_diagonal evaluates its probes and landscape_slice
+its grid points in stacks. A loss must therefore broadcast over leading
+copies of every parameter and return one value per copy (ce_loss_fn on a
+BlockNet does); each copy's value and gradient are then the bits of the
+unstacked call at that copy's point, so stacking changes no output bit.
+A stack holds as many copies as fit in STACK_BYTES, each priced at
+COPY_ARRAYS parameter-sized arrays plus the values of one unstacked forward
+graph of the loss, so memory stays bounded whatever the probe count.
 """
 from __future__ import annotations
 
@@ -32,6 +45,11 @@ from .tensor import (ParamVector, Tensor, gradients, load_vector, mask_tape,
                      params_to_vector, softmax_cross_entropy)
 
 DEFAULT_FD_STEP = 1e-6
+# the byte budget of one stack of parameter copies, and the parameter-sized
+# float64 arrays a copy holds besides its graph (its direction, the stepped
+# point, its parameters and gradient, their difference and the product)
+STACK_BYTES = 1 << 20
+COPY_ARRAYS = 8
 
 
 @dataclass(frozen=True)
@@ -44,47 +62,87 @@ class Linearization:
     theta: ParamVector
     masks: list[np.ndarray]  # the forward's ReLU masks at theta, in order
     grad: np.ndarray  # the gradient at theta, in theta's layout order
+    stack: int  # the directions one hvp block holds within STACK_BYTES
 
 
-def _grad(model, loss_fn, batch, layout, masks=None) -> tuple[np.ndarray, list]:
-    """The flat gradient at the model's parameters and the forward's masks:
-    recorded when masks is None, replayed otherwise."""
+def _grad(model, loss_fn, batch, layout, masks=None) -> tuple[np.ndarray, list, Tensor]:
+    """The flat gradient at the model's parameters, one row per copy when
+    they are stacked, with the forward's loss and masks: recorded when masks
+    is None, replayed otherwise."""
     with mask_tape(masks) as tape:
         loss = loss_fn(model, batch[0], batch[1])
-    gmap = gradients(loss, model.params)
-    return np.concatenate([gmap[name].reshape(-1) for name, _, _ in layout]), tape.masks
+    copies = loss.shape
+    gmap = gradients(loss.sum() if copies else loss, model.params)
+    return np.concatenate([gmap[name].reshape(copies + (-1,)) for name, _, _ in layout],
+                          axis=-1), tape.masks, loss
+
+
+def _stack_size(n: int, loss: Tensor, backward: bool) -> int:
+    """Copies per stack: STACK_BYTES over a copy's price, COPY_ARRAYS float64
+    arrays of n values plus the values in the graph of loss, an unstacked
+    forward, counted twice when a backward holds a gradient of each."""
+    graph, seen, todo = 0, set(), [loss]
+    while todo:
+        node = todo.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            graph += node.data.nbytes
+            todo.extend(node._parents)
+    return max(1, STACK_BYTES // (8 * COPY_ARRAYS * n + (1 + backward) * graph))
 
 
 def linearize(model, loss_fn, batch) -> Linearization:
     """One recording forward and one gradient at the current parameters."""
     theta = params_to_vector(model.params)
-    grad, masks = _grad(model, loss_fn, batch, theta.layout)
-    return Linearization(model, loss_fn, batch, theta, masks, grad)
+    grad, masks, loss = _grad(model, loss_fn, batch, theta.layout)
+    return Linearization(model, loss_fn, batch, theta, masks, grad,
+                         _stack_size(theta.size, loss, backward=True))
+
+
+def _moved_grad(lin: Linearization, point: np.ndarray) -> np.ndarray:
+    """The flat gradient at point, one (n,) vector or (P, n) stacked copies,
+    with lin's masks replayed; the model's parameters are left at lin.theta."""
+    params = lin.model.params
+    try:
+        load_vector(params, ParamVector(point, lin.theta.layout))
+        g, _, _ = _grad(lin.model, lin.loss_fn, lin.batch, lin.theta.layout, lin.masks)
+    finally:
+        load_vector(params, lin.theta)
+    if g.shape != point.shape:
+        raise ValueError("the loss must return one value per parameter copy")
+    return g
 
 
 def hvp(lin: Linearization, v: np.ndarray) -> np.ndarray:
     """Hessian-vector product at lin's point by a forward difference of the
     gradient with lin's ReLU masks replayed: one gradient evaluation.
 
-    Steps DEFAULT_FD_STEP along the normalized direction and rescales, so the
-    step size is meaningful regardless of |v|. A zero direction returns
-    zeros. The model's parameters are left at lin.theta.
+    v is one direction, or a (P, n) block of them evaluated as stacked
+    copies of the parameters, still one gradient evaluation; row p of the
+    result is, bit for bit, hvp(lin, v[p]). Steps DEFAULT_FD_STEP along the
+    normalized direction and rescales, so the step size is meaningful
+    regardless of |v|. A zero direction returns zeros. The model's
+    parameters are left at lin.theta.
     """
     theta = lin.theta
     v = np.asarray(v, dtype=np.float64)
-    if v.shape != theta.data.shape:
+    if v.ndim > 2 or v.shape[-1:] != theta.data.shape:
         raise ValueError("direction length does not match parameter count")
-    norm = math.sqrt(v @ v)  # numpy's 1-D norm, bit for bit
-    if norm == 0.0:
-        return np.zeros_like(theta.data)
-    params = lin.model.params
-    try:
-        load_vector(params, ParamVector(theta.data + DEFAULT_FD_STEP * (v / norm),
-                                        theta.layout))
-        g, _ = _grad(lin.model, lin.loss_fn, lin.batch, theta.layout, lin.masks)
+    if v.ndim == 1:
+        norm = math.sqrt(v @ v)  # numpy's 1-D norm, bit for bit
+        if norm == 0.0:
+            return np.zeros_like(v)
+        g = _moved_grad(lin, theta.data + DEFAULT_FD_STEP * (v / norm))
         return (g - lin.grad) * (norm / DEFAULT_FD_STEP)
-    finally:
-        load_vector(params, theta)
+    norms = np.array([math.sqrt(r @ r) for r in v])[:, None]
+    live = norms[:, 0] != 0.0
+    out = np.zeros_like(v)
+    if live.any():
+        step = DEFAULT_FD_STEP * (v[live] / norms[live])
+        # a single live row goes unstacked
+        g = _moved_grad(lin, theta.data + (step if len(step) > 1 else step[0]))
+        out[live] = (g - lin.grad) * (norms[live] / DEFAULT_FD_STEP)
+    return out
 
 
 def _linearization(model, loss_fn, batch, lin: Linearization | None) -> Linearization:
@@ -146,7 +204,10 @@ def hessian_diagonal(model, loss_fn, batch, num_probes: int = 100, seed: int = 0
     hutchinson_trace reduces to the trace; one float per probe is kept.
     Exact in expectation; for a diagonal Hessian each probe is already exact
     because v * (diag * v) = diag when v has unit-magnitude entries. The
-    products share one linearization: lin, if given, else a new one.
+    products share one linearization: lin, if given, else a new one. Each
+    probe is drawn as one rng call, the probes are evaluated lin.stack at a
+    time as one hvp block, and their products are folded into the running
+    sums in probe order.
     """
     if num_probes < 1:
         raise ValueError("need at least one probe")
@@ -156,13 +217,15 @@ def hessian_diagonal(model, loss_fn, batch, num_probes: int = 100, seed: int = 0
     mean = np.zeros(n)
     m2 = np.zeros(n)
     totals = np.empty(num_probes)
-    for i in range(num_probes):
-        v = rng.integers(0, 2, size=n) * 2.0 - 1.0
-        sample = v * hvp(lin, v)
-        totals[i] = sample.sum()
-        delta = sample - mean
-        mean += delta / (i + 1)
-        m2 += delta * (sample - mean)
+    for start in range(0, num_probes, lin.stack):
+        probes = np.array([rng.integers(0, 2, size=n) * 2.0 - 1.0
+                           for _ in range(min(lin.stack, num_probes - start))])
+        for i, (v, hv) in enumerate(zip(probes, hvp(lin, probes)), start):
+            sample = v * hv
+            totals[i] = sample.sum()
+            delta = sample - mean
+            mean += delta / (i + 1)
+            m2 += delta * (sample - mean)
     if num_probes > 1:
         stderr = np.sqrt(m2 / (num_probes - 1)) / np.sqrt(num_probes)
     else:
@@ -303,7 +366,8 @@ def landscape_slice(model, loss_fn, batch, dir1: np.ndarray, dir2: np.ndarray,
     orthonormalized against dir1.
     Returns (alphas, betas, losses) with losses[i, j] evaluated at
     theta + alphas[i]*d1 + betas[j]*d2. The center entry is the unperturbed
-    loss.
+    loss. The points are evaluated in stacks of stacked copies, with the
+    parameters' requires_grad off so that no stack builds a graph.
     """
     if grid < 2 or grid % 2 == 0:
         raise ValueError("grid must be odd and at least 3")
@@ -323,16 +387,24 @@ def landscape_slice(model, loss_fn, batch, dir1: np.ndarray, dir2: np.ndarray,
     d2 = d2 / n2
     alphas = np.linspace(-radius, radius, grid)
     betas = np.linspace(-radius, radius, grid)
-    losses = np.empty((grid, grid))
+    points = [(a, b) for a in alphas for b in betas]
+    losses = np.empty(len(points))
+    stack = _stack_size(theta.size, loss_fn(model, batch[0], batch[1]), backward=False)
+    params = list(model.params.values())
+    requires_grad = [p.requires_grad for p in params]
     try:
-        for i, a in enumerate(alphas):
-            for j, b in enumerate(betas):
-                load_vector(model.params, ParamVector(theta.data + a * d1 + b * d2,
-                                                      theta.layout))
-                losses[i, j] = float(loss_fn(model, batch[0], batch[1]).item())
+        for p in params:
+            p.requires_grad = False
+        for start in range(0, len(points), stack):
+            rows = np.array([theta.data + a * d1 + b * d2
+                             for a, b in points[start:start + stack]])
+            load_vector(model.params, ParamVector(rows, theta.layout))
+            losses[start:start + len(rows)] = loss_fn(model, batch[0], batch[1]).data
     finally:
+        for p, flag in zip(params, requires_grad):
+            p.requires_grad = flag
         load_vector(model.params, theta)
-    return alphas, betas, losses
+    return alphas, betas, losses.reshape(grid, grid)
 
 
 def ce_loss_fn(model, x, y) -> Tensor:

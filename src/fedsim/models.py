@@ -12,6 +12,14 @@ layer at full width takes no slice at all. Normalization is statistics-free
 (per-sample, over the channels present), which keeps slimmed forwards well
 defined and the whole model free of running state.
 
+Every axis is read from the right: channels are axis -1 of a dense
+activation and -3 of a conv one, a dense weight is (..., in, out), a kernel
+(..., out, in, k, k) and a bias (..., K). So a forward also runs on
+parameters stacked along leading copy axes (tensor.py): with every parameter
+(P,) + its shape, a (B, ...) input gives (P, B, K) logits, copy p's the bits
+of the unstacked forward at copy p's parameters. hessian.py evaluates its
+independent parameter points this way.
+
 Also here: stochastic-depth forwarding with linearly decaying keep
 probabilities, an optional two-layer projection head for contrastive
 training (embed runs the blocks and that head, no classifier), and the
@@ -116,6 +124,13 @@ def _prefix(x: Tensor, axis: int, k: int) -> Tensor:
     return x if x.shape[axis] == k else slice_axis(x, axis, 0, k)
 
 
+def _affine(h: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """h @ w + b; a stacked (..., K) bias meets h's batch axis as (..., 1, K)."""
+    if b.ndim > 1:
+        b = b.reshape(b.shape[:-1] + (1, b.shape[-1]))
+    return matmul(h, w) + b
+
+
 def keep_probability(block_idx: int, num_blocks: int, final_keep: float) -> float:
     """Linearly decaying survival probability, 1 at depth 0 down to final_keep."""
     ell = block_idx + 1
@@ -131,6 +146,7 @@ class BlockNet:
         self.with_projection = with_projection
         self.params: dict[str, Tensor] = {}
         self._kind = "conv" if spec.is_conv else "fc"
+        self._channels = -3 if spec.is_conv else -1  # an activation's channel axis
         self._build(rng, requires_grad)
 
     # -- parameter construction -------------------------------------------
@@ -177,22 +193,22 @@ class BlockNet:
     def _norm(self, x: Tensor, prefix: str, k: int, relu: bool = False) -> Tensor:
         """Per-sample normalization over the k active channels (and space),
         then a ReLU when relu is set."""
-        scale = _prefix(self.params[f"{prefix}.scale"], 0, k)
-        shift = _prefix(self.params[f"{prefix}.shift"], 0, k)
+        scale = _prefix(self.params[f"{prefix}.scale"], -1, k)
+        shift = _prefix(self.params[f"{prefix}.shift"], -1, k)
         return normalize(x, scale, shift, NORM_EPS, relu=relu)
 
     def _layer(self, x: Tensor, name: str, in_k: int, out_k: int,
                stride: int, padding: int) -> Tensor:
         """Bias-free layer on the first in_k input and out_k output channels.
 
-        Conv kernels are (out, in, k, k) and dense matrices (in, out); a dense
-        layer ignores stride and padding.
+        Conv kernels are (..., out, in, k, k) and dense matrices (..., in,
+        out); a dense layer ignores stride and padding.
         """
         w = self.params[name]
-        if w.ndim == 4:
-            w = _prefix(_prefix(w, 0, out_k), 1, in_k)
+        if self.spec.is_conv:
+            w = _prefix(_prefix(w, -4, out_k), -3, in_k)
             return conv2d(x, w, stride=stride, padding=padding)
-        return matmul(x, _prefix(_prefix(w, 0, in_k), 1, out_k))
+        return matmul(x, _prefix(_prefix(w, -2, in_k), -1, out_k))
 
     def _block(self, x: Tensor, i: int, out_k: int,
                drop: float | None = None) -> Tensor:
@@ -202,7 +218,7 @@ class BlockNet:
         its expectation); None means no multiplier node at all.
         """
         p = f"block{i}"
-        in_k = x.shape[1]
+        in_k = x.shape[self._channels]
         s = self.spec.block_strides()[i]
         h = self._layer(x, f"{p}.{self._kind}1.w", in_k, out_k, s, 1)
         h = self._norm(h, f"{p}.norm1", out_k, relu=True)
@@ -211,7 +227,7 @@ class BlockNet:
         if self.spec.projects_skip(i):
             skip = self._layer(x, f"{p}.skip.w", in_k, out_k, s, 0)
         else:
-            skip = _prefix(x, 1, out_k)
+            skip = _prefix(x, self._channels, out_k)
         if drop is not None:
             h = h * drop
         return add_relu(h, skip)
@@ -219,7 +235,7 @@ class BlockNet:
     def _pool_flatten(self, f: Tensor) -> Tensor:
         if self.spec.is_conv:
             f = adaptive_avg_pool2d(f, (1, 1))
-            return f.reshape(f.shape[0], f.shape[1])
+            return f.reshape(f.shape[:-2])
         return f
 
     def _walk(self, x, ks, drops=None) -> list[Tensor]:
@@ -240,8 +256,8 @@ class BlockNet:
 
     def _head(self, f_last: Tensor) -> Tensor:
         """The classifier on the pooled last feature map, at its active width."""
-        w = _prefix(self.params["head.w"], 0, f_last.shape[1])
-        return matmul(self._pool_flatten(f_last), w) + self.params["head.b"]
+        w = _prefix(self.params["head.w"], -2, f_last.shape[self._channels])
+        return _affine(self._pool_flatten(f_last), w, self.params["head.b"])
 
     # -- public forwards ----------------------------------------------------
 
@@ -298,10 +314,9 @@ class BlockNet:
         """Two-layer projection head on the pooled last feature map."""
         if not self.with_projection:
             raise ValueError("model was built without a projection head")
-        h = self._pool_flatten(f_last)
-        h = matmul(h, self.params["proj.fc1.w"]) + self.params["proj.fc1.b"]
-        h = relu(h)
-        return matmul(h, self.params["proj.fc2.w"]) + self.params["proj.fc2.b"]
+        h = relu(_affine(self._pool_flatten(f_last), self.params["proj.fc1.w"],
+                         self.params["proj.fc1.b"]))
+        return _affine(h, self.params["proj.fc2.w"], self.params["proj.fc2.b"])
 
 
 # -- analytic cost counting -------------------------------------------------

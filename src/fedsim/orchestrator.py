@@ -9,6 +9,7 @@ trajectory of an uninterrupted one.
 from __future__ import annotations
 
 import bisect
+import contextlib
 import hashlib
 import json
 import os
@@ -389,13 +390,19 @@ def run_round(state: ExperimentState, pool: ProcessPoolExecutor | None = None) -
 
 def _replace_file(path: str, data: str | list[bytes]) -> None:
     """Write data, text or byte chunks one by one, to path.tmp, then rename
-    it over path, so a write that fails leaves the file at path as it was.
-    Every whole file of a run or diagnose directory is written here."""
+    it over path, so a write that fails leaves the file at path as it was
+    and removes path.tmp. Every whole file of a run or diagnose directory is
+    written here."""
     tmp = path + ".tmp"
-    with open(tmp, "wb") as f:
-        for chunk in [data.encode()] if isinstance(data, str) else data:
-            f.write(chunk)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "wb") as f:
+            for chunk in [data.encode()] if isinstance(data, str) else data:
+                f.write(chunk)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 def _append(path: str, text: str, overwrite: int = 0) -> None:

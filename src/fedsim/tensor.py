@@ -28,13 +28,29 @@ output and the gradient take the recorded pattern even where an input has
 since crossed zero (hessian.py freezes the base point's activation pattern
 this way). With no tape active, every op computes what it always has.
 
+Every op BlockNet's forward and backward use also runs on parameters stacked
+along leading "copy" axes: P copies of a (in, out) weight are one (P, in, out)
+tensor, and the activations they make carry the same leading axes, so one
+graph and one gradients() walk serve P parameter points. Each op reads its
+natural axes from the right: matmul multiplies the trailing two axes (a
+shared left operand broadcasts over the weight's copies), normalize finds
+the sample axis from its scale, add_relu broadcasts a shared skip over a
+stacked branch, adaptive_avg_pool2d pools the trailing two axes, conv2d
+runs each copy of a (P, Cout, Cin, k, k) kernel in turn inside one node,
+and softmax_cross_entropy returns one loss per copy. A stacked op's output
+and gradients equal, byte for byte, those of the same op run on each copy
+alone; an unstacked call runs the numpy calls it always has.
+
 The module also carries the optimizer-side helpers that operate on parameter
 dicts: SGD with classic momentum, global gradient-norm clipping, and the one
 flattening pair, params_to_vector and load_vector, through which weights
-leave and enter a parameter dict as a ParamVector.
+leave and enter a parameter dict as a ParamVector. load_vector is also the
+one loader of stacked copies: given (P, n) rows, it binds each parameter to
+its P copies.
 """
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -57,8 +73,10 @@ class MaskTape:
     With masks=None the tape records: mask() appends each mask it is given
     and returns it. Given a list, it replays: mask() returns the next
     recorded mask in place of the one computed, and raises ValueError when
-    the forward asks for more masks than were recorded or for a mask of
-    another shape.
+    the forward asks for more masks than were recorded or for a mask whose
+    trailing shape is not the recorded one. A recorded (B, ...) mask thus
+    replays onto an activation stacked along leading copy axes, where numpy
+    broadcasts it over the copies.
     """
 
     def __init__(self, masks: list[Array] | None = None):
@@ -74,7 +92,7 @@ class MaskTape:
             raise ValueError(f"the forward asks for more than the {len(self.masks)} "
                              f"recorded ReLU masks")
         recorded = self.masks[self.used]
-        if recorded.shape != computed.shape:
+        if recorded.shape != computed.shape[computed.ndim - recorded.ndim:]:
             raise ValueError(f"ReLU mask {self.used} has shape {computed.shape}, "
                              f"recorded {recorded.shape}")
         self.used += 1
@@ -282,13 +300,23 @@ class Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
+    """a @ b over the trailing two axes. The copy axes are b's (a weight's):
+    a is 2-d and shared by every copy, or carries the same leading axes."""
     a, b = Tensor._wrap(a), Tensor._wrap(b)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ValueError("matmul supports 2-d tensors only")
+    if a.ndim == 2 and b.ndim == 2:
+        data = a.data @ b.data
+        return Tensor._op(data, (a, b), lambda g: (
+            g @ b.data.T if a.requires_grad else None,
+            a.data.T @ g if b.requires_grad else None))
+    if a.ndim < 2 or b.ndim < 2 or (a.ndim > 2 and a.shape[:-2] != b.shape[:-2]):
+        raise ValueError(f"matmul needs 2-d operands, or a 2-d or equally stacked "
+                         f"left operand; got {a.shape} and {b.shape}")
     data = a.data @ b.data
     return Tensor._op(data, (a, b), lambda g: (
-        g @ b.data.T if a.requires_grad else None,
-        a.data.T @ g if b.requires_grad else None))
+        _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape)
+        if a.requires_grad else None,
+        _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape)
+        if b.requires_grad else None))
 
 
 def relu(x: Tensor) -> Tensor:
@@ -301,14 +329,16 @@ def relu(x: Tensor) -> Tensor:
 
 
 def add_relu(a: Tensor, b: Tensor) -> Tensor:
-    """relu(a + b) for two tensors of one shape, as one node.
+    """relu(a + b) for two tensors of one shape, as one node; b may also be a
+    shared (B, ...) skip whose shape is a's without a's leading copy axes.
 
     The same bits as the composed relu(a + b): a's and b's gradients are
-    both the masked upstream gradient, and parents (a, b) keep the composed
-    sum's depth-first order.
+    both the masked upstream gradient (b's summed over the copies it was
+    shared by), and parents (a, b) keep the composed sum's depth-first order.
     """
     a, b = Tensor._wrap(a), Tensor._wrap(b)
-    if a.data.shape != b.data.shape:
+    if a.data.shape != b.data.shape and (
+            b.ndim < 2 or a.data.shape[a.ndim - b.ndim:] != b.data.shape):
         raise ValueError(f"add_relu needs one shape, got {a.data.shape} "
                          f"and {b.data.shape}")
     s = a.data + b.data
@@ -318,19 +348,22 @@ def add_relu(a: Tensor, b: Tensor) -> Tensor:
 
     def back(g):
         gs = np.where(mask, g, 0.0)
-        return (gs if a.requires_grad else None, gs if b.requires_grad else None)
+        return (gs if a.requires_grad else None,
+                _unbroadcast(gs, b.data.shape) if b.requires_grad else None)
 
     return Tensor._op(np.where(mask, s, 0.0), (a, b), back)
 
 
 def normalize(x: Tensor, scale: Tensor, shift: Tensor, eps: float,
               relu: bool = False) -> Tensor:
-    """Per-sample normalization of x over every axis but the first, then a
-    per-channel affine; with relu=True, a ReLU on the result.
+    """Per-sample normalization of x over every axis after the sample axis,
+    then a per-channel affine; with relu=True, a ReLU on the result.
 
-    x is (B, C, ...) and scale and shift are (C,). The output is
-    y * scale + shift with d = x - mean(x), y = d / sqrt(mean(d * d) + eps),
-    each mean over axes 1 and up. This one node gives the bits of the
+    x is (B, C, ...) and scale and shift are (C,), or all three carry the
+    same leading copy axes, (P, B, C, ...) and (P, C): the sample axis is
+    scale.ndim - 1. The output is y * scale + shift with d = x - mean(x),
+    y = d / sqrt(mean(d * d) + eps), each mean over the axes after the
+    sample axis. This one node gives the bits of the
     composed graph (x.mean, -, (d * d).mean, + eps, sqrt, /, scale and shift
     reshaped to (1, C, 1, ...), *, +, then relu) by running its numpy steps
     in its order: d's gradient sums the division's contribution, then the
@@ -348,9 +381,11 @@ def normalize(x: Tensor, scale: Tensor, shift: Tensor, eps: float,
     """
     x, scale, shift = Tensor._wrap(x), Tensor._wrap(scale), Tensor._wrap(shift)
     xd = x.data
-    axes = tuple(range(1, xd.ndim))
-    k = xd.shape[1]
-    shape = (1, k) + (1,) * (xd.ndim - 2)
+    pshape = scale.data.shape
+    sample = len(pshape) - 1
+    axes = tuple(range(sample + 1, xd.ndim))
+    k = xd.shape[sample + 1]
+    shape = pshape[:-1] + (1, k) + (1,) * (xd.ndim - sample - 2)
     s1 = xd.sum(axis=axes, keepdims=True)
     inv_n = 1.0 / (xd.size / s1.size)  # as Tensor.mean computes it
     mu = s1 * inv_n
@@ -371,7 +406,7 @@ def normalize(x: Tensor, scale: Tensor, shift: Tensor, eps: float,
     param_axes = tuple(i for i, n in enumerate(shape) if n == 1 and xd.shape[i] != 1)
 
     def to_param(g):
-        return (g.sum(axis=param_axes) if param_axes else g).reshape(k)
+        return (g.sum(axis=param_axes) if param_axes else g).reshape(pshape)
 
     def to_stat(g):
         return g.sum(axis=stat_axes, keepdims=True) if stat_axes else g
@@ -500,9 +535,35 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 1) -> Tensor:
     so the chunking changes no bit. The forward's bits are those of a
     per-offset gather into the same columns; the backward's float sums run
     in BLAS order.
+
+    Stacked copies, w: (P, Cout, Cin, k, k) with x shared or (P, B, Cin, H,
+    W), run copy by copy inside the one node, forward and backward, so each
+    copy's bits are those of its own unstacked call.
     """
     x, w = Tensor._wrap(x), Tensor._wrap(w)
     xd, wd = x.data, w.data
+    if wd.ndim == 4:
+        out, back = _conv2d(xd, wd, stride, padding)
+        return Tensor._op(out, (x, w), lambda g: back(g, x.requires_grad, w.requires_grad))
+    if wd.ndim != 5 or xd.ndim not in (4, 5) or xd.ndim == 5 and len(xd) != len(wd):
+        raise ValueError(f"conv2d needs (B, Cin, H, W) or (P, B, Cin, H, W) inputs "
+                         f"for (P, Cout, Cin, k, k) kernels; got {xd.shape} and {wd.shape}")
+    copies = [_conv2d(xd[c] if xd.ndim == 5 else xd, wd[c], stride, padding)
+              for c in range(len(wd))]
+
+    def back(g):
+        grads = [b(g[c], x.requires_grad, w.requires_grad)
+                 for c, (_, b) in enumerate(copies)]
+        dx = np.stack([dx for dx, _ in grads]) if x.requires_grad else None
+        dw = np.stack([dw for _, dw in grads]) if w.requires_grad else None
+        return (None if dx is None else _unbroadcast(dx, xd.shape), dw)
+
+    return Tensor._op(np.stack([out for out, _ in copies]), (x, w), back)
+
+
+def _conv2d(xd: Array, wd: Array, stride: int, padding: int):
+    """conv2d on one (B, Cin, H, W) input and one (Cout, Cin, k, k) kernel:
+    the output and its backward, back(g, need_dx, need_dw) -> (dx, dw)."""
     B, Cin, H, W = xd.shape
     Cout, Cin2, k, k2 = wd.shape
     if Cin != Cin2 or k != k2:
@@ -519,15 +580,15 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 1) -> Tensor:
     for c in chunks:
         np.matmul(w2, cols(c), out=out[c])
 
-    def back(g):
+    def back(g, need_dx, need_dw):
         g2 = g.reshape(B, Cout, Hout * Wout)
         dw = None
-        if w.requires_grad:
+        if need_dw:
             gw = np.empty((B, Cout, Cin * k * k))
             for c in chunks:
                 np.matmul(g2[c], cols(c).transpose(0, 2, 1), out=gw[c])
             dw = np.add.reduce(gw, 0).reshape(wd.shape)
-        if not x.requires_grad:
+        if not need_dx:
             return (None, dw)
         if stride == 1:
             wf = wd[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(Cin, Cout * k * k)
@@ -544,29 +605,30 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 1) -> Tensor:
                         j:j + stride * Wout:stride] += dcols[:, :, i, j]
         return (_pad(dxp, -padding), dw)
 
-    return Tensor._op(out.reshape(B, Cout, Hout, Wout), (x, w), back)
+    return out.reshape(B, Cout, Hout, Wout), back
 
 
 def adaptive_avg_pool2d(x: Tensor, out_hw: tuple[int, int]) -> Tensor:
-    """Average pooling onto an arbitrary output grid (identity when equal)."""
+    """Average pooling of the trailing two axes onto an arbitrary output grid
+    (identity when equal)."""
     x = Tensor._wrap(x)
-    B, C, H, W = x.data.shape
+    H, W = x.data.shape[-2:]
     oh, ow = out_hw
     if (oh, ow) == (H, W):
         return x
     rb = [(i * H // oh, -(-(i + 1) * H // oh)) for i in range(oh)]
     cb = [(j * W // ow, -(-(j + 1) * W // ow)) for j in range(ow)]
-    data = np.empty((B, C, oh, ow), dtype=np.float64)
+    data = np.empty(x.data.shape[:-2] + (oh, ow), dtype=np.float64)
     for i, (r0, r1) in enumerate(rb):
         for j, (c0, c1) in enumerate(cb):
-            data[:, :, i, j] = x.data[:, :, r0:r1, c0:c1].mean(axis=(2, 3))
+            data[..., i, j] = x.data[..., r0:r1, c0:c1].mean(axis=(-2, -1))
 
     def back(g):
         dx = np.zeros_like(x.data)
         for i, (r0, r1) in enumerate(rb):
             for j, (c0, c1) in enumerate(cb):
-                dx[:, :, r0:r1, c0:c1] += (g[:, :, i, j] /
-                                           ((r1 - r0) * (c1 - c0)))[:, :, None, None]
+                dx[..., r0:r1, c0:c1] += (g[..., i, j] /
+                                          ((r1 - r0) * (c1 - c0)))[..., None, None]
         return (dx,)
 
     return Tensor._op(data, (x,), back)
@@ -575,28 +637,31 @@ def adaptive_avg_pool2d(x: Tensor, out_hw: tuple[int, int]) -> Tensor:
 def softmax_cross_entropy(logits: Tensor, labels: Array) -> Tensor:
     """Mean cross-entropy of integer labels under softmax(logits).
 
-    Fused forward/backward: grad wrt logits is (softmax - onehot) / batch.
+    logits are (batch, classes), or (..., batch, classes) with leading copy
+    axes, which give one loss per copy. Fused forward/backward: grad wrt
+    logits is (softmax - onehot) / batch.
     """
     logits = Tensor._wrap(logits)
     y = np.asarray(labels)
-    if logits.ndim != 2:
+    if logits.ndim < 2:
         raise ValueError("logits must be (batch, classes)")
-    B, K = logits.data.shape
+    B, K = logits.data.shape[-2:]
     if y.shape != (B,):
         raise ValueError("labels must be a (batch,) integer array")
     if y.min() < 0 or y.max() >= K:
         raise ValueError("label out of range")
     z = logits.data
-    m = z.max(axis=1, keepdims=True)
-    lse = m + np.log(np.exp(z - m).sum(axis=1, keepdims=True))
-    loss = float((lse[:, 0] - z[np.arange(B), y]).mean())
+    rows = np.arange(B)
+    m = z.max(axis=-1, keepdims=True)
+    lse = m + np.log(np.exp(z - m).sum(axis=-1, keepdims=True))
+    loss = (lse[..., 0] - z[..., rows, y]).mean(axis=-1)
 
     def back(g):
         p = np.exp(z - lse)
-        p[np.arange(B), y] -= 1.0
-        return (p * (g / B),)
+        p[..., rows, y] -= 1.0
+        return (p * (g / B)[..., None, None],)
 
-    return Tensor._op(np.float64(loss), (logits,), back)
+    return Tensor._op(loss, (logits,), back)
 
 
 def mse(a: Tensor, b: Tensor) -> Tensor:
@@ -746,19 +811,25 @@ def params_to_vector(params: dict[str, Tensor]) -> ParamVector:
 def load_vector(params: dict[str, Tensor], vec: ParamVector) -> None:
     """Write a flat vector back into a parameter dict, one fresh copy each.
 
+    vec.data is one (n,) vector, or (P, n) rows: P stacked copies, which bind
+    each parameter to a (P,) + shape array whose copy p is row p's values.
     ValueError, with `params` untouched, unless vec's layout is the one
-    params_to_vector gives for `params` and vec.data holds exactly that.
+    params_to_vector gives for `params` (for a parameter now holding stacked
+    copies, for its trailing shape) and vec.data holds exactly that.
     """
     if [name for name, _, _ in vec.layout] != sorted(params):
         raise ValueError("parameter names do not match the layout")
     offset = 0
+    sizes = []
     for name, shape, start in vec.layout:
-        if params[name].data.shape != shape or start != offset:
+        have = params[name].data.shape
+        if have != shape and have[len(have) - len(shape):] != shape or start != offset:
             raise ValueError(f"parameter layout mismatch at {name!r}")
-        offset += params[name].data.size
-    if vec.data.shape != (offset,):
+        sizes.append(math.prod(shape))
+        offset += sizes[-1]
+    if vec.data.ndim not in (1, 2) or vec.data.shape[-1] != offset:
         raise ValueError(f"vector of shape {vec.data.shape} does not hold "
                          f"{offset} parameters")
-    for name, shape, start in vec.layout:
-        size = params[name].data.size
-        params[name].data = vec.data[start:start + size].reshape(shape).copy()
+    copies = vec.data.shape[:-1]
+    for (name, shape, start), size in zip(vec.layout, sizes):
+        params[name].data = vec.data[..., start:start + size].reshape(copies + shape).copy()

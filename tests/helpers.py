@@ -38,10 +38,15 @@ class TanhMLP:
             self.params[f"b{i}"] = Tensor(b, requires_grad=requires_grad)
 
     def forward(self, x):
+        """Logits (B, out), or (P, B, out) for parameters stacked along a
+        leading copy axis, whose (P, out) biases meet the batch as (P, 1, out)."""
         h = x if isinstance(x, Tensor) else Tensor(x)
         n = len(self.dims) - 1
         for i in range(n):
-            h = matmul(h, self.params[f"w{i}"]) + self.params[f"b{i}"]
+            b = self.params[f"b{i}"]
+            if b.ndim > 1:
+                b = b.reshape(b.shape[:-1] + (1, b.shape[-1]))
+            h = matmul(h, self.params[f"w{i}"]) + b
             if i < n - 1:
                 h = tanh(h)
         return h
@@ -65,9 +70,12 @@ class QuadraticModel:
         self.params = {"theta": Tensor(np.zeros(len(b)), requires_grad=True)}
 
     def loss(self, model, x, y):
-        th = self.params["theta"].reshape(1, -1)
-        quad = (matmul(matmul(th, Tensor(self.a)), th.reshape(-1, 1))).sum()
-        lin = (self.params["theta"] * Tensor(self.b)).sum()
+        """One loss, or one per copy of a theta stacked along leading axes."""
+        th = self.params["theta"]
+        copies = th.shape[:-1]
+        row, col = th.reshape(copies + (1, -1)), th.reshape(copies + (-1, 1))
+        quad = matmul(row, matmul(Tensor(self.a), col)).sum(axis=(-2, -1))
+        lin = (th * Tensor(self.b)).sum(axis=-1)
         return 0.5 * quad + lin
 
 

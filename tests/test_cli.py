@@ -268,15 +268,18 @@ def test_diagnose_all_clients(finished_run, tmp_path, capsys):
 def test_diagnose_does_each_curvature_solve_once(finished_run, tmp_path,
                                                 monkeypatch, capsys):
     cfg, ckpt, _ = finished_run
-    counts = {"solves": 0, "hvps": 0, "hvps_in_solves": 0, "gradients": 0}
+    counts = {"solves": 0, "hvp_calls": 0, "hvps": 0, "hvps_in_solves": 0,
+              "gradients": 0}
     real_hvp, real_solve, real_gradients = (hessian.hvp, hessian.top_eigenpairs,
                                             hessian.gradients)
     solving = []
 
-    def counting_hvp(*args, **kwargs):
-        counts["hvps"] += 1
-        counts["hvps_in_solves"] += bool(solving)
-        return real_hvp(*args, **kwargs)
+    def counting_hvp(lin, v):
+        products = 1 if np.ndim(v) == 1 else len(v)  # a block's rows are products
+        counts["hvp_calls"] += 1
+        counts["hvps"] += products
+        counts["hvps_in_solves"] += products * bool(solving)
+        return real_hvp(lin, v)
 
     def counting_gradients(*args, **kwargs):
         counts["gradients"] += 1
@@ -302,8 +305,10 @@ def test_diagnose_does_each_curvature_solve_once(finished_run, tmp_path,
     assert counts["solves"] == reports
     # one probe pass per report gives both the diagonal and the trace
     assert counts["hvps"] - counts["hvps_in_solves"] == reports * 8
-    # one gradient per product, plus the one linearization each report shares
-    assert counts["gradients"] == counts["hvps"] + reports
+    # one gradient per hvp call, a stacked block of products or a single
+    # one, plus the one linearization each report shares
+    assert counts["gradients"] == counts["hvp_calls"] + reports
+    assert counts["hvp_calls"] < counts["hvps"]  # the probes went in blocks
 
 
 def test_diagnose_outputs_agree_with_direct_calls(finished_run, tmp_path, capsys):

@@ -1,4 +1,7 @@
 """Curvature probes against models whose Hessian is known exactly."""
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -140,6 +143,140 @@ def test_dense_hessian_is_symmetric_next_to_a_relu_kink():
     assert asymmetry(np.stack([_unfrozen_central_hvp(net, ce_loss_fn, (x, y), e)
                                for e in np.eye(lin.theta.size)], axis=1)) > 0.1
     assert params_to_vector(net.params).data.tobytes() == lin.theta.data.tobytes()
+
+
+# -- stacked evaluation ---------------------------------------------------------------
+
+
+def _assert_restored(net, theta):
+    """net's parameters are theta's, unstacked, bit for bit."""
+    assert [net.params[name].data.shape for name, _, _ in theta.layout] == [
+        shape for _, shape, _ in theta.layout]
+    assert params_to_vector(net.params).data.tobytes() == theta.data.tobytes()
+
+
+def _small_net(conv):
+    """A BlockNet whose block 0 keeps its width (an identity skip of the
+    shared input) and whose block 1 widens (a projected skip; stride 2 and
+    pooling on conv), with a batch of 5 samples."""
+    shape, widths = ((2, 6, 6), (2, 4)) if conv else ((6,), (6, 4))
+    net = BlockNet(BlockNetSpec(input_shape=shape, num_classes=4, widths=widths),
+                   rng=np.random.default_rng(14))
+    rng = np.random.default_rng(15)
+    return net, (rng.normal(size=(5,) + shape), rng.integers(0, 4, size=5))
+
+
+@pytest.mark.parametrize("conv", [False, True])
+def test_a_stacked_hvp_is_its_rows(conv):
+    net, batch = _small_net(conv)
+    lin = linearize(net, ce_loss_fn, batch)
+    block = np.random.default_rng(16).normal(size=(4, lin.theta.size))
+    block[1] = 0.0
+    got = hvp(lin, block)
+    _assert_restored(net, lin.theta)
+    assert not got[1].any()
+    for v, hv in zip(block, got):
+        assert hv.tobytes() == hvp(lin, v).tobytes()
+    # a block with one direction left goes unstacked, with the same bits
+    assert hvp(lin, block[:2]).tobytes() == np.stack([hvp(lin, block[0]), got[1]]).tobytes()
+
+
+def _reference_diagonal(lin, num_probes, seed):
+    """hessian_diagonal one probe at a time: each Rademacher probe drawn as
+    one rng call, its single hvp folded into Welford sums."""
+    rng = np.random.default_rng([seed, 0xD1A6])
+    n = lin.theta.size
+    mean, m2, totals = np.zeros(n), np.zeros(n), np.empty(num_probes)
+    for i in range(num_probes):
+        v = rng.integers(0, 2, size=n) * 2.0 - 1.0
+        sample = v * hvp(lin, v)
+        totals[i] = sample.sum()
+        delta = sample - mean
+        mean += delta / (i + 1)
+        m2 += delta * (sample - mean)
+    return mean, np.sqrt(m2 / (num_probes - 1)) / np.sqrt(num_probes), totals
+
+
+@pytest.mark.parametrize("conv", [False, True])
+@pytest.mark.parametrize("stack", [1, 3, 16])
+def test_hessian_diagonal_in_stacks_is_the_per_probe_pass(conv, stack):
+    net, batch = _small_net(conv)
+    lin = dataclasses.replace(linearize(net, ce_loss_fn, batch), stack=stack)
+    got = hessian_diagonal(net, ce_loss_fn, batch, num_probes=10, seed=3, lin=lin)
+    want = _reference_diagonal(lin, 10, 3)
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+
+def _reference_landscape(model, loss_fn, batch, dir1, dir2, grid, radius):
+    """landscape_slice's losses one unstacked point at a time, from its
+    orthonormalized directions."""
+    theta = params_to_vector(model.params)
+    d1 = dir1 / np.linalg.norm(dir1)
+    d2 = dir2 - (d1 @ dir2) * d1
+    d2 = d2 / np.linalg.norm(d2)
+    axis = np.linspace(-radius, radius, grid)
+    losses = np.empty((grid, grid))
+    for i, a in enumerate(axis):
+        for j, b in enumerate(axis):
+            load_vector(model.params, ParamVector(theta.data + a * d1 + b * d2, theta.layout))
+            losses[i, j] = loss_fn(model, batch[0], batch[1]).item()
+    load_vector(model.params, theta)
+    return losses
+
+
+@pytest.mark.parametrize("conv", [False, True])
+@pytest.mark.parametrize("stack", [1, 4, 25])
+def test_landscape_in_stacks_is_the_per_point_slice(conv, stack, monkeypatch):
+    net, batch = _small_net(conv)
+    theta = params_to_vector(net.params)
+    d1, d2 = np.random.default_rng(17).normal(size=(2, theta.size))
+    want = _reference_landscape(net, ce_loss_fn, batch, d1, d2, grid=5, radius=0.3)
+    monkeypatch.setattr(hessian, "_stack_size", lambda n, loss, backward: stack)
+    _, _, got = landscape_slice(net, ce_loss_fn, batch, d1, d2, grid=5, radius=0.3)
+    assert got.tobytes() == want.tobytes()
+    _assert_restored(net, theta)
+    assert all(p.requires_grad for p in net.params.values())
+
+
+def test_landscape_restores_the_model_when_a_stack_fails():
+    net, batch = _small_net(False)
+    theta = params_to_vector(net.params)
+    d1, d2 = np.random.default_rng(17).normal(size=(2, theta.size))
+
+    def unstacked_only(model, x, y):
+        if model.params["head.b"].ndim > 1:
+            raise RuntimeError("no stacks here")
+        return ce_loss_fn(model, x, y)
+
+    with pytest.raises(RuntimeError, match="no stacks"):
+        landscape_slice(net, unstacked_only, batch, d1, d2, grid=3)
+    _assert_restored(net, theta)
+    assert all(p.requires_grad for p in net.params.values())
+
+
+def _traced_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("samples", [8, 256])
+def test_probe_stacks_keep_to_the_byte_budget(samples):
+    """On criterion 9's model, hessian_diagonal's traced peak is at most
+    STACK_BYTES above that of one unstacked product."""
+    net = BlockNet(BlockNetSpec(input_shape=(16,), num_classes=8, widths=(16, 16)),
+                   rng=np.random.default_rng(18))
+    rng = np.random.default_rng(19)
+    batch = (rng.normal(size=(samples, 16)), rng.integers(0, 8, size=samples))
+    lin = linearize(net, ce_loss_fn, batch)
+    assert lin.stack > 1 or samples == 256  # small batches do stack
+    one = _traced_peak(lambda: hvp(lin, rng.normal(size=lin.theta.size)))
+    stacked = _traced_peak(lambda: hessian_diagonal(net, ce_loss_fn, batch,
+                                                    num_probes=2 * lin.stack, lin=lin))
+    assert stacked <= hessian.STACK_BYTES + one
 
 
 # -- leading eigenvalues --------------------------------------------------------------

@@ -177,8 +177,9 @@ def test_slices_only_narrowed_axes(monkeypatch):
         net.forward_subnetwork(x, 0.5)
         assert calls and all(stop < t.shape[axis] for t, axis, stop in calls)
         # block 0 reads the whole input, so its input-side layers slice their
-        # output axis only: (in, out) for dense, (out, in, k, k) for conv
-        out_axis = 0 if net.spec.is_conv else 1
+        # output axis only, counted from the right: (..., in, out) for dense,
+        # (..., out, in, k, k) for conv
+        out_axis = -4 if net.spec.is_conv else -1
         for name in (f"block0.{first}.w", "block0.skip.w"):
             w = net.params[name]
             assert [axis for t, axis, _ in calls if t is w] == [out_axis]

@@ -545,6 +545,18 @@ def _fill_disk(monkeypatch, name: str = "") -> None:
     monkeypatch.setattr(orchestrator, "open", full_disk_open, raising=False)
 
 
+def test_a_failed_replace_leaves_the_file_and_no_temporary(tmp_path, monkeypatch):
+    path = str(tmp_path / "metrics.json")
+    orchestrator._replace_file(path, "[\n]")
+    before = open(path, "rb").read()
+    _fill_disk(monkeypatch)
+    with pytest.raises(OSError) as failure:  # the first write stores half, then fails
+        orchestrator._replace_file(path, ["a longer body".encode(), b" in two chunks"])
+    assert failure.value.errno == errno.ENOSPC
+    assert sorted(os.listdir(tmp_path)) == ["metrics.json"]
+    assert open(path, "rb").read() == before
+
+
 def test_a_failed_metrics_rewrite_leaves_the_files_as_they_were(tmp_path, monkeypatch):
     out = str(tmp_path)
     rows = [RoundMetrics(r, 0.5, 1.0, 32.0 * (r + 1), 10.0, [0]) for r in range(3)]

@@ -681,6 +681,100 @@ def test_sgd_step_shape_mismatch():
         sgd_step(p, {"w": np.zeros(3)}, {}, 0.01, 0.9)
 
 
+# -- stacked copies ---------------------------------------------------------------------
+
+_COPIES = 3
+
+
+def _assert_stack_is_its_copies(op, *inputs):
+    """op on its inputs, each (array, stacked): stacked along a leading axis
+    of _COPIES copies or shared by every copy, equals op on each copy alone,
+    byte for byte: the output, each stacked input's gradient copy by copy,
+    and each shared input's gradient as the copies' gradients summed in
+    copy order."""
+    upstream = np.random.default_rng(40)
+    leaves = {i: Tensor(a, requires_grad=True) for i, (a, _) in enumerate(inputs)}
+    out = op(*leaves.values())
+    g_out = upstream.normal(size=out.shape)
+    grads = gradients((out * Tensor(g_out)).sum(), leaves)
+    shared = {}
+    for c in range(_COPIES):
+        mine = {i: Tensor(a[c] if stacked else a, requires_grad=True)
+                for i, (a, stacked) in enumerate(inputs)}
+        one = op(*mine.values())
+        assert one.data.tobytes() == out.data[c].tobytes(), c
+        got = gradients((one * Tensor(g_out[c])).sum(), mine)
+        for i, (_, stacked) in enumerate(inputs):
+            if stacked:
+                assert got[i].tobytes() == grads[i][c].tobytes(), (c, i)
+            else:
+                shared[i] = got[i] if c == 0 else shared[i] + got[i]
+    for i, g in shared.items():
+        assert g.tobytes() == grads[i].tobytes(), i
+
+
+def _stacked_cases():
+    """name -> (op, its inputs as (shape, stacked)) for every stacked op."""
+    p = _COPIES
+    y = np.array([0, 3, 1, 3, 2])
+    cases = {
+        "matmul-shared-input": (matmul, [((4, 5), False), ((p, 5, 6), True)]),
+        "matmul-stacked-input": (matmul, [((p, 4, 5), True), ((p, 5, 6), True)]),
+        "add_relu-shared-skip": (add_relu, [((p, 4, 6), True), ((4, 6), False)]),
+        "softmax_ce": (lambda z: softmax_cross_entropy(z, y), [((p, 5, 4), True)]),
+    }
+    for relu_after in (False, True):
+        for kind, x in (("dense", (p, 4, 6)), ("conv", (p, 4, 3, 5, 5))):
+            cases[f"normalize-{kind}-relu={relu_after}"] = (
+                lambda x, s, t, r=relu_after: normalize(x, s, t, 1e-5, relu=r),
+                [(x, True), ((p, x[2]), True), ((p, x[2]), True)])
+    for side in (1, 2):
+        cases[f"pool-to-{side}x{side}"] = (
+            lambda x, s=side: adaptive_avg_pool2d(x, (s, s)), [((p, 2, 3, 5, 5), True)])
+    for stride in (1, 2):
+        for stacked in (False, True):
+            x = (p, 2, 3, 6, 6) if stacked else (2, 3, 6, 6)
+            cases[f"conv2d-stride-{stride}-{'stacked' if stacked else 'shared'}-input"] = (
+                lambda x, w, s=stride: conv2d(x, w, s, 1), [(x, stacked), ((p, 4, 3, 3, 3), True)])
+    return cases
+
+
+_STACKED_CASES = _stacked_cases()
+
+
+@pytest.mark.parametrize("name", sorted(_STACKED_CASES))
+def test_a_stacked_op_is_its_copies(name):
+    op, inputs = _STACKED_CASES[name]
+    rng = np.random.default_rng(41)
+    _assert_stack_is_its_copies(op, *[(rng.normal(size=shape), stacked)
+                                      for shape, stacked in inputs])
+
+
+def test_stacked_replays_and_loads_refuse_another_trailing_shape():
+    x = np.random.default_rng(42).normal(size=(4, 3))
+    with mask_tape() as tape:
+        relu(Tensor(x))
+    with mask_tape(tape.masks):  # the recorded (4, 3) mask, onto two copies
+        out = relu(Tensor(np.stack([-x, x])))
+    assert np.array_equal(out.data, np.where(x > 0, np.stack([-x, x]), 0.0))
+    for shape in ((2, 3, 4), (2, 4, 2)):
+        with pytest.raises(ValueError, match="shape"):
+            with mask_tape(tape.masks):
+                relu(Tensor(np.ones(shape)))
+
+    params = {"w": Tensor(np.zeros((2, 3)))}
+    vec = params_to_vector(params)
+    load_vector(params, ParamVector(np.arange(12.0).reshape(2, 6), vec.layout))
+    assert np.array_equal(params["w"].data, np.arange(12.0).reshape(2, 2, 3))
+    load_vector(params, vec)  # back to one copy
+    assert params["w"].data.shape == (2, 3)
+    for data in (np.zeros((2, 5)), np.zeros((2, 2, 6))):  # a row too short; two copy axes
+        with pytest.raises(ValueError):
+            load_vector(params, ParamVector(data, vec.layout))
+    with pytest.raises(ValueError):  # copies of a (3, 2) parameter
+        load_vector({"w": Tensor(np.zeros((2, 3, 2)))}, vec)
+
+
 # -- parameter vector bijection ---------------------------------------------------------
 
 
