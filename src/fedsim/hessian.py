@@ -128,21 +128,16 @@ def hvp(lin: Linearization, v: np.ndarray) -> np.ndarray:
     v = np.asarray(v, dtype=np.float64)
     if v.ndim > 2 or v.shape[-1:] != theta.data.shape:
         raise ValueError("direction length does not match parameter count")
-    if v.ndim == 1:
-        norm = math.sqrt(v @ v)  # numpy's 1-D norm, bit for bit
-        if norm == 0.0:
-            return np.zeros_like(v)
-        g = _moved_grad(lin, theta.data + DEFAULT_FD_STEP * (v / norm))
-        return (g - lin.grad) * (norm / DEFAULT_FD_STEP)
-    norms = np.array([math.sqrt(r @ r) for r in v])[:, None]
+    block = np.atleast_2d(v)
+    norms = np.array([math.sqrt(r @ r) for r in block])[:, None]  # numpy's 1-D norm
     live = norms[:, 0] != 0.0
-    out = np.zeros_like(v)
+    out = np.zeros_like(block)
     if live.any():
-        step = DEFAULT_FD_STEP * (v[live] / norms[live])
+        step = DEFAULT_FD_STEP * (block[live] / norms[live])
         # a single live row goes unstacked
         g = _moved_grad(lin, theta.data + (step if len(step) > 1 else step[0]))
         out[live] = (g - lin.grad) * (norms[live] / DEFAULT_FD_STEP)
-    return out
+    return out if v.ndim == 2 else out[0]
 
 
 def _linearization(model, loss_fn, batch, lin: Linearization | None) -> Linearization:
@@ -399,7 +394,10 @@ def landscape_slice(model, loss_fn, batch, dir1: np.ndarray, dir2: np.ndarray,
             rows = np.array([theta.data + a * d1 + b * d2
                              for a, b in points[start:start + stack]])
             load_vector(model.params, ParamVector(rows, theta.layout))
-            losses[start:start + len(rows)] = loss_fn(model, batch[0], batch[1]).data
+            out = loss_fn(model, batch[0], batch[1]).data
+            if out.shape != (len(rows),):
+                raise ValueError("the loss must return one value per parameter copy")
+            losses[start:start + len(rows)] = out
     finally:
         for p, flag in zip(params, requires_grad):
             p.requires_grad = flag

@@ -814,19 +814,26 @@ def load_vector(params: dict[str, Tensor], vec: ParamVector) -> None:
     vec.data is one (n,) vector, or (P, n) rows: P stacked copies, which bind
     each parameter to a (P,) + shape array whose copy p is row p's values.
     ValueError, with `params` untouched, unless vec's layout is the one
-    params_to_vector gives for `params` (for a parameter now holding stacked
-    copies, for its trailing shape) and vec.data holds exactly that.
+    params_to_vector gives for `params` and vec.data holds exactly that; when
+    every parameter holds the same number of stacked copies (one copy axis, as
+    a stacked load leaves it), the layout is matched against their trailing
+    shapes.
     """
     if [name for name, _, _ in vec.layout] != sorted(params):
         raise ValueError("parameter names do not match the layout")
     offset = 0
     sizes = []
+    held = set()
     for name, shape, start in vec.layout:
         have = params[name].data.shape
-        if have != shape and have[len(have) - len(shape):] != shape or start != offset:
+        lead = len(have) - len(shape)
+        if lead not in (0, 1) or have[lead:] != shape or start != offset:
             raise ValueError(f"parameter layout mismatch at {name!r}")
+        held.add(have[:lead])
         sizes.append(math.prod(shape))
         offset += sizes[-1]
+    if len(held) > 1:
+        raise ValueError("parameters hold different numbers of stacked copies")
     if vec.data.ndim not in (1, 2) or vec.data.shape[-1] != offset:
         raise ValueError(f"vector of shape {vec.data.shape} does not hold "
                          f"{offset} parameters")

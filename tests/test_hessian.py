@@ -175,7 +175,8 @@ def test_a_stacked_hvp_is_its_rows(conv):
     got = hvp(lin, block)
     _assert_restored(net, lin.theta)
     assert not got[1].any()
-    for v, hv in zip(block, got):
+    for v, hv in zip(block[[0, 2, 3]], got[[0, 2, 3]]):
+        assert hv.tobytes() == _reference_hvp(net, ce_loss_fn, batch, v).tobytes()
         assert hv.tobytes() == hvp(lin, v).tobytes()
     # a block with one direction left goes unstacked, with the same bits
     assert hvp(lin, block[:2]).tobytes() == np.stack([hvp(lin, block[0]), got[1]]).tobytes()
@@ -252,6 +253,23 @@ def test_landscape_restores_the_model_when_a_stack_fails():
         landscape_slice(net, unstacked_only, batch, d1, d2, grid=3)
     _assert_restored(net, theta)
     assert all(p.requires_grad for p in net.params.values())
+
+
+def test_landscape_refuses_a_loss_reduced_over_the_copies():
+    net, batch = _small_net(False)
+    theta = params_to_vector(net.params)
+    d1, d2 = np.random.default_rng(17).normal(size=(2, theta.size))
+
+    def mean_loss(model, x, y):  # one value for the whole stack
+        return ce_loss_fn(model, x, y).mean()
+
+    for stack in (1, 4):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(hessian, "_stack_size", lambda n, loss, backward: stack)
+            with pytest.raises(ValueError, match="one value per parameter copy"):
+                landscape_slice(net, mean_loss, batch, d1, d2, grid=3)
+        _assert_restored(net, theta)
+        assert all(p.requires_grad for p in net.params.values())
 
 
 def _traced_peak(fn) -> int:

@@ -774,6 +774,17 @@ def test_stacked_replays_and_loads_refuse_another_trailing_shape():
     with pytest.raises(ValueError):  # copies of a (3, 2) parameter
         load_vector({"w": Tensor(np.zeros((2, 3, 2)))}, vec)
 
+    both = {"b": Tensor(np.zeros(3)), "w": Tensor(np.zeros((2, 3)))}
+    vec = params_to_vector(both)
+    for b, w in (((5, 3), (2, 3)),  # extra axes on one parameter, not a stacked load
+                 ((5, 3), (4, 2, 3)),  # unequal copy counts
+                 ((4, 5, 3), (4, 5, 2, 3))):  # two copy axes
+        with pytest.raises(ValueError):
+            load_vector({"b": Tensor(np.zeros(b)), "w": Tensor(np.zeros(w))}, vec)
+    load_vector(both, ParamVector(np.zeros((4, 9)), vec.layout))  # one copy axis each
+    load_vector(both, vec)
+    assert both["w"].data.shape == (2, 3)
+
 
 # -- parameter vector bijection ---------------------------------------------------------
 
