@@ -30,9 +30,10 @@ its grid points in stacks. A loss must therefore broadcast over leading
 copies of every parameter and return one value per copy (ce_loss_fn on a
 BlockNet does); each copy's value and gradient are then the bits of the
 unstacked call at that copy's point, so stacking changes no output bit.
-A stack holds as many copies as fit in STACK_BYTES, each priced at
-COPY_ARRAYS parameter-sized arrays plus the values of one unstacked forward
-graph of the loss, so memory stays bounded whatever the probe count.
+A stack holds as many copies as fit in tensor.STACK_BYTES, each priced by
+tensor.stack_size at COPY_ARRAYS parameter-sized arrays plus the values of
+one unstacked forward graph of the loss, so memory stays bounded whatever
+the probe count.
 """
 from __future__ import annotations
 
@@ -41,15 +42,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tensor import (ParamVector, Tensor, gradients, load_vector, mask_tape,
-                     params_to_vector, softmax_cross_entropy)
+from .tensor import (ParamVector, Tensor, gradient_rows, gradients, load_vector,
+                     mask_tape, params_to_vector, softmax_cross_entropy, stack_size)
 
 DEFAULT_FD_STEP = 1e-6
-# the byte budget of one stack of parameter copies, and the parameter-sized
-# float64 arrays a copy holds besides its graph (its direction, the stepped
-# point, its parameters and gradient, their difference and the product)
-STACK_BYTES = 1 << 20
-COPY_ARRAYS = 8
 
 
 @dataclass(frozen=True)
@@ -62,7 +58,7 @@ class Linearization:
     theta: ParamVector
     masks: list[np.ndarray]  # the forward's ReLU masks at theta, in order
     grad: np.ndarray  # the gradient at theta, in theta's layout order
-    stack: int  # the directions one hvp block holds within STACK_BYTES
+    stack: int  # the directions one hvp block holds (tensor.stack_size)
 
 
 def _grad(model, loss_fn, batch, layout, masks=None) -> tuple[np.ndarray, list, Tensor]:
@@ -73,22 +69,7 @@ def _grad(model, loss_fn, batch, layout, masks=None) -> tuple[np.ndarray, list, 
         loss = loss_fn(model, batch[0], batch[1])
     copies = loss.shape
     gmap = gradients(loss.sum() if copies else loss, model.params)
-    return np.concatenate([gmap[name].reshape(copies + (-1,)) for name, _, _ in layout],
-                          axis=-1), tape.masks, loss
-
-
-def _stack_size(n: int, loss: Tensor, backward: bool) -> int:
-    """Copies per stack: STACK_BYTES over a copy's price, COPY_ARRAYS float64
-    arrays of n values plus the values in the graph of loss, an unstacked
-    forward, counted twice when a backward holds a gradient of each."""
-    graph, seen, todo = 0, set(), [loss]
-    while todo:
-        node = todo.pop()
-        if id(node) not in seen:
-            seen.add(id(node))
-            graph += node.data.nbytes
-            todo.extend(node._parents)
-    return max(1, STACK_BYTES // (8 * COPY_ARRAYS * n + (1 + backward) * graph))
+    return gradient_rows(gmap, layout, copies), tape.masks, loss
 
 
 def linearize(model, loss_fn, batch) -> Linearization:
@@ -96,7 +77,7 @@ def linearize(model, loss_fn, batch) -> Linearization:
     theta = params_to_vector(model.params)
     grad, masks, loss = _grad(model, loss_fn, batch, theta.layout)
     return Linearization(model, loss_fn, batch, theta, masks, grad,
-                         _stack_size(theta.size, loss, backward=True))
+                         stack_size(theta.size, loss, backward=True))
 
 
 def _moved_grad(lin: Linearization, point: np.ndarray) -> np.ndarray:
@@ -384,7 +365,7 @@ def landscape_slice(model, loss_fn, batch, dir1: np.ndarray, dir2: np.ndarray,
     betas = np.linspace(-radius, radius, grid)
     points = [(a, b) for a in alphas for b in betas]
     losses = np.empty(len(points))
-    stack = _stack_size(theta.size, loss_fn(model, batch[0], batch[1]), backward=False)
+    stack = stack_size(theta.size, loss_fn(model, batch[0], batch[1]), backward=False)
     params = list(model.params.values())
     requires_grad = [p.requires_grad for p in params]
     try:

@@ -16,9 +16,11 @@ Every axis is read from the right: channels are axis -1 of a dense
 activation and -3 of a conv one, a dense weight is (..., in, out), a kernel
 (..., out, in, k, k) and a bias (..., K). So a forward also runs on
 parameters stacked along leading copy axes (tensor.py): with every parameter
-(P,) + its shape, a (B, ...) input gives (P, B, K) logits, copy p's the bits
-of the unstacked forward at copy p's parameters. hessian.py evaluates its
-independent parameter points this way.
+(P,) + its shape, a (B, ...) input shared by the copies, or a (P, B, ...)
+input with one batch per copy, gives (P, B, K) logits, copy p's the bits of
+the unstacked forward at copy p's parameters on copy p's batch. hessian.py
+evaluates its independent parameter points this way, and methods.py trains
+a group of clients.
 
 Also here: stochastic-depth forwarding with linearly decaying keep
 probabilities, an optional two-layer projection head for contrastive
@@ -245,9 +247,10 @@ class BlockNet:
         multiplier node.
         """
         h = x if isinstance(x, Tensor) else Tensor(x)
-        if h.shape[1:] != self.spec.input_shape:
-            raise ValueError(f"input shape {h.shape[1:]} does not match spec "
-                             f"{self.spec.input_shape}")
+        lead = h.ndim - len(self.spec.input_shape)  # the batch axis, after any copy axis
+        if lead not in (1, 2) or h.shape[lead:] != self.spec.input_shape:
+            raise ValueError(f"input of shape {h.shape} is not (B, ...) or (P, B, ...) "
+                             f"samples of spec shape {self.spec.input_shape}")
         feats = []
         for i, k in enumerate(ks):
             h = self._block(h, i, k, None if drops is None else drops[i])
@@ -284,26 +287,36 @@ class BlockNet:
         i = self.spec.num_blocks - 1
         return self._block(f_prev, i, slim_width(self.spec.widths[i], omega_s))
 
-    def stochdepth_forward(self, x, final_keep: float,
-                           rng: np.random.Generator | None = None,
+    def stochdepth_forward(self, x, final_keep: float, rng=None,
                            training: bool = True) -> tuple[Tensor, np.ndarray]:
         """Forward with per-block residual dropping.
 
-        Training samples one Bernoulli(keep_probability) mask entry per block;
-        evaluation scales each residual branch by its keep probability.
-        Returns (logits, mask) where eval mode reports the probabilities.
+        Training samples one Bernoulli(keep_probability) mask entry per block
+        from rng; evaluation scales each residual branch by its keep
+        probability. Returns (logits, mask) where eval mode reports the
+        probabilities. For parameters stacked along a copy axis, rng may be
+        a sequence of one generator per copy: mask is then (P, L), and each
+        copy's branch multiplier meets the activations as a (P, 1, ...)
+        array.
         """
         if not 0.0 < final_keep <= 1.0:
             raise ValueError("final keep probability must be in (0, 1]")
         L = self.spec.num_blocks
         probs = np.array([keep_probability(i, L, final_keep) for i in range(L)])
-        if training:
-            if rng is None:
-                raise ValueError("training mode needs an rng for the mask")
+        if not training:
+            mask = probs
+        elif rng is None:
+            raise ValueError("training mode needs an rng for the mask")
+        elif isinstance(rng, np.random.Generator):
             mask = (rng.random(L) < probs).astype(np.float64)
         else:
-            mask = probs
-        feats = self._walk(x, self.spec.widths, [float(m) for m in mask])
+            mask = np.array([(r.random(L) < probs).astype(np.float64) for r in rng])
+        if mask.ndim == 1:
+            drops = [float(m) for m in mask]
+        else:  # (P, 1, ...) against the (P, B, ...) activations
+            shape = (len(mask),) + (1,) * (1 + len(self.spec.input_shape))
+            drops = [mask[:, i].reshape(shape) for i in range(L)]
+        feats = self._walk(x, self.spec.widths, drops)
         return self._head(feats[-1]), mask
 
     def embed(self, x) -> Tensor:

@@ -318,18 +318,6 @@ def _derive_seed(parts) -> int:
     return int(np.random.SeedSequence(list(parts)).generate_state(1)[0])
 
 
-# -- client execution (top level so a process pool can pickle it) --------------
-
-
-def _run_client(task: ClientTask) -> tuple[int, ParamVector, list[dict]]:
-    try:
-        vec, stats = client_update(task)
-    except Exception as e:
-        raise RuntimeError(f"client {task.client_id} failed in round "
-                           f"{task.round_idx}: {e}") from e
-    return task.client_id, vec, stats
-
-
 def run_round(state: ExperimentState, pool: ProcessPoolExecutor | None = None) -> RoundMetrics:
     """One communication round; updates state in place and returns metrics."""
     config = state.config
@@ -355,10 +343,14 @@ def run_round(state: ExperimentState, pool: ProcessPoolExecutor | None = None) -
             learning_rate=config.learning_rate, momentum=config.momentum,
             clip_norm=config.clip_norm))
     if pool is not None:
-        results = list(pool.map(_run_client, tasks))
+        # each worker trains one contiguous chunk of the tasks in lockstep
+        k = min(config.workers, len(tasks))
+        chunks = [tasks[i * len(tasks) // k:(i + 1) * len(tasks) // k] for i in range(k)]
+        trained = [out for chunk in pool.map(client_update, chunks) for out in chunk]
     else:
-        results = [_run_client(t) for t in tasks]
-    results.sort(key=lambda t: t[0])  # aggregation order is ascending client id
+        trained = client_update(tasks)
+    # aggregation order is ascending client id, the order sample_clients gives
+    results = [(t.client_id, vec, stats) for t, (vec, stats) in zip(tasks, trained)]
 
     counts = [len(state.partition.assignments[cid]) for cid, _, _ in results]
     state.global_vector = aggregate([vec for _, vec, _ in results], counts)

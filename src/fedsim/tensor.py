@@ -37,16 +37,22 @@ shared left operand broadcasts over the weight's copies), normalize finds
 the sample axis from its scale, add_relu broadcasts a shared skip over a
 stacked branch, adaptive_avg_pool2d pools the trailing two axes, conv2d
 runs each copy of a (P, Cout, Cin, k, k) kernel in turn inside one node,
-and softmax_cross_entropy returns one loss per copy. A stacked op's output
-and gradients equal, byte for byte, those of the same op run on each copy
-alone; an unstacked call runs the numpy calls it always has.
+and softmax_cross_entropy returns one loss per copy, with labels shared or
+(P, B), one row per copy. A stacked op's output and gradients equal, byte
+for byte, those of the same op run on each copy alone; an unstacked call
+runs the numpy calls it always has. stack_size is the one rule that sizes
+a stack of copies to the STACK_BYTES budget.
 
-The module also carries the optimizer-side helpers that operate on parameter
-dicts: SGD with classic momentum, global gradient-norm clipping, and the one
-flattening pair, params_to_vector and load_vector, through which weights
-leave and enter a parameter dict as a ParamVector. load_vector is also the
-one loader of stacked copies: given (P, n) rows, it binds each parameter to
-its P copies.
+The module also carries the optimizer side, on flat rows: weights,
+velocities and gradients in ParamVector layout order, one (n,) row or (P, n)
+rows, one per stacked copy. gradient_rows flattens gradients()' dict into
+rows, clip_grad_norm clips each row to a global L2 norm (adding its
+parameters' squared sums in the model's parameter order), and sgd_step
+takes one classic-momentum step elementwise. params_to_vector and
+load_vector are the one flattening pair through which weights leave and
+enter a parameter dict as a ParamVector; load_vector is also the one loader
+of stacked copies: given (P, n) rows, it binds each parameter to its P
+copies.
 """
 from __future__ import annotations
 
@@ -61,6 +67,13 @@ _F64 = np.dtype(np.float64)
 # conv2d's byte budget for one batch chunk's gathered columns (at least one
 # sample per chunk)
 COLUMN_CHUNK_BYTES = 4 << 20
+# the byte budget of one stack of parameter copies (stack_size), and the
+# parameter-sized float64 arrays a copy holds besides its graph (a hessian
+# copy: its direction, the stepped point, its parameters and gradient, their
+# difference and the product; a client: its weights, velocity, gradient and
+# their updates)
+STACK_BYTES = 1 << 20
+COPY_ARRAYS = 8
 
 
 def _f64(x) -> Array:
@@ -129,10 +142,10 @@ def _unbroadcast(grad: Array, shape: tuple[int, ...]) -> Array:
         return grad
     extra = grad.ndim - len(shape)
     if extra > 0:
-        grad = grad.sum(axis=tuple(range(extra)))
+        grad = np.add.reduce(grad, axis=tuple(range(extra)))
     axes = tuple(i for i, n in enumerate(shape) if n == 1 and grad.shape[i] != 1)
     if axes:
-        grad = grad.sum(axis=axes, keepdims=True)
+        grad = np.add.reduce(grad, axis=axes, keepdims=True)
     return grad.reshape(shape)
 
 
@@ -142,8 +155,8 @@ class Tensor:
     `requires_grad` marks leaves that should receive gradients and propagates
     through ops. Detached tensors (`detach()`) never receive gradient
     contributions. Value arrays are treated as immutable once wrapped: code
-    that changes a parameter (sgd_step, load_vector) binds a new array to
-    `.data` instead of writing into the old one. conv2d and normalize rely
+    that changes a parameter (load_vector) binds a new array to `.data`
+    instead of writing into the old one. conv2d and normalize rely
     on this: their backward recomputes forward intermediates from the
     arrays the forward read (captured then, not read from `.data` later),
     which gives the forward's bits only if nothing wrote into those arrays.
@@ -265,9 +278,8 @@ class Tensor:
 
     def permute(self, axes: tuple[int, ...]) -> "Tensor":
         a = self
-        inv = tuple(np.argsort(axes))
-        return Tensor._op(np.transpose(a.data, axes), (a,),
-                          lambda g: (np.transpose(g, inv),))
+        inv = tuple(sorted(range(len(axes)), key=axes.__getitem__))
+        return Tensor._op(a.data.transpose(axes), (a,), lambda g: (g.transpose(inv),))
 
     @property
     def T(self) -> "Tensor":
@@ -279,16 +291,15 @@ class Tensor:
 
     def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
         a = self
-        data = a.data.sum(axis=axis, keepdims=keepdims)
+        data = np.add.reduce(a.data, axis=axis, keepdims=keepdims)  # ndarray.sum's reduction
 
         def back(g):
-            gg = g
-            if axis is not None and not keepdims:
-                axes = (axis,) if isinstance(axis, int) else tuple(axis)
-                for ax in sorted(ax % a.data.ndim for ax in axes):
-                    gg = np.expand_dims(gg, ax)
+            if axis is not None and not keepdims:  # g with the summed axes kept as 1s
+                axes = (axis,) if isinstance(axis, int) else axis
+                axes = {ax % a.data.ndim for ax in axes}
+                g = g.reshape([1 if i in axes else n for i, n in enumerate(a.data.shape)])
             out = np.empty(a.data.shape)  # the C-order copy of the broadcast,
-            out[...] = gg                 # without np.broadcast_to's dispatch
+            out[...] = g                  # without np.broadcast_to's dispatch
             return (out,)
 
         return Tensor._op(data, (a,), back)
@@ -313,9 +324,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
                          f"left operand; got {a.shape} and {b.shape}")
     data = a.data @ b.data
     return Tensor._op(data, (a, b), lambda g: (
-        _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape)
+        _unbroadcast(g @ b.data.swapaxes(-1, -2), a.data.shape)
         if a.requires_grad else None,
-        _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape)
+        _unbroadcast(a.data.swapaxes(-1, -2) @ g, b.data.shape)
         if b.requires_grad else None))
 
 
@@ -386,11 +397,11 @@ def normalize(x: Tensor, scale: Tensor, shift: Tensor, eps: float,
     axes = tuple(range(sample + 1, xd.ndim))
     k = xd.shape[sample + 1]
     shape = pshape[:-1] + (1, k) + (1,) * (xd.ndim - sample - 2)
-    s1 = xd.sum(axis=axes, keepdims=True)
+    s1 = np.add.reduce(xd, axis=axes, keepdims=True)
     inv_n = 1.0 / (xd.size / s1.size)  # as Tensor.mean computes it
     mu = s1 * inv_n
     d = xd - mu
-    r = np.sqrt((d * d).sum(axis=axes, keepdims=True) * inv_n + eps)
+    r = np.sqrt(np.add.reduce(d * d, axis=axes, keepdims=True) * inv_n + eps)
     y = d / r
     sc = scale.data.reshape(shape)
     out = y * sc + shift.data.reshape(shape)
@@ -406,10 +417,10 @@ def normalize(x: Tensor, scale: Tensor, shift: Tensor, eps: float,
     param_axes = tuple(i for i, n in enumerate(shape) if n == 1 and xd.shape[i] != 1)
 
     def to_param(g):
-        return (g.sum(axis=param_axes) if param_axes else g).reshape(pshape)
+        return (np.add.reduce(g, axis=param_axes) if param_axes else g).reshape(pshape)
 
     def to_stat(g):
-        return g.sum(axis=stat_axes, keepdims=True) if stat_axes else g
+        return np.add.reduce(g, axis=stat_axes, keepdims=True) if stat_axes else g
 
     def back(g):
         if mask is not None:
@@ -638,43 +649,50 @@ def softmax_cross_entropy(logits: Tensor, labels: Array) -> Tensor:
     """Mean cross-entropy of integer labels under softmax(logits).
 
     logits are (batch, classes), or (..., batch, classes) with leading copy
-    axes, which give one loss per copy. Fused forward/backward: grad wrt
-    logits is (softmax - onehot) / batch.
+    axes, which give one loss per copy; labels are (batch,), shared by every
+    copy, or carry the logits' copy axes, (..., batch). Fused
+    forward/backward: grad wrt logits is (softmax - onehot) / batch.
     """
     logits = Tensor._wrap(logits)
     y = np.asarray(labels)
     if logits.ndim < 2:
         raise ValueError("logits must be (batch, classes)")
     B, K = logits.data.shape[-2:]
-    if y.shape != (B,):
-        raise ValueError("labels must be a (batch,) integer array")
+    if y.ndim == 0 or y.shape[-1] != B or y.shape[:-1] not in ((), logits.data.shape[:-2]):
+        raise ValueError("labels must be a (batch,) integer array, or carry the "
+                         "logits' copy axes")
     if y.min() < 0 or y.max() >= K:
         raise ValueError("label out of range")
     z = logits.data
-    rows = np.arange(B)
+    # each label's logit: one index array per label axis, then the labels
+    picks = (...,) + tuple(np.arange(n).reshape((n,) + (1,) * (y.ndim - 1 - i))
+                           for i, n in enumerate(y.shape)) + (y,)
     m = z.max(axis=-1, keepdims=True)
-    lse = m + np.log(np.exp(z - m).sum(axis=-1, keepdims=True))
-    loss = (lse[..., 0] - z[..., rows, y]).mean(axis=-1)
+    lse = m + np.log(np.add.reduce(np.exp(z - m), axis=-1, keepdims=True))
+    loss = (lse[..., 0] - z[picks]).mean(axis=-1)
 
     def back(g):
         p = np.exp(z - lse)
-        p[..., rows, y] -= 1.0
+        p[picks] -= 1.0
         return (p * (g / B)[..., None, None],)
 
     return Tensor._op(loss, (logits,), back)
 
 
-def mse(a: Tensor, b: Tensor) -> Tensor:
-    """Mean squared difference; on scalars this is just (a - b)^2."""
+def mse(a: Tensor, b: Tensor, axis=None) -> Tensor:
+    """Mean squared difference over axis (every axis when None); on scalars
+    this is just (a - b)^2, and axis=() keeps one value per element, as
+    for per-copy scalars stacked along a copy axis."""
     d = Tensor._wrap(a) - Tensor._wrap(b)
-    return (d * d).mean()
+    return (d * d).mean(axis=axis)
 
 
 def log_softmax(logits: Tensor) -> Tensor:
-    """Row-wise log softmax built from primitive ops (shift is a constant)."""
-    m = Tensor(logits.data.max(axis=1, keepdims=True))
+    """Log softmax over the last (class) axis, built from primitive ops (the
+    shift is a constant)."""
+    m = Tensor(logits.data.max(axis=-1, keepdims=True))
     shifted = logits - m
-    lse = log(exp(shifted).sum(axis=1, keepdims=True))
+    lse = log(exp(shifted).sum(axis=-1, keepdims=True))
     return shifted - lse
 
 
@@ -743,38 +761,80 @@ def zero_gradients(params: dict[str, Tensor]) -> None:
     """
 
 
-def clip_grad_norm(grads: dict[str, Array], max_norm: float) -> tuple[dict[str, Array], float]:
-    """Scale gradients so their global L2 norm is at most max_norm.
+class NonFiniteGradient(FloatingPointError):
+    """A gradient row whose norm is not finite: training diverged. `row` is
+    the first such row of the rows clip_grad_norm was given."""
 
-    Returns (scaled grads, applied scale). Non-finite gradients raise, which
-    is the divergence signal the training loop relies on.
+    def __init__(self, row: int):
+        super().__init__("non-finite gradient norm; training diverged")
+        self.row = row
+
+
+def clip_grad_norm(grads: Array, max_norm: float,
+                   spans: list[tuple[int, int]]) -> tuple[Array, list[float]]:
+    """Scale each row of flat gradients so its L2 norm is at most max_norm.
+
+    grads is one (n,) row or (P, n) rows, one per stacked copy; spans holds
+    each parameter's (start, stop) in the row, in the order the parameters'
+    squared sums are added into the row's total (the model's parameter
+    order), so each row's norm has the bits of that per-parameter loop.
+    Returns (grads, one applied scale per row): grads itself when no row
+    clips, else a scaled copy in which an unclipped row is multiplied by
+    1.0, which keeps its bits. A non-finite norm raises NonFiniteGradient,
+    the divergence signal the training loop relies on.
     """
-    total = 0.0
-    for g in grads.values():
-        total += float((g * g).sum())
-    if not np.isfinite(total):
-        raise FloatingPointError("non-finite gradient norm; training diverged")
-    norm = total ** 0.5
-    if norm <= max_norm or norm == 0.0:
-        return dict(grads), 1.0
-    scale = max_norm / norm
-    return {k: g * scale for k, g in grads.items()}, scale
+    sq = grads * grads
+    sums = np.array([np.add.reduce(sq[..., a:b], axis=-1) for a, b in spans])
+    totals = np.cumsum(sums, axis=0)[-1]  # s0 + s1 + ..., added in span order
+    scales = []
+    for row, total in enumerate(totals.reshape(-1).tolist()):
+        if not math.isfinite(total):
+            raise NonFiniteGradient(row)
+        norm = total ** 0.5
+        scales.append(1.0 if norm <= max_norm or norm == 0.0 else max_norm / norm)
+    if all(s == 1.0 for s in scales):
+        return grads, scales
+    if grads.ndim == 1:
+        return grads * scales[0], scales
+    return grads * np.array(scales)[:, None], scales
 
 
-def sgd_step(params: dict[str, Tensor], grads: dict[str, Array],
-             velocity: dict[str, Array], learning_rate: float,
-             momentum: float) -> dict[str, Tensor]:
-    """One classic-momentum SGD update, in place: v <- momentum*v + g;
-    w <- w - learning_rate*v. `velocity` holds v by name across steps."""
-    for name, p in params.items():
-        g = grads[name]
-        if g.shape != p.data.shape:
-            raise ValueError(f"gradient shape mismatch for {name}")
-        v = velocity.get(name)
-        v = g.copy() if v is None else momentum * v + g
-        velocity[name] = v
-        p.data = p.data - learning_rate * v
-    return params
+def sgd_step(weights: Array, grads: Array, velocity: Array | None,
+             learning_rate: float, momentum: float) -> tuple[Array, Array]:
+    """One classic-momentum SGD step on flat rows, (n,) or (P, n), elementwise.
+
+    v = g (a copy) at the first step (velocity None), else momentum*v + g;
+    then w - learning_rate*v. Returns the new (weights, velocity) arrays and
+    writes into none of its inputs.
+    """
+    if grads.shape != weights.shape:
+        raise ValueError(f"gradient rows {grads.shape} do not match weight rows "
+                         f"{weights.shape}")
+    v = grads.copy() if velocity is None else momentum * velocity + grads
+    return weights - learning_rate * v, v
+
+
+def gradient_rows(grads: dict[str, Array], layout, copies: tuple[int, ...] = ()) -> Array:
+    """gradients()' dict as flat rows in layout order: one (n,) row, or
+    copies + (n,) for parameters stacked along leading copy axes."""
+    return np.concatenate([grads[name].reshape(copies + (-1,)) for name, _, _ in layout],
+                          axis=-1)
+
+
+def stack_size(n: int, loss: Tensor, backward: bool) -> int:
+    """Parameter copies per stack: STACK_BYTES over one copy's price,
+    COPY_ARRAYS float64 arrays of its n parameters plus the values in the
+    graph of loss, an unstacked forward, counted twice when a backward holds
+    a gradient of each. The one sizing rule of every stack of copies:
+    hessian's probe and landscape stacks and a round's client groups."""
+    graph, seen, todo = 0, set(), [loss]
+    while todo:
+        node = todo.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            graph += node.data.nbytes
+            todo.extend(node._parents)
+    return max(1, STACK_BYTES // (8 * COPY_ARRAYS * n + (1 + backward) * graph))
 
 
 @dataclass(frozen=True)

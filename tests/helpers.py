@@ -14,7 +14,9 @@ tensor.add_relu fuse, kept for the same kind of comparison;
 gathered_conv2d is tensor.conv2d's forward as a pad and a per-offset gather
 loop, whose output bytes the window-view gather must keep, and
 gathered_conv2d_grads its backward over the whole batch's columns at once,
-whose gradient bytes the batch-chunked backward must keep. class_counts
+whose gradient bytes the batch-chunked backward must keep;
+reference_clip_grad_norm and reference_sgd_step are the optimizer's
+per-parameter dict forms, whose bytes the flat-row clip and step must keep. class_counts
 tallies a partition's labels per client. hvp_hessian is the one helper built
 on the library's curvature code: the dense matrix of hessian.hvp's products,
 the operator the eigen solver runs on.
@@ -196,6 +198,33 @@ def gathered_conv2d_grads(x, w, g, stride, padding):
         for j in range(k):
             dxp[:, :, i:i + stride * ho:stride, j:j + stride * wo:stride] += dcols[:, :, i, j]
     return dw, _pad_spatial(dxp, -padding)
+
+
+def reference_clip_grad_norm(grads, max_norm):
+    """Scale a {name: gradient} dict so its global L2 norm is at most
+    max_norm, adding each gradient's squared sum in the dict's order;
+    (scaled grads, applied scale)."""
+    total = 0.0
+    for g in grads.values():
+        total += float((g * g).sum())
+    if not np.isfinite(total):
+        raise FloatingPointError("non-finite gradient norm; training diverged")
+    norm = total ** 0.5
+    if norm <= max_norm or norm == 0.0:
+        return dict(grads), 1.0
+    scale = max_norm / norm
+    return {k: g * scale for k, g in grads.items()}, scale
+
+
+def reference_sgd_step(params, grads, velocity, learning_rate, momentum):
+    """One classic-momentum step on a {name: Tensor} dict, in place:
+    v <- momentum*v + g (v = g at the first step); w <- w - learning_rate*v."""
+    for name, p in params.items():
+        g = grads[name]
+        v = velocity.get(name)
+        v = g.copy() if v is None else momentum * v + g
+        velocity[name] = v
+        p.data = p.data - learning_rate * v
 
 
 def class_counts(part, labels, num_classes):

@@ -14,8 +14,8 @@ import pytest
 from fedsim.methods import METHOD_TABLE, ClientTask, MethodConfig
 from fedsim.models import BlockNet, BlockNetSpec
 from fedsim.orchestrator import DatasetConfig, ExperimentConfig, ModelConfig, build_state
-from fedsim.tensor import (Tensor, add_relu, gradients, load_vector, normalize,
-                           params_to_vector, slice_axis, sqrt)
+from fedsim.tensor import (ParamVector, Tensor, add_relu, gradients, load_vector,
+                           normalize, params_to_vector, slice_axis, sqrt)
 
 from helpers import composed_add_relu, composed_normalize, reference_gradients
 
@@ -47,13 +47,11 @@ def _one_step_loss(method, model, x, y, seed=5):
                       epochs=1, batch_size=len(x), learning_rate=0.05,
                       momentum=0.9, clip_norm=5.0)
     rec = METHOD_TABLE[method]
-    shadows = None
-    if rec.contrastive:
-        shadows = tuple(BlockNet(model.spec, with_projection=True, requires_grad=False)
-                        for _ in range(2))
-        for shadow in shadows:
-            load_vector(shadow.params, vec)
-    loss, _ = rec.step(model, task, x, y, shadows)
+    shadow = None
+    if rec.contrastive:  # the received and the previous-round model, as two copies
+        shadow = BlockNet(model.spec, with_projection=True, requires_grad=False)
+        load_vector(shadow.params, ParamVector(np.stack([vec.data, vec.data]), vec.layout))
+    loss, _ = rec.step(model, [task], x, y, shadow)
     return loss
 
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import fedsim.hessian as hessian
+import fedsim.tensor as tensor
 from fedsim.hessian import (DEFAULT_FD_STEP, ce_loss_fn, cross_client_metrics,
                             hessian_diagonal, hessian_report, hutchinson_trace,
                             hvp, landscape_slice, linearize, top_eigenpairs)
@@ -232,7 +233,7 @@ def test_landscape_in_stacks_is_the_per_point_slice(conv, stack, monkeypatch):
     theta = params_to_vector(net.params)
     d1, d2 = np.random.default_rng(17).normal(size=(2, theta.size))
     want = _reference_landscape(net, ce_loss_fn, batch, d1, d2, grid=5, radius=0.3)
-    monkeypatch.setattr(hessian, "_stack_size", lambda n, loss, backward: stack)
+    monkeypatch.setattr(hessian, "stack_size", lambda n, loss, backward: stack)
     _, _, got = landscape_slice(net, ce_loss_fn, batch, d1, d2, grid=5, radius=0.3)
     assert got.tobytes() == want.tobytes()
     _assert_restored(net, theta)
@@ -265,7 +266,7 @@ def test_landscape_refuses_a_loss_reduced_over_the_copies():
 
     for stack in (1, 4):
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(hessian, "_stack_size", lambda n, loss, backward: stack)
+            mp.setattr(hessian, "stack_size", lambda n, loss, backward: stack)
             with pytest.raises(ValueError, match="one value per parameter copy"):
                 landscape_slice(net, mean_loss, batch, d1, d2, grid=3)
         _assert_restored(net, theta)
@@ -284,7 +285,7 @@ def _traced_peak(fn) -> int:
 @pytest.mark.parametrize("samples", [8, 256])
 def test_probe_stacks_keep_to_the_byte_budget(samples):
     """On criterion 9's model, hessian_diagonal's traced peak is at most
-    STACK_BYTES above that of one unstacked product."""
+    tensor.STACK_BYTES above that of one unstacked product."""
     net = BlockNet(BlockNetSpec(input_shape=(16,), num_classes=8, widths=(16, 16)),
                    rng=np.random.default_rng(18))
     rng = np.random.default_rng(19)
@@ -294,7 +295,7 @@ def test_probe_stacks_keep_to_the_byte_budget(samples):
     one = _traced_peak(lambda: hvp(lin, rng.normal(size=lin.theta.size)))
     stacked = _traced_peak(lambda: hessian_diagonal(net, ce_loss_fn, batch,
                                                     num_probes=2 * lin.stack, lin=lin))
-    assert stacked <= hessian.STACK_BYTES + one
+    assert stacked <= tensor.STACK_BYTES + one
 
 
 # -- leading eigenvalues --------------------------------------------------------------

@@ -1,16 +1,19 @@
 """Local objectives: closed-form values, gradient identities, update-loop laws."""
+import dataclasses
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from fedsim import methods
-from fedsim.methods import (ClientTask, METHODS, MethodConfig,
-                            _kd_divergence, _np_softmax, client_update,
+from fedsim.methods import (ClientTask, METHOD_TABLE, METHODS, MethodConfig,
+                            _accuracy, _kd_divergence, _np_softmax, _row_cosine,
+                            client_update,
                             loss_ce, loss_fedalign, loss_fedprox, loss_gradaug,
                             loss_moon, spectral_norm, transmitting_matrices)
 from fedsim.models import BlockNet, BlockNetSpec
-from fedsim.tensor import Tensor, gradients, params_to_vector
+from fedsim.tensor import (Tensor, gradients, log_softmax, params_to_vector,
+                           softmax_cross_entropy)
 
 from helpers import matrix_with_spectrum
 
@@ -228,6 +231,69 @@ def test_gradaug_zero_subnetworks():
     assert loss.item() == loss_ce(net.forward(x), y).item()
 
 
+# -- stacked copies ---------------------------------------------------------------------
+
+
+def test_stacked_loss_terms_are_their_copies():
+    # logits or representations stacked along a copy axis, (P, B, K), with
+    # (P, B) labels: each copy's value and gradient byte for byte those of
+    # the term on that copy alone
+    P, B, K = 3, 5, 4
+    rng = np.random.default_rng(95)
+    z = rng.normal(size=(P, B, K))
+    y = rng.integers(0, K, size=(P, B))
+    other, third = rng.normal(size=(2, P, B, K))
+    teacher = _np_softmax(rng.normal(size=(P, B, K)))
+
+    def copy(a, c):
+        return a if c is None else a[c]
+
+    terms = {
+        "cross-entropy": lambda t, c: softmax_cross_entropy(t, copy(y, c)),
+        "log_softmax": lambda t, c: log_softmax(t),
+        "kd divergence": lambda t, c: _kd_divergence(t, copy(teacher, c)),
+        "row cosine": lambda t, c: _row_cosine(t, Tensor(copy(other, c))),
+        "moon term": lambda t, c: loss_moon(Tensor(copy(np.zeros(P), c)), t,
+                                            Tensor(copy(other, c)),
+                                            Tensor(copy(third, c)), 0.5, 1.0),
+    }
+    for name, term in terms.items():
+        leaf = Tensor(z, requires_grad=True)
+        out = term(leaf, None)
+        upstream = rng.normal(size=out.shape)
+        grad = gradients((out * Tensor(upstream)).sum(), {"x": leaf})["x"]
+        for c in range(P):
+            alone = Tensor(z[c], requires_grad=True)
+            out_c = term(alone, c)
+            grad_c = gradients((out_c * Tensor(upstream[c])).sum(), {"x": alone})["x"]
+            assert out_c.data.tobytes() == out.data[c].tobytes(), (name, c)
+            assert grad_c.tobytes() == grad[c].tobytes(), (name, c)
+    acc, soft = _accuracy(z, y), _np_softmax(z)
+    for c in range(P):
+        assert acc[c] == _accuracy(z[c], y[c])
+        assert soft[c].tobytes() == _np_softmax(z[c]).tobytes()
+
+
+def test_stacked_spectral_norm_is_its_copies():
+    # copies of 16 x n matrices, one all zeros, each with its own generator:
+    # value, gradient and the draws each generator makes, byte for byte
+    rng = np.random.default_rng(96)
+    for n in (4, 13, 16):
+        x = rng.normal(size=(4, 16, n))
+        x[2] = 0.0
+        leaf = Tensor(x, requires_grad=True)
+        rngs = [np.random.default_rng([97, c]) for c in range(4)]
+        out = spectral_norm(leaf, rngs)
+        grad = gradients(out.sum(), {"x": leaf})["x"]
+        for c in range(4):
+            alone = Tensor(x[c], requires_grad=True)
+            own = np.random.default_rng([97, c])
+            out_c = spectral_norm(alone, own)
+            assert out_c.data.tobytes() == out.data[c].tobytes(), (n, c)
+            assert gradients(out_c, {"x": alone})["x"].tobytes() == grad[c].tobytes(), (n, c)
+            assert own.bit_generator.state == rngs[c].bit_generator.state, (n, c)
+
+
 # -- transmitting matrices and spectral norm --------------------------------------------
 
 
@@ -353,11 +419,17 @@ def test_fedalign_conv_path_runs():
 # -- the update loop ----------------------------------------------------------------
 
 
+def _alone(task):
+    """(weights, stats) of the task trained in a call of its own."""
+    (out,) = client_update([task])
+    return out
+
+
 def test_client_update_zero_epochs_is_noop():
     net = _net(seed=36)
     x, y = _batch(seed=37)
     task = _task(net, x, y, epochs=0)
-    vec, stats = client_update(task)
+    vec, stats = _alone(task)
     assert stats == []
     assert vec.layout == task.received.layout
     assert np.array_equal(vec.data, task.received.data)
@@ -365,7 +437,7 @@ def test_client_update_zero_epochs_is_noop():
 
 def test_client_update_deterministic():
     x, y = _batch(seed=38)
-    outs = [client_update(_task(_net(seed=39), x, y, seed=40, epochs=2))[0].data
+    outs = [_alone(_task(_net(seed=39), x, y, seed=40, epochs=2))[0].data
             for _ in range(2)]
     assert np.array_equal(outs[0], outs[1])
 
@@ -373,7 +445,7 @@ def test_client_update_deterministic():
 def test_client_update_reports_weighted_stats():
     net = _net(seed=41)
     x, y = _batch(seed=42, n=6)
-    _, stats = client_update(_task(net, x, y, epochs=3, learning_rate=0.05))
+    _, stats = _alone(_task(net, x, y, epochs=3, learning_rate=0.05))
     assert len(stats) == 3
     assert all(set(s) == {"loss", "accuracy"} for s in stats)
     assert stats[-1]["loss"] < stats[0]["loss"]  # it does learn something
@@ -383,11 +455,11 @@ def test_client_update_validation():
     net = _net()
     x, y = _batch()
     with pytest.raises(ValueError):
-        client_update(_task(net, x, y, epochs=-1))
+        _alone(_task(net, x, y, epochs=-1))
     with pytest.raises(ValueError):
-        client_update(_task(net, x, y, batch_size=0))
+        _alone(_task(net, x, y, batch_size=0))
     with pytest.raises(ValueError):
-        client_update(_task(net, x[:0], y[:0]))
+        _alone(_task(net, x[:0], y[:0]))
 
 
 def test_moon_update_requires_reference_weights():
@@ -395,7 +467,7 @@ def test_moon_update_requires_reference_weights():
     x, y = _batch(seed=44)
     for mu in (1.0, 0.0):
         with pytest.raises(ValueError):
-            client_update(_task(net, x, y, method=MethodConfig(method="moon", mu=mu)))
+            _alone(_task(net, x, y, method=MethodConfig(method="moon", mu=mu)))
 
 
 def _trajectory(method_cfg, seed=45, epochs=2):
@@ -404,7 +476,7 @@ def _trajectory(method_cfg, seed=45, epochs=2):
     x, y = _batch(seed=seed + 1)
     task = _task(net, x, y, seed=seed + 2, method=method_cfg, epochs=epochs,
                  with_prev=True)
-    return client_update(task)[0]
+    return _alone(task)[0]
 
 
 def test_mu_zero_trajectories_match_plain_ce_bitwise():
@@ -432,7 +504,7 @@ def test_every_method_trains_without_error():
         net = BlockNet(SPEC, rng=np.random.default_rng(46),
                        with_projection=(m == "moon"))
         x, y = _batch(seed=47)
-        _, stats = client_update(_task(net, x, y, seed=48,
+        _, stats = _alone(_task(net, x, y, seed=48,
                                        method=MethodConfig(method=m), with_prev=True))
         assert np.isfinite(stats[0]["loss"]), m
 
@@ -440,7 +512,7 @@ def test_every_method_trains_without_error():
 def _traced_peak(task: ClientTask) -> int:
     tracemalloc.start()
     try:
-        client_update(task)
+        _alone(task)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -453,9 +525,86 @@ def test_client_update_holds_one_step_graph_at_a_time():
         x, y = _batch(seed=50, n=8 * steps, spec=CONV_SPEC)
         return _task(net, x, y, method=MethodConfig(method="gradaug"), batch_size=8)
 
-    client_update(gradaug_task(1))  # warm-up: this process's models, numpy caches
+    _alone(gradaug_task(1))  # warm-up: this process's models, numpy caches
     one, two = _traced_peak(gradaug_task(1)), _traced_peak(gradaug_task(2))
     assert two <= 1.25 * one, (one, two)
+
+
+def _client_tasks(method: str, spec=SPEC, sizes=(10, 13, 7, 16), epochs=2):
+    """One task per sample count, each client with its own data, generators,
+    received and previous-round weights, at batch size 4 (so the clients'
+    last batches differ in size) and a clip norm some steps reach."""
+    config = (MethodConfig(method=method, mu=0.12) if method == "fedalign"
+              else MethodConfig(method=method))
+    proj = config.needs_projection
+
+    def weights(seed):
+        return params_to_vector(BlockNet(spec, rng=np.random.default_rng(seed),
+                                         with_projection=proj).params)
+
+    tasks = []
+    for c, n in enumerate(sizes):
+        x, y = _batch(seed=80 + c, n=n, spec=spec)
+        tasks.append(ClientTask(
+            client_id=c, round_idx=1, method=config, spec=spec, inputs=x, labels=y,
+            received=weights(60 + c), prev=weights(70 + c) if proj else None,
+            data_rng=np.random.default_rng([90, c]), method_rng=np.random.default_rng([91, c]),
+            epochs=epochs, batch_size=4, learning_rate=0.05, momentum=0.9, clip_norm=1.0))
+    return tasks
+
+
+def _group_sizes(monkeypatch, method: str) -> list[int]:
+    """The sizes of the groups method's step is called on, from now on."""
+    record, sizes = METHOD_TABLE[method], []
+
+    def recording_step(net, group, xb, yb, shadow):
+        sizes.append(len(group))
+        return record.step(net, group, xb, yb, shadow)
+
+    monkeypatch.setitem(METHOD_TABLE, method, dataclasses.replace(record, step=recording_step))
+    return sizes
+
+
+@pytest.mark.parametrize("spec,method", [(SPEC, m) for m in METHODS] + [
+    (CONV_SPEC, m) for m in ("fedalign", "moon", "stochdepth")])
+def test_a_client_trains_the_same_alone_and_in_a_group(spec, method, monkeypatch):
+    # each task alone, then all four in one call, in groups of up to 2 and up
+    # to 8: every client's weights and stats byte for byte
+    sizes = (6, 9, 5) if spec.is_conv else (10, 13, 7, 16)
+    epochs = 1 if spec.is_conv else 2
+    alone = [_alone(t) for t in _client_tasks(method, spec, sizes, epochs)]
+    groups = _group_sizes(monkeypatch, method)
+    for cap in (2, 8):
+        monkeypatch.setattr(methods, "stack_size", lambda n, loss, backward: cap)
+        groups.clear()
+        together = client_update(_client_tasks(method, spec, sizes, epochs))
+        assert len(together) == len(alone)
+        for c, (got, want) in enumerate(zip(together, alone)):
+            assert _same_result(got, want), (cap, c)
+        # batches of one size trained together, up to the cap, unless the
+        # method trains each client alone
+        assert max(groups) <= cap and (max(groups) > 1) == METHOD_TABLE[method].stacks
+
+
+def test_fedalign_skips_its_term_per_copy(monkeypatch):
+    # an alignment floor among the clients' term values, so that in a group
+    # some copies skip the term and others add it: each client's weights and
+    # stats are still those it has alone
+    monkeypatch.setattr(methods, "LIP_EPSILON", 60.0)
+    alone = [_alone(t) for t in _client_tasks("fedalign")]
+    terms, real_mse = [], methods.mse
+
+    def recording_mse(a, b, axis=None):
+        out = real_mse(a, b, axis=axis)
+        terms.append(out.data)
+        return out
+
+    monkeypatch.setattr(methods, "mse", recording_mse)
+    monkeypatch.setattr(methods, "stack_size", lambda n, loss, backward: 8)
+    together = client_update(_client_tasks("fedalign"))
+    assert any(t.ndim and t.min() < 60.0 <= t.max() for t in terms)  # a mixed group
+    for c, (got, want) in enumerate(zip(together, alone)):
+        assert _same_result(got, want), c
 
 
 # -- the per-process model store ---------------------------------------------------
@@ -481,7 +630,7 @@ def _store_task(kind: str, **kw) -> ClientTask:
 
 def _on_fresh_models(task: ClientTask):
     methods._MODELS.clear()
-    return client_update(task)
+    return _alone(task)
 
 
 def _same_result(got, want) -> bool:
@@ -495,21 +644,37 @@ def test_reused_models_match_fresh_ones_bitwise():
     want = {k: _on_fresh_models(_store_task(k)) for k in dict.fromkeys(kinds)}
     methods._MODELS.clear()
     for kind in kinds:
-        assert _same_result(client_update(_store_task(kind)), want[kind]), kind
+        assert _same_result(_alone(_store_task(kind)), want[kind]), kind
 
 
 def _failing_task() -> ClientTask:
-    """A moon task with one infinite sample, reached at its fourth step."""
+    """Client 7's moon task with one infinite sample, reached at its fourth step."""
     task = _store_task("moon", batch_size=1)
     order = np.random.default_rng([55, 0]).permutation(len(task.inputs))  # its data_rng
     task.inputs = task.inputs.copy()
     task.inputs[order[3]] = np.inf
+    task.client_id = 7
     return task
 
 
-def test_failed_task_leaves_no_trace_in_the_next():
-    for after in ("moon", "dense"):
-        want = _on_fresh_models(_store_task(after))
-        with np.errstate(all="ignore"), pytest.raises(FloatingPointError):
-            client_update(_failing_task())
-        assert _same_result(client_update(_store_task(after)), want), after
+def test_failed_task_leaves_no_trace_in_the_next(monkeypatch):
+    # alone, and in a group with a task that trains well: the error names the
+    # failing client, and nothing of the failed call reaches the next one
+    monkeypatch.setattr(methods, "stack_size", lambda n, loss, backward: 4)
+    moon = METHOD_TABLE["moon"]
+    groups = []
+
+    def recording_step(net, group, xb, yb, shadow):
+        groups.append([t.client_id for t in group])
+        return moon.step(net, group, xb, yb, shadow)
+
+    monkeypatch.setitem(METHOD_TABLE, "moon", dataclasses.replace(moon, step=recording_step))
+    for failing in ([_failing_task()], [_store_task("moon", batch_size=1), _failing_task()]):
+        for after in ("moon", "dense"):
+            want = _on_fresh_models(_store_task(after))
+            groups.clear()
+            with np.errstate(all="ignore"), pytest.raises(
+                    RuntimeError, match="^client 7 failed in round 0: non-finite gradient norm"):
+                client_update(failing)
+            assert groups[-1] == [t.client_id for t in failing]  # it failed in this group
+            assert _same_result(_alone(_store_task(after)), want), after

@@ -234,13 +234,13 @@ def test_run_round_accounting():
 def test_round_shares_the_global_vector_read_only(method, monkeypatch):
     state = build_state(_cfg(method=MethodConfig(method=method)))
     given = []
-    real_run_client = orchestrator._run_client
+    real_client_update = orchestrator.client_update
 
-    def recording_run_client(task):
-        given.append(task.received)
-        return real_run_client(task)
+    def recording_client_update(tasks):
+        given.extend(task.received for task in tasks)
+        return real_client_update(tasks)
 
-    monkeypatch.setattr(orchestrator, "_run_client", recording_run_client)
+    monkeypatch.setattr(orchestrator, "client_update", recording_client_update)
     for _ in range(2):  # moon's second round also reads last round's client vectors
         shared = [state.global_vector, state.initial_vector,
                   *state.prev_client_vectors.values()]
@@ -888,6 +888,34 @@ def test_parallel_matches_serial_bitwise(method):
     s_par, m_par = run_experiment(cfg_par)
     assert np.array_equal(s_serial.global_vector.data, s_par.global_vector.data)
     assert [m.to_dict() for m in m_serial] == [m.to_dict() for m in m_par]
+
+
+def test_two_workers_train_contiguous_chunks_as_the_serial_round_does(monkeypatch):
+    # five clients over two workers: chunks of two and three clients, each
+    # trained in lockstep in its worker, give the serial round's every byte
+    cfg = _cfg(rounds=2, num_clients=5, method=MethodConfig(method="fedalign"))
+    s_serial, m_serial = run_experiment(cfg)
+    s_par, m_par = run_experiment(dataclasses.replace(cfg, workers=2))
+    assert s_serial.global_vector.data.tobytes() == s_par.global_vector.data.tobytes()
+    assert [m.to_dict() for m in m_serial] == [m.to_dict() for m in m_par]
+
+    chunks = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            pass
+
+        def map(self, fn, tasks):
+            tasks = list(tasks)
+            chunks.append([[t.client_id for t in chunk] for chunk in tasks])
+            return map(fn, tasks)
+
+        def shutdown(self):
+            pass
+
+    monkeypatch.setattr(orchestrator, "ProcessPoolExecutor", InProcessPool)
+    run_experiment(dataclasses.replace(cfg, workers=2))
+    assert chunks == [[[0, 1], [2, 3, 4]]] * 2
 
 
 @pytest.mark.parametrize("workers,fraction,started", [

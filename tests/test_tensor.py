@@ -12,7 +12,8 @@ from fedsim.tensor import (ParamVector, Tensor, adaptive_avg_pool2d, add_relu,
                            normalize, params_to_vector, relu, sgd_step, slice_axis,
                            softmax_cross_entropy, sqrt, tanh)
 
-from helpers import gathered_conv2d, gathered_conv2d_grads, max_rel_err, numeric_grad
+from helpers import (gathered_conv2d, gathered_conv2d_grads, max_rel_err, numeric_grad,
+                     reference_clip_grad_norm, reference_sgd_step)
 
 
 def _fd_check(build, params, tol=1e-6, eps=1e-6):
@@ -632,53 +633,89 @@ def test_gradients_fills_zeros_for_unreachable():
 
 
 def test_clip_grad_norm_scales_to_bound():
-    grads = {"a": np.array([3.0, 4.0])}  # norm 5
-    clipped, scale = clip_grad_norm(grads, 1.0)
-    assert scale == pytest.approx(0.2)
-    assert np.allclose(clipped["a"], [0.6, 0.8])
-    assert np.isclose(np.linalg.norm(clipped["a"]), 1.0)
+    grads = np.array([3.0, 4.0])  # norm 5
+    clipped, scales = clip_grad_norm(grads, 1.0, [(0, 2)])
+    assert scales == [pytest.approx(0.2)]
+    assert np.allclose(clipped, [0.6, 0.8])
+    assert np.isclose(np.linalg.norm(clipped), 1.0)
 
 
 def test_clip_grad_norm_noop_below_bound():
-    g = np.array([0.3, 0.4])
-    clipped, scale = clip_grad_norm({"a": g}, 5.0)
-    assert scale == 1.0
-    assert clipped["a"] is g  # untouched array
+    g = np.array([[0.3, 0.4], [0.0, 0.5]])
+    clipped, scales = clip_grad_norm(g, 5.0, [(0, 1), (1, 2)])
+    assert scales == [1.0, 1.0]
+    assert clipped is g  # untouched array
 
 
 def test_clip_grad_norm_zero_and_nonfinite():
-    clipped, scale = clip_grad_norm({"a": np.zeros(2)}, 1.0)
-    assert scale == 1.0 and np.array_equal(clipped["a"], np.zeros(2))
+    clipped, scales = clip_grad_norm(np.zeros(2), 1.0, [(0, 2)])
+    assert scales == [1.0] and np.array_equal(clipped, np.zeros(2))
     with pytest.raises(FloatingPointError):
-        clip_grad_norm({"a": np.array([np.nan])}, 1.0)
+        clip_grad_norm(np.array([np.nan]), 1.0, [(0, 1)])
     with pytest.raises(FloatingPointError):
-        clip_grad_norm({"a": np.array([np.inf])}, 1.0)
+        clip_grad_norm(np.array([np.inf]), 1.0, [(0, 1)])
+    # the first row whose norm is not finite is named
+    rows = np.array([[1.0, 2.0], [np.inf, 0.0], [np.nan, 0.0]])
+    with pytest.raises(tensor.NonFiniteGradient) as failed:
+        clip_grad_norm(rows, 1.0, [(0, 1), (1, 2)])
+    assert failed.value.row == 1
 
 
 def test_sgd_step_two_steps_hand_computed():
-    p = {"w": Tensor(np.array([1.0]), requires_grad=True)}
-    velocity = {}
-    sgd_step(p, {"w": np.array([2.0])}, velocity, 0.1, 0.9)
+    w, v = sgd_step(np.array([1.0]), np.array([2.0]), None, 0.1, 0.9)
     # v = 2, w = 1 - 0.1*2 = 0.8
-    assert np.allclose(p["w"].data, [0.8])
-    sgd_step(p, {"w": np.array([1.0])}, velocity, 0.1, 0.9)
+    assert np.allclose(w, [0.8])
+    w, v = sgd_step(w, np.array([1.0]), v, 0.1, 0.9)
     # v = 0.9*2 + 1 = 2.8, w = 0.8 - 0.28 = 0.52
-    assert np.allclose(p["w"].data, [0.52])
-    assert np.allclose(velocity["w"], [2.8])
+    assert np.allclose(w, [0.52])
+    assert np.allclose(v, [2.8])
 
 
 def test_sgd_step_zero_momentum_is_plain_sgd():
-    p = {"w": Tensor(np.array([1.0, 2.0]), requires_grad=True)}
-    velocity = {}
-    sgd_step(p, {"w": np.array([1.0, -1.0])}, velocity, 0.5, 0.0)
-    sgd_step(p, {"w": np.array([1.0, -1.0])}, velocity, 0.5, 0.0)
-    assert np.allclose(p["w"].data, [0.0, 3.0])
+    w, v = sgd_step(np.array([1.0, 2.0]), np.array([1.0, -1.0]), None, 0.5, 0.0)
+    w, v = sgd_step(w, np.array([1.0, -1.0]), v, 0.5, 0.0)
+    assert np.allclose(w, [0.0, 3.0])
 
 
 def test_sgd_step_shape_mismatch():
-    p = {"w": Tensor(np.zeros(2), requires_grad=True)}
     with pytest.raises(ValueError):
-        sgd_step(p, {"w": np.zeros(3)}, {}, 0.01, 0.9)
+        sgd_step(np.zeros(2), np.zeros(3), None, 0.01, 0.9)
+
+
+def test_row_clip_and_sgd_are_the_per_parameter_loop():
+    """Rows of a BlockNet's flat gradients, clipped and stepped together, give
+    each row the bytes of the per-parameter dict clip and step: a clipped
+    row, an unclipped row and a zero-norm row, at the first step and at a
+    later one."""
+    net = BlockNet(BlockNetSpec(input_shape=(5,), num_classes=3, widths=(4, 6)),
+                   rng=np.random.default_rng(41))
+    theta = params_to_vector(net.params)
+    layout = theta.layout
+    starts = {name: (o, o + int(np.prod(shape))) for name, shape, o in layout}
+    spans = [starts[name] for name in net.params]  # the model's parameter order
+    rng = np.random.default_rng(42)
+    rows = np.stack([theta.data + rng.normal(0, 0.1, theta.size) for _ in range(3)])
+    # each row's weights and velocity as the per-parameter loop holds them
+    refs = [({name: rows[r, a:b].reshape(net.params[name].shape) for name, (a, b)
+              in zip(net.params, spans)}, {}) for r in range(3)]
+    velocity = None
+    for step in range(2):
+        # row 0 clips (norm > 1), row 1 does not, row 2 is all zeros
+        grads = rng.normal(size=rows.shape) * np.array([[3.0], [1e-3], [0.0]])
+        clipped, scales = clip_grad_norm(grads, 1.0, spans)
+        assert scales[0] < 1.0 and scales[1:] == [1.0, 1.0]
+        rows, velocity = sgd_step(rows, clipped, velocity, 0.05, 0.9)
+        for r, (held, vel) in enumerate(refs):
+            params = {name: Tensor(held[name]) for name in net.params}
+            gdict = {name: grads[r, a:b].reshape(held[name].shape)
+                     for name, (a, b) in zip(net.params, spans)}
+            want, scale = reference_clip_grad_norm(gdict, 1.0)
+            assert scale == scales[r]
+            reference_sgd_step(params, want, vel, 0.05, 0.9)
+            for name, (a, b) in zip(net.params, spans):
+                held[name] = params[name].data
+                assert rows[r, a:b].tobytes() == held[name].tobytes(), (step, r, name)
+                assert velocity[r, a:b].tobytes() == vel[name].tobytes(), (step, r, name)
 
 
 # -- stacked copies ---------------------------------------------------------------------
